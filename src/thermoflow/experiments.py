@@ -5,6 +5,10 @@ into an ordered list of independent tasks, executes them on a worker pool,
 and reduces the results in task order.  Every stochastic trial derives its
 stream from the documented seed mix, so outputs are identical for any
 worker count.
+
+Each experiment is one registry entry declaring its typed parameters, its
+planner, task runner and assembler, so ``resolve_config`` rejects every bad
+input before a task starts.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -31,8 +36,9 @@ from .collision import (
     work_moments,
     sample_work_values,
 )
-from .maps import CYCLIC_PATH_PRESETS, CyclicProtocol, dissipation_breakdown
+from .maps import CHANNEL_KINDS, CYCLIC_PATH_PRESETS, CyclicProtocol, dissipation_breakdown
 from .qudit import (
+    PATH_PRESETS,
     QuditProtocolConfig,
     asymptotic_dissipation,
     linear_endpoint_path,
@@ -67,116 +73,460 @@ class NumericError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema
+# Parameter checks: check(value, path) returns the accepted value or raises
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
-# parameter name -> (python type, default); _REQUIRED means no default.
-PARAMETER_SCHEMAS = {
-    "fig3-loss": {
-        "alpha": (float, 0.5),
-        "temperature": (float, 1.0 / LN2),
-        "N_grid": (list, sorted({int(round(n)) for n in np.logspace(1, 4, 25)})),
-    },
-    "fig4-histograms": {
-        "N_values": (list, [100, 200, 500, 1000]),
-        "runs": (int, 10000),
-        "alpha": (float, 0.5),
-        "temperature": (float, 1.0 / LN2),
-        "bins": (int, 60),
-    },
-    "qudit-convergence": {
-        "preset": (str, "qubit-gap-ramp"),
-        "alpha": (float, 0.5),
-        "temperature": (float, 1.0 / LN2),
-        "N_values": (list, [250, 500, 1000, 2000]),
-        # endpoint pair alternative to the preset: Hermitian matrices as rows
-        # of numbers (or [re, im] pairs), linearly interpolated
-        "H0": (list, []),
-        "H1": (list, []),
-    },
-    "breakdown-scaling": {
-        "preset": (str, "qubit-cyclic-zx"),
-        "alpha": (float, 0.5),
-        "temperature": (float, 1.0 / LN2),
-        "N_values": (list, [32, 64, 128, 256]),
-        "channel": (str, "partial"),
-        "evolution": (str, "unitary"),
-        "substeps": (int, 16),
-    },
-    "fig5-fig6-tth": {
-        "g": (float, 1.0),
-        "tau_th": (float, 1.0),
-        "t_points": (int, 400),
-        "Gamma": (float, 1.0),
-        "total_time": (float, 100.0),
-    },
-    "custom": {
-        "op": (str, _REQUIRED),
-        "N": (int, 1000),
-        "alpha": (float, 0.5),
-        "temperature": (float, 1.0 / LN2),
-    },
-}
+
+def _number(kind, rule="", test=lambda v: True):
+    """Check for a finite int or float that passes `test`, described by `rule`."""
+
+    def check(value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if not test(value):
+            raise ConfigError(f"{path}: expected {kind.__name__} {rule}, got {value!r}")
+        try:
+            return kind(value)
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}") from None
+
+    return check
+
+
+def _sizes(distinct=False):
+    """Check for a non-empty list of integers >= 1, kept as given; optionally distinct."""
+
+    def check(value, path):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: expected a non-empty list of integers >= 1, got {value!r}")
+        sizes = [_COUNT(n, f"{path}[{i}]") for i, n in enumerate(value)]
+        if distinct and len(set(sizes)) < len(sizes):
+            raise ConfigError(f"{path}: expected distinct sizes, got {value!r}")
+        return value
+
+    return check
+
+
+def _choice(options):
+    options = tuple(options)
+
+    def check(value, path):
+        if value not in options:
+            raise ConfigError(f"{path}: expected one of {sorted(options)}, got {value!r}")
+        return value
+
+    return check
+
+
+def _list(value, path):
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return value
+
+
+_REAL = _number(float)
+_POSITIVE = _number(float, "> 0", lambda v: v > 0)
+_COUNT = _number(int, ">= 1", lambda v: v >= 1)
+_ALPHA = (_number(float, "in [0, 1)", lambda v: 0 <= v < 1), 0.5)
+_TEMPERATURE = (_POSITIVE, 1.0 / LN2)
 
 CUSTOM_OPS = ("average-work", "loss", "work-moments")
 
 TOP_LEVEL_KEYS = ("experiment", "parameters", "master_seed", "workers", "output_dir", "sweep")
 
-EXPERIMENTS = tuple(PARAMETER_SCHEMAS)
+
+def _matrix_from_json(rows: list, path: str) -> np.ndarray:
+    """Hermitian matrix from JSON rows; entries are numbers or [re, im] pairs."""
+    if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
+        raise ConfigError(f"{path}: expected a square matrix as a list of rows, got {rows!r}")
+
+    def entry(x, where):
+        if isinstance(x, list) and len(x) == 2:
+            return complex(_REAL(x[0], where), _REAL(x[1], where))
+        return complex(_REAL(x, where))
+
+    m = np.array([[entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)])
+    if np.abs(m - m.conj().T).max() > 1e-12:
+        raise ConfigError(f"{path}: endpoint matrix is not Hermitian")
+    return m
 
 
-def _check_number(value, kind, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-    if kind is int and not float(value).is_integer():
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return kind(value)
+def _canonical_qubit_config(N: int, alpha: float, T: float) -> QubitProtocolConfig:
+    return QubitProtocolConfig.canonical_erasure(N, Temperature(T), FixedAlpha(alpha))
 
 
-def _check_value(value, kind, path):
-    if kind in (int, float):
-        return _check_number(value, kind, path)
-    if kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if kind is list:
-        if not isinstance(value, list):
-            raise ConfigError(f"{path}: expected a list, got {value!r}")
-        return value
-    raise ConfigError(f"{path}: unsupported schema type {kind}")
+# ---------------------------------------------------------------------------
+# Experiments: plan(params, master_seed) -> task items, run(params, item) ->
+# result, assemble(params, results in item order) -> (artifacts, failures)
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OutputTable:
+    filename: str
+    header: list
+    rows: list
+
+
+@dataclass(frozen=True)
+class OutputDocument:
+    filename: str
+    payload: dict
+
+
+def _sizes_of(key):
+    """Planner with one task item per step count in params[key]."""
+    return lambda p, seed: [int(n) for n in p[key]]
+
+
+def _single_task(p, seed):
+    return [None]
+
+
+def _run_fig3_point(p, n):
+    cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
+    return [n, loss_epsilon(cfg), epsilon_upper_bound(n, p["alpha"], Temperature(p["temperature"]))]
+
+
+def _assemble_fig3(p, rows):
+    failures = []
+    eps = [e for _, e, _ in rows]
+    if p["alpha"] == 0.0:
+        # noiseless limit: the loss and its bound both vanish identically
+        if any(e != 0.0 for e in eps):
+            failures.append("collision-qubit/loss_epsilon: nonzero loss at alpha = 0")
+    else:
+        for n, e, bound in rows:
+            if not e < bound:
+                failures.append(f"collision-qubit/loss_epsilon: bound not dominating at N={n}")
+        if not all(a > b for a, b in zip(eps, eps[1:])):
+            failures.append("collision-qubit/loss_epsilon: loss not decreasing along the N grid")
+    return [OutputTable("fig3_loss.csv", ["N", "epsilon_exact", "epsilon_bound"], rows)], failures
+
+
+def _plan_fig4(p, seed):
+    """Blocks of TRIAL_BLOCK trials per N; the histogram edges are computed once per N."""
+    items = []
+    for n in p["N_values"]:
+        n = int(n)
+        edges = default_bin_edges(_canonical_qubit_config(n, p["alpha"], p["temperature"]), bins=p["bins"])
+        task_seed = derive_seed(seed, f"fig4:N={n}", 0)
+        for start in range(0, p["runs"], TRIAL_BLOCK):
+            items.append((n, edges, task_seed, start, min(TRIAL_BLOCK, p["runs"] - start)))
+    return items
+
+
+def _run_fig4_block(p, item):
+    n, edges, seed, start, count = item
+    cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
+    works, _, _ = sample_work_values(cfg, count, seed, trial_offset=start)
+    counts, _ = np.histogram(works, bins=edges)
+    return {
+        "N": n,
+        "count": count,
+        "sum": float(works.sum()),
+        "sum_sq": float(np.dot(works, works)),
+        "hist": counts.tolist(),
+    }
+
+
+def _assemble_fig4(p, results):
+    artifacts = []
+    failures = []
+    summary_rows = []
+    for n in p["N_values"]:
+        n = int(n)
+        blocks = [r for r in results if r["N"] == n]
+        count = sum(b["count"] for b in blocks)
+        total = sum(b["sum"] for b in blocks)
+        total_sq = sum(b["sum_sq"] for b in blocks)
+        hist = np.sum([b["hist"] for b in blocks], axis=0)
+        mean = total / count
+        variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
+        sigma = math.sqrt(variance)
+        cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
+        edges = default_bin_edges(cfg, bins=p["bins"])
+        moments = work_moments(cfg)
+        sigma_exact = math.sqrt(moments.variance)
+        stderr = sigma_exact / math.sqrt(count)
+        summary_rows.append([n, count, mean, sigma, moments.mean, sigma_exact, stderr])
+        hist_rows = [[float(edges[i]), float(edges[i + 1]), int(hist[i])] for i in range(len(hist))]
+        artifacts.append(OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows))
+        if abs(mean - moments.mean) > 4.0 * stderr:
+            failures.append(f"collision-qubit/sample_work: mean off by >4 s.e. at N={n}")
+        if abs(sigma - sigma_exact) > 0.10 * sigma_exact:
+            failures.append(f"collision-qubit/sample_work: sigma off by >10% at N={n}")
+    summary_header = ["N", "runs", "mean", "sigma", "mean_exact", "sigma_exact", "mean_stderr"]
+    return [OutputTable("fig4_summary.csv", summary_header, summary_rows)] + artifacts, failures
+
+
+def _endpoint_matrices(p):
+    """The parsed (H0, H1) pair, or None when the path preset is used."""
+    if bool(p["H0"]) != bool(p["H1"]):
+        raise ConfigError("parameters.H0/H1: endpoint matrices must be given together")
+    if not p["H0"]:
+        return None
+    m0, m1 = _matrix_from_json(p["H0"], "parameters.H0"), _matrix_from_json(p["H1"], "parameters.H1")
+    if m0.shape != m1.shape:
+        raise ConfigError(f"parameters.H0/H1: endpoint matrices must share a dimension, got {m0.shape}, {m1.shape}")
+    drive = m1 - m0
+    if np.abs(drive - drive[0, 0] * np.eye(len(drive))).max() <= 1e-12:
+        # the Gibbs state never changes, so there is no dissipation to predict
+        raise ConfigError("parameters.H0/H1: H1 - H0 must not be a multiple of the identity")
+    return m0, m1
+
+
+def _run_qudit_point(p, n):
+    temp = Temperature(p["temperature"])
+    endpoints = _endpoint_matrices(p)
+    path = linear_endpoint_path(*endpoints, temp) if endpoints else path_preset(p["preset"], temp)
+    cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=n, alpha=p["alpha"])
+    result = asymptotic_dissipation(cfg)
+    H_S = HamiltonianMatrix(dim=path.dim, matrix=cfg.H_system)
+    delta_f = free_energy(cfg.rho0, H_S, temp) - free_energy(path.gibbs(1.0), H_S, temp)
+    return [n, p["alpha"], delta_f - result.exact, result.exact, result.prediction]
+
+
+def _assemble_qudit(p, rows):
+    header = ["N", "alpha", "W_exact", "W_dis_exact", "W_dis_predicted"]
+    n, _, _, exact, predicted = rows[-1]
+    rel = abs(exact - predicted) / abs(exact)
+    failures = [f"qudit-collision/asymptotic_dissipation: {rel:.3%} relative error at N={n}"] if rel > 0.05 else []
+    return [OutputTable("qudit_convergence.csv", header, rows)], failures
+
+
+def _run_breakdown_point(p, n):
+    path = CYCLIC_PATH_PRESETS[p["preset"]](Temperature(p["temperature"]))
+    proto = CyclicProtocol(path=path, N=n, channel_alpha=p["alpha"], channel_kind=p["channel"],
+                           evolution_mode=p["evolution"], substeps=p["substeps"])
+    b = dissipation_breakdown(proto, path.gibbs(0.0))
+    return [n, p["alpha"], b.gamma, b.epsilon, b.kappa, b.total, b.w_iso]
+
+
+def _assemble_breakdown(p, rows):
+    header = ["N", "alpha", "gamma", "epsilon", "kappa", "total", "W_iso"]
+    failures = []
+    for n, _, gamma, epsilon, kappa, total, _ in rows:
+        residual = abs(gamma + epsilon + kappa - total)
+        if residual > 1e-9:
+            failures.append(f"thermal-maps/dissipation_breakdown: split residual {residual:.2e} at N={n}")
+    return [OutputTable("breakdown_scaling.csv", header, rows)], failures
+
+
+def _run_tth(p, _item):
+    cosine = CosineSqAlpha(p["g"])
+    expo = ExponentialAlpha(p["tau_th"])
+    t_lo, t_hi = 1e-3 * math.pi / p["g"], (1.0 - 1e-6) * math.pi / p["g"]
+    cosine_grid = np.linspace(t_lo, t_hi, p["t_points"])
+    expo_grid = np.linspace(1e-3 * p["tau_th"], 5.0 * p["tau_th"], p["t_points"])
+    return {
+        "cosine": _tth_rows(cosine, cosine_grid, p["Gamma"], p["total_time"]),
+        "exponential": _tth_rows(expo, expo_grid, p["Gamma"], p["total_time"]),
+        "optimum": minimize_g(cosine, (t_lo, t_hi)).as_dict(),
+        "exponential_optimum": minimize_g(expo, (1e-6 * p["tau_th"], 5.0 * p["tau_th"])).as_dict(),
+    }
+
+
+def _tth_rows(model, grid, gamma_value, total_time) -> list[list[float]]:
+    rows = []
+    for t in grid:
+        g_val = g_function(model, float(t))
+        w_dis = 2.0 * gamma_value * g_val / total_time if math.isfinite(g_val) else math.inf
+        rows.append([float(t), model.alpha(float(t)), g_val, w_dis])
+    return rows
+
+
+def _assemble_tth(p, results):
+    r = results[0]
+    artifacts = [
+        OutputTable("tth_cosine.csv", ["t", "alpha", "G", "W_dis"], r["cosine"]),
+        OutputTable("tth_exponential.csv", ["t", "alpha", "G", "W_dis"], r["exponential"]),
+        OutputDocument("tth_optimum.json", {"cosine": r["optimum"], "exponential": r["exponential_optimum"]}),
+    ]
+    failures = []
+    g_t = r["optimum"]["t_opt"] * p["g"]
+    if not 1.35 <= g_t <= 1.45:
+        failures.append(f"tth-optimizer/minimize_g: g*t_opt = {g_t:.4f} outside [1.35, 1.45]")
+    if not r["exponential_optimum"]["monotone_flag"]:
+        failures.append("tth-optimizer/minimize_g: exponential model not flagged monotone")
+    return artifacts, failures
+
+
+def _run_custom(p, _item):
+    cfg = _canonical_qubit_config(p["N"], p["alpha"], p["temperature"])
+    if p["op"] == "average-work":
+        ledger = average_work(cfg)
+        return {"op": p["op"], "value": ledger.cumulative_work, "ledger": _ledger_dict(ledger)}
+    if p["op"] == "loss":
+        return {"op": p["op"], "value": loss_epsilon(cfg)}
+    ledger = work_moments(cfg)
+    return {"op": p["op"], "value": ledger.mean, "ledger": _ledger_dict(ledger)}
+
+
+def _ledger_dict(ledger) -> dict:
+    data = {
+        "cumulative_work": ledger.cumulative_work,
+        "mean": ledger.mean,
+        "variance": ledger.variance,
+        "per_step_work": [float(w) for w in ledger.per_step_work],
+    }
+    if ledger.sample_count is not None:
+        data["sample_count"] = ledger.sample_count
+    return data
+
+
+def _assemble_custom(p, results):
+    r = results[0]
+    artifacts = [OutputTable("custom.csv", ["op", "value"], [[r["op"], r["value"]]])]
+    if "ledger" in r:
+        artifacts.append(OutputDocument("custom_ledger.json", r["ledger"]))
+    return artifacts, []
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One preset's registry entry.
+
+    parameters maps each name to (check, default), _REQUIRED meaning no
+    default; check_all(params) rejects bad combinations.  plan gives the task
+    items, which must pickle; run computes one, possibly in a worker process;
+    assemble receives the results in item order.
+    """
+
+    parameters: dict
+    plan: Callable
+    run: Callable
+    assemble: Callable
+    check_all: Optional[Callable] = None
+
+
+_REGISTRY = {
+    "fig3-loss": Experiment(
+        parameters={
+            "alpha": _ALPHA,
+            "temperature": _TEMPERATURE,
+            "N_grid": (_sizes(), sorted({int(round(n)) for n in np.logspace(1, 4, 25)})),
+        },
+        plan=_sizes_of("N_grid"),
+        run=_run_fig3_point,
+        assemble=_assemble_fig3,
+    ),
+    "fig4-histograms": Experiment(
+        parameters={
+            "N_values": (_sizes(distinct=True), [100, 200, 500, 1000]),
+            "runs": (_number(int, ">= 2", lambda v: v >= 2), 10000),
+            "alpha": _ALPHA,
+            "temperature": _TEMPERATURE,
+            "bins": (_COUNT, 60),
+        },
+        plan=_plan_fig4,
+        run=_run_fig4_block,
+        assemble=_assemble_fig4,
+    ),
+    "qudit-convergence": Experiment(
+        parameters={
+            "preset": (_choice(PATH_PRESETS), "qubit-gap-ramp"),
+            "alpha": _ALPHA,
+            "temperature": _TEMPERATURE,
+            "N_values": (_sizes(), [250, 500, 1000, 2000]),
+            # endpoint pair alternative to the preset: Hermitian matrices as rows
+            # of numbers (or [re, im] pairs), linearly interpolated
+            "H0": (_list, []),
+            "H1": (_list, []),
+        },
+        plan=_sizes_of("N_values"),
+        run=_run_qudit_point,
+        assemble=_assemble_qudit,
+        check_all=_endpoint_matrices,
+    ),
+    "breakdown-scaling": Experiment(
+        parameters={
+            "preset": (_choice(CYCLIC_PATH_PRESETS), "qubit-cyclic-zx"),
+            "alpha": (_number(float, "in [0, 1]", lambda v: 0 <= v <= 1), 0.5),
+            "temperature": _TEMPERATURE,
+            "N_values": (_sizes(), [32, 64, 128, 256]),
+            "channel": (_choice(CHANNEL_KINDS), "partial"),
+            "evolution": (_choice(("unitary", "quench")), "unitary"),
+            "substeps": (_COUNT, 16),
+        },
+        plan=_sizes_of("N_values"),
+        run=_run_breakdown_point,
+        assemble=_assemble_breakdown,
+    ),
+    "fig5-fig6-tth": Experiment(
+        parameters={
+            "g": (_POSITIVE, 1.0),
+            "tau_th": (_POSITIVE, 1.0),
+            "t_points": (_COUNT, 400),
+            "Gamma": (_REAL, 1.0),
+            "total_time": (_POSITIVE, 100.0),
+        },
+        plan=_single_task,
+        run=_run_tth,
+        assemble=_assemble_tth,
+    ),
+    "custom": Experiment(
+        parameters={
+            "op": (_choice(CUSTOM_OPS), _REQUIRED),
+            "N": (_COUNT, 1000),
+            "alpha": _ALPHA,
+            "temperature": _TEMPERATURE,
+        },
+        plan=_single_task,
+        run=_run_custom,
+        assemble=_assemble_custom,
+    ),
+}
+
+EXPERIMENTS = tuple(_REGISTRY)
+
+
+# ---------------------------------------------------------------------------
+# Config resolution
+# ---------------------------------------------------------------------------
+
+def _resolve_parameters(experiment: str, params_in) -> dict:
+    entry = _REGISTRY[experiment]
+    if not isinstance(params_in, dict):
+        raise ConfigError("parameters: expected a JSON object")
+    for key in params_in:
+        if key not in entry.parameters:
+            raise ConfigError(f"parameters.{key}: unknown parameter for experiment {experiment!r}")
+    params = {}
+    for key, (check, default) in entry.parameters.items():
+        if key in params_in:
+            params[key] = check(params_in[key], f"parameters.{key}")
+        elif default is _REQUIRED:
+            raise ConfigError(f"parameters.{key}: required for experiment {experiment!r}")
+        else:
+            params[key] = default
+    if entry.check_all is not None:
+        entry.check_all(params)
+    return params
 
 
 def resolve_config(raw: dict) -> dict:
-    """Validate a raw config dict and apply defaults (strict: unknown keys fail)."""
+    """Validate a raw config dict and apply defaults (strict: unknown keys fail).
+
+    Every parameter, and every sweep value in place of its axis parameter,
+    is checked here, so a run that passes starts no task it must abandon.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     for key in raw:
         if key not in TOP_LEVEL_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
     experiment = raw.get("experiment")
-    if experiment not in PARAMETER_SCHEMAS:
-        raise ConfigError(f"experiment must be one of {sorted(PARAMETER_SCHEMAS)}, got {experiment!r}")
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(f"experiment must be one of {sorted(EXPERIMENTS)}, got {experiment!r}")
 
-    schema = PARAMETER_SCHEMAS[experiment]
     params_in = raw.get("parameters", {})
-    if not isinstance(params_in, dict):
-        raise ConfigError("parameters: expected a JSON object")
-    for key in params_in:
-        if key not in schema:
-            raise ConfigError(f"parameters.{key}: unknown parameter for experiment {experiment!r}")
-    params = {}
-    for key, (kind, default) in schema.items():
-        if key in params_in:
-            params[key] = _check_value(params_in[key], kind, f"parameters.{key}")
-        elif default is _REQUIRED:
-            raise ConfigError(f"parameters.{key}: required for experiment {experiment!r}")
-        else:
-            params[key] = default
-    if experiment == "custom" and params["op"] not in CUSTOM_OPS:
-        raise ConfigError(f"parameters.op: must be one of {CUSTOM_OPS}, got {params['op']!r}")
+    params = _resolve_parameters(experiment, params_in)
 
     master_seed = raw.get("master_seed", DEFAULT_MASTER_SEED)
     if isinstance(master_seed, bool) or not isinstance(master_seed, int) or not 0 <= master_seed < 2**64:
@@ -201,12 +551,17 @@ def resolve_config(raw: dict) -> dict:
         sweep_spec = raw["sweep"]
         if not isinstance(sweep_spec, dict) or set(sweep_spec) != {"axis", "values"}:
             raise ConfigError("sweep: expected an object with exactly the keys 'axis' and 'values'")
-        axis = sweep_spec["axis"]
-        if axis not in schema:
+        axis, values = sweep_spec["axis"], sweep_spec["values"]
+        if not isinstance(axis, str) or axis not in _REGISTRY[experiment].parameters:
             raise ConfigError(f"sweep.axis: {axis!r} is not a parameter of experiment {experiment!r}")
-        if not isinstance(sweep_spec["values"], list) or not sweep_spec["values"]:
+        if not isinstance(values, (list, tuple)) or not values:
             raise ConfigError("sweep.values: expected a non-empty list")
-        resolved["sweep"] = {"axis": axis, "values": sweep_spec["values"]}
+        for i, value in enumerate(values):
+            try:
+                _resolve_parameters(experiment, {**params_in, axis: value})
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.values[{i}]: {exc}") from None
+        resolved["sweep"] = {"axis": axis, "values": list(values)}
     return resolved
 
 
@@ -216,358 +571,9 @@ def canonical_config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def _task_seed(master_seed: int, tag: str) -> int:
-    return derive_seed(master_seed, tag, 0)
-
-
-def _matrix_from_json(rows: list) -> np.ndarray:
-    """Hermitian matrix from JSON rows; entries are numbers or [re, im] pairs."""
-    def entry(x):
-        if isinstance(x, (int, float)) and not isinstance(x, bool):
-            return complex(x)
-        if isinstance(x, list) and len(x) == 2 and all(isinstance(v, (int, float)) for v in x):
-            return complex(x[0], x[1])
-        raise ConfigError(f"matrix entries must be numbers or [re, im] pairs, got {x!r}")
-
-    try:
-        m = np.array([[entry(x) for x in row] for row in rows], dtype=complex)
-    except TypeError:
-        raise ConfigError("matrix must be a list of rows")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ConfigError(f"matrix must be square, got shape {m.shape}")
-    if np.abs(m - m.conj().T).max() > 1e-12:
-        raise ConfigError("endpoint matrix is not Hermitian")
-    return m
-
-
-# ---------------------------------------------------------------------------
-# Tasks
-# ---------------------------------------------------------------------------
-
-def _plan_tasks(config: dict) -> list[tuple[str, dict]]:
-    """Ordered list of independent (kind, payload) tasks for the experiment."""
-    exp = config["experiment"]
-    p = config["parameters"]
-    seed = config["master_seed"]
-    if exp == "fig3-loss":
-        return [
-            ("fig3-point", {"N": int(n), "alpha": p["alpha"], "T": p["temperature"]})
-            for n in p["N_grid"]
-        ]
-    if exp == "fig4-histograms":
-        tasks = []
-        for n in p["N_values"]:
-            n = int(n)
-            tag = f"fig4:N={n}"
-            task_seed = _task_seed(seed, tag)
-            for start in range(0, p["runs"], TRIAL_BLOCK):
-                block = min(TRIAL_BLOCK, p["runs"] - start)
-                tasks.append(
-                    (
-                        "fig4-block",
-                        {
-                            "N": n,
-                            "alpha": p["alpha"],
-                            "T": p["temperature"],
-                            "bins": p["bins"],
-                            "seed": task_seed,
-                            "start": start,
-                            "count": block,
-                        },
-                    )
-                )
-        return tasks
-    if exp == "qudit-convergence":
-        if bool(p["H0"]) != bool(p["H1"]):
-            raise ConfigError("parameters.H0/H1: endpoint matrices must be given together")
-        return [
-            (
-                "qudit-point",
-                {
-                    "N": int(n),
-                    "alpha": p["alpha"],
-                    "T": p["temperature"],
-                    "preset": p["preset"],
-                    "H0": p["H0"],
-                    "H1": p["H1"],
-                },
-            )
-            for n in p["N_values"]
-        ]
-    if exp == "breakdown-scaling":
-        return [
-            (
-                "breakdown-point",
-                {
-                    "N": int(n),
-                    "alpha": p["alpha"],
-                    "T": p["temperature"],
-                    "preset": p["preset"],
-                    "channel": p["channel"],
-                    "evolution": p["evolution"],
-                    "substeps": p["substeps"],
-                },
-            )
-            for n in p["N_values"]
-        ]
-    if exp == "fig5-fig6-tth":
-        return [("tth-curves", dict(p))]
-    if exp == "custom":
-        return [("custom-op", dict(p))]
-    raise ConfigError(f"unknown experiment {exp!r}")
-
-
-def _canonical_qubit_config(N: int, alpha: float, T: float) -> QubitProtocolConfig:
-    return QubitProtocolConfig.canonical_erasure(N, Temperature(T), FixedAlpha(alpha))
-
-
-def _execute_task(task: tuple[str, dict]) -> dict:
-    kind, p = task
-    if kind == "fig3-point":
-        cfg = _canonical_qubit_config(p["N"], p["alpha"], p["T"])
-        return {
-            "N": p["N"],
-            "epsilon_exact": loss_epsilon(cfg),
-            "epsilon_bound": epsilon_upper_bound(p["N"], p["alpha"], Temperature(p["T"])),
-        }
-    if kind == "fig4-block":
-        cfg = _canonical_qubit_config(p["N"], p["alpha"], p["T"])
-        edges = default_bin_edges(cfg, bins=p["bins"])
-        works, _, _ = sample_work_values(cfg, p["count"], p["seed"], trial_offset=p["start"])
-        counts, _ = np.histogram(works, bins=edges)
-        return {
-            "N": p["N"],
-            "count": p["count"],
-            "sum": float(works.sum()),
-            "sum_sq": float(np.dot(works, works)),
-            "hist": counts.tolist(),
-        }
-    if kind == "qudit-point":
-        temp = Temperature(p["T"])
-        if p["H0"]:
-            path = linear_endpoint_path(_matrix_from_json(p["H0"]), _matrix_from_json(p["H1"]), temp)
-        else:
-            path = path_preset(p["preset"], temp)
-        cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=p["N"], alpha=p["alpha"])
-        result = asymptotic_dissipation(cfg)
-        H_S = HamiltonianMatrix(dim=path.dim, matrix=cfg.H_system)
-        delta_f = free_energy(cfg.rho0, H_S, temp) - free_energy(path.gibbs(1.0), H_S, temp)
-        return {
-            "N": p["N"],
-            "alpha": p["alpha"],
-            "W_exact": delta_f - result.exact,
-            "W_dis_exact": result.exact,
-            "W_dis_predicted": result.prediction,
-        }
-    if kind == "breakdown-point":
-        temp = Temperature(p["T"])
-        if p["preset"] not in CYCLIC_PATH_PRESETS:
-            raise ConfigError(f"parameters.preset: unknown cyclic preset {p['preset']!r}")
-        path = CYCLIC_PATH_PRESETS[p["preset"]](temp)
-        proto = CyclicProtocol(
-            path=path,
-            N=p["N"],
-            channel_alpha=p["alpha"],
-            channel_kind=p["channel"],
-            evolution_mode=p["evolution"],
-            substeps=p["substeps"],
-        )
-        b = dissipation_breakdown(proto, path.gibbs(0.0))
-        return {
-            "N": p["N"],
-            "alpha": p["alpha"],
-            "gamma": b.gamma,
-            "epsilon": b.epsilon,
-            "kappa": b.kappa,
-            "total": b.total,
-            "W_iso": b.w_iso,
-        }
-    if kind == "tth-curves":
-        cosine = CosineSqAlpha(p["g"])
-        expo = ExponentialAlpha(p["tau_th"])
-        t_lo, t_hi = 1e-3 * math.pi / p["g"], (1.0 - 1e-6) * math.pi / p["g"]
-        cosine_grid = np.linspace(t_lo, t_hi, p["t_points"])
-        expo_grid = np.linspace(1e-3 * p["tau_th"], 5.0 * p["tau_th"], p["t_points"])
-        rows_cos = _tth_rows(cosine, cosine_grid, p["Gamma"], p["total_time"])
-        rows_exp = _tth_rows(expo, expo_grid, p["Gamma"], p["total_time"])
-        optimum = minimize_g(cosine, (t_lo, t_hi))
-        expo_opt = minimize_g(expo, (1e-6 * p["tau_th"], 5.0 * p["tau_th"]))
-        return {
-            "cosine": rows_cos,
-            "exponential": rows_exp,
-            "optimum": optimum.as_dict(),
-            "exponential_optimum": expo_opt.as_dict(),
-        }
-    if kind == "custom-op":
-        cfg = _canonical_qubit_config(p["N"], p["alpha"], p["temperature"])
-        if p["op"] == "average-work":
-            ledger = average_work(cfg)
-            return {"op": p["op"], "value": ledger.cumulative_work, "ledger": _ledger_dict(ledger)}
-        if p["op"] == "loss":
-            return {"op": p["op"], "value": loss_epsilon(cfg)}
-        ledger = work_moments(cfg)
-        return {"op": p["op"], "value": ledger.mean, "ledger": _ledger_dict(ledger)}
-    raise ConfigError(f"unknown task kind {kind!r}")
-
-
-def _tth_rows(model, grid, gamma_value, total_time) -> list[list[float]]:
-    rows = []
-    for t in grid:
-        g_val = g_function(model, float(t))
-        w_dis = 2.0 * gamma_value * g_val / total_time if math.isfinite(g_val) else math.inf
-        rows.append([float(t), model.alpha(float(t)), g_val, w_dis])
-    return rows
-
-
-def _ledger_dict(ledger) -> dict:
-    data = {
-        "cumulative_work": ledger.cumulative_work,
-        "mean": ledger.mean,
-        "variance": ledger.variance,
-        "per_step_work": [float(w) for w in ledger.per_step_work],
-    }
-    if ledger.sample_count is not None:
-        data["sample_count"] = ledger.sample_count
-    return data
-
-
-# ---------------------------------------------------------------------------
-# Assembly: tables, gates, artifacts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OutputTable:
-    filename: str
-    header: list
-    rows: list
-
-
-@dataclass(frozen=True)
-class OutputDocument:
-    filename: str
-    payload: dict
-
-
-def _assemble(config: dict, results: list[dict]):
-    """Build output artifacts and collect numeric-gate failures."""
-    exp = config["experiment"]
-    p = config["parameters"]
-    artifacts = []
-    failures = []
-
-    if exp == "fig3-loss":
-        rows = [[r["N"], r["epsilon_exact"], r["epsilon_bound"]] for r in results]
-        artifacts.append(OutputTable("fig3_loss.csv", ["N", "epsilon_exact", "epsilon_bound"], rows))
-        eps = [r["epsilon_exact"] for r in results]
-        if p["alpha"] == 0.0:
-            # noiseless limit: the loss and its bound both vanish identically
-            if any(e != 0.0 for e in eps):
-                failures.append("collision-qubit/loss_epsilon: nonzero loss at alpha = 0")
-        else:
-            for r in results:
-                if not r["epsilon_exact"] < r["epsilon_bound"]:
-                    failures.append(f"collision-qubit/loss_epsilon: bound not dominating at N={r['N']}")
-            if not all(a > b for a, b in zip(eps, eps[1:])):
-                failures.append("collision-qubit/loss_epsilon: loss not decreasing along the N grid")
-
-    elif exp == "fig4-histograms":
-        summary_rows = []
-        for n in p["N_values"]:
-            n = int(n)
-            blocks = [r for r in results if r["N"] == n]
-            count = sum(b["count"] for b in blocks)
-            total = sum(b["sum"] for b in blocks)
-            total_sq = sum(b["sum_sq"] for b in blocks)
-            hist = np.sum([b["hist"] for b in blocks], axis=0)
-            mean = total / count
-            variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
-            sigma = math.sqrt(variance)
-            cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
-            edges = default_bin_edges(cfg, bins=p["bins"])
-            moments = work_moments(cfg)
-            sigma_exact = math.sqrt(moments.variance)
-            stderr = sigma_exact / math.sqrt(count)
-            summary_rows.append([n, count, mean, sigma, moments.mean, sigma_exact, stderr])
-            hist_rows = [
-                [float(edges[i]), float(edges[i + 1]), int(hist[i])] for i in range(len(hist))
-            ]
-            artifacts.append(
-                OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows)
-            )
-            if abs(mean - moments.mean) > 4.0 * stderr:
-                failures.append(f"collision-qubit/sample_work: mean off by >4 s.e. at N={n}")
-            if abs(sigma / sigma_exact - 1.0) > 0.10:
-                failures.append(f"collision-qubit/sample_work: sigma off by >10% at N={n}")
-        artifacts.insert(
-            0,
-            OutputTable(
-                "fig4_summary.csv",
-                ["N", "runs", "mean", "sigma", "mean_exact", "sigma_exact", "mean_stderr"],
-                summary_rows,
-            ),
-        )
-
-    elif exp == "qudit-convergence":
-        rows = [
-            [r["N"], r["alpha"], r["W_exact"], r["W_dis_exact"], r["W_dis_predicted"]]
-            for r in results
-        ]
-        artifacts.append(
-            OutputTable(
-                "qudit_convergence.csv",
-                ["N", "alpha", "W_exact", "W_dis_exact", "W_dis_predicted"],
-                rows,
-            )
-        )
-        last = results[-1]
-        rel = abs(last["W_dis_exact"] - last["W_dis_predicted"]) / abs(last["W_dis_exact"])
-        if rel > 0.05:
-            failures.append(
-                f"qudit-collision/asymptotic_dissipation: {rel:.3%} relative error at N={last['N']}"
-            )
-
-    elif exp == "breakdown-scaling":
-        rows = [
-            [r["N"], r["alpha"], r["gamma"], r["epsilon"], r["kappa"], r["total"], r["W_iso"]]
-            for r in results
-        ]
-        artifacts.append(
-            OutputTable(
-                "breakdown_scaling.csv",
-                ["N", "alpha", "gamma", "epsilon", "kappa", "total", "W_iso"],
-                rows,
-            )
-        )
-        for r in results:
-            residual = abs(r["gamma"] + r["epsilon"] + r["kappa"] - r["total"])
-            if residual > 1e-9:
-                failures.append(f"thermal-maps/dissipation_breakdown: split residual {residual:.2e} at N={r['N']}")
-
-    elif exp == "fig5-fig6-tth":
-        r = results[0]
-        artifacts.append(OutputTable("tth_cosine.csv", ["t", "alpha", "G", "W_dis"], r["cosine"]))
-        artifacts.append(
-            OutputTable("tth_exponential.csv", ["t", "alpha", "G", "W_dis"], r["exponential"])
-        )
-        artifacts.append(
-            OutputDocument(
-                "tth_optimum.json",
-                {"cosine": r["optimum"], "exponential": r["exponential_optimum"]},
-            )
-        )
-        g_t = r["optimum"]["t_opt"] * p["g"]
-        if not 1.35 <= g_t <= 1.45:
-            failures.append(f"tth-optimizer/minimize_g: g*t_opt = {g_t:.4f} outside [1.35, 1.45]")
-        if not r["exponential_optimum"]["monotone_flag"]:
-            failures.append("tth-optimizer/minimize_g: exponential model not flagged monotone")
-
-    elif exp == "custom":
-        r = results[0]
-        artifacts.append(OutputTable("custom.csv", ["op", "value"], [[r["op"], r["value"]]]))
-        if "ledger" in r:
-            artifacts.append(OutputDocument("custom_ledger.json", r["ledger"]))
-
-    return artifacts, failures
+def _execute_task(task: tuple[str, dict, object]) -> dict:
+    experiment, params, item = task
+    return _REGISTRY[experiment].run(params, item)
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +631,7 @@ def _run_tasks(tasks, workers: int) -> list[dict]:
         return list(pool.map(_execute_task, tasks, chunksize=1))
 
 
+
 def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     """Execute one experiment config; write outputs and manifest; gate results.
 
@@ -637,9 +644,11 @@ def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    tasks = _plan_tasks(config)
+    experiment, params = config["experiment"], config["parameters"]
+    entry = _REGISTRY[experiment]
+    tasks = [(experiment, params, item) for item in entry.plan(params, config["master_seed"])]
     results = _run_tasks(tasks, _resolve_workers(config))
-    artifacts, failures = _assemble(config, results)
+    artifacts, failures = entry.assemble(params, results)
 
     outputs = []
     for artifact in artifacts:
@@ -678,12 +687,7 @@ def sweep(raw_config: dict, axis: str, values, output_format: str = "csv") -> Ru
     """
     base = dict(raw_config)
     base.pop("sweep", None)
-    config = resolve_config(base)
-    schema = PARAMETER_SCHEMAS[config["experiment"]]
-    if axis not in schema:
-        raise ConfigError(f"sweep.axis: {axis!r} is not a parameter of {config['experiment']!r}")
-    if not isinstance(values, (list, tuple)) or len(values) == 0:
-        raise ConfigError("sweep.values: expected a non-empty list")
+    config = resolve_config(dict(base, sweep={"axis": axis, "values": values}))
 
     root = Path(config["output_dir"])
     all_outputs = []
@@ -702,10 +706,8 @@ def sweep(raw_config: dict, axis: str, values, output_format: str = "csv") -> Ru
         for name, rows, digest in sub_manifest.outputs:
             all_outputs.append((f"sweep-{axis}/{group}/{name}", rows, digest))
 
-    sweep_config = dict(config)
-    sweep_config["sweep"] = {"axis": axis, "values": list(values)}
     manifest = RunManifest(
-        config_hash=canonical_config_hash(sweep_config),
+        config_hash=canonical_config_hash(config),
         artifact_version=__version__,
         outputs=all_outputs,
     )

@@ -285,14 +285,13 @@ class ProtocolRun:
     """Full trace of a protocol run for the dissipation split.
 
     sigmas[i] is the state after contact i (sigmas[0] is the initial state),
-    pre_contact[i] the state arriving at contact i, unitaries[i] the step
-    propagator (identity in quench mode), taus[i] the Gibbs target at t_i.
+    unitaries[i] the step propagator (identity in quench mode), taus[i] the
+    Gibbs target at t_i.
     """
 
     hamiltonians: list
     taus: list
     sigmas: list
-    pre_contact: list
     unitaries: list
     work_steps: np.ndarray
 
@@ -317,15 +316,14 @@ def _execute(
     temp = path.temp
     dim = path.dim
     hams = [path.hamiltonian(i / N) for i in range(N + 1)]
-    taus = [gibbs_state(HamiltonianMatrix(dim=dim, matrix=h), temp) for h in hams]
     channels = [
         make_channel(channel_kind, channel_alpha, HamiltonianMatrix(dim=dim, matrix=hams[i]), temp)
         for i in range(1, N + 1)
     ]
+    taus = [gibbs_state(HamiltonianMatrix(dim=dim, matrix=hams[0]), temp)] + [c.target for c in channels]
     identity = np.eye(dim, dtype=complex)
 
     sigmas = [rho0]
-    pre_contact = [None]
     unitaries = [None]
     work_steps = np.empty(N)
     sigma = rho0.matrix
@@ -340,14 +338,12 @@ def _execute(
             np.trace(hams[i - 1] @ sigma).real - np.trace(hams[i] @ rho_i).real
         )
         sigma = channels[i - 1].apply_matrix(rho_i)
-        pre_contact.append(DensityOperator(dim=dim, matrix=0.5 * (rho_i + rho_i.conj().T)))
         unitaries.append(U)
         sigmas.append(DensityOperator(dim=dim, matrix=0.5 * (sigma + sigma.conj().T)))
     return ProtocolRun(
         hamiltonians=hams,
         taus=taus,
         sigmas=sigmas,
-        pre_contact=pre_contact,
         unitaries=unitaries,
         work_steps=work_steps,
     )

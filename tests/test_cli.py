@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from thermoflow.experiments import (
@@ -73,6 +75,35 @@ def test_resolve_applies_documented_defaults():
         {"experiment": "custom", "parameters": {"op": "no-such-op"}},
         {"experiment": "fig3-loss", "sweep": {"axis": "nope", "values": [1]}},
         {"experiment": "fig3-loss", "sweep": {"axis": "alpha"}},
+        {"experiment": "fig4-histograms", "parameters": {"N_values": ["x"]}},
+        {"experiment": "fig4-histograms", "parameters": {"runs": 0}},
+        {"experiment": "fig4-histograms", "parameters": {"runs": 1}},
+        {"experiment": "fig5-fig6-tth", "parameters": {"total_time": 0}},
+        {"experiment": "fig5-fig6-tth", "parameters": {"total_time": -1}},
+        {"experiment": "qudit-convergence", "parameters": {"N_values": []}},
+        {"experiment": "fig3-loss", "parameters": {"N_grid": []}},
+        {"experiment": "fig4-histograms", "parameters": {"N_values": []}},
+        {"experiment": "breakdown-scaling", "parameters": {"N_values": []}},
+        {"experiment": "fig3-loss", "parameters": {"N_grid": [5.5]}},
+        {"experiment": "fig4-histograms", "parameters": {"N_values": [100.7]}},
+        {"experiment": "breakdown-scaling", "parameters": {"N_values": [True]}},
+        {"experiment": "fig4-histograms", "parameters": {"bins": 0}},
+        {"experiment": "fig4-histograms", "parameters": {"bins": -1}},
+        {"experiment": "fig5-fig6-tth", "parameters": {"t_points": 0}},
+        {"experiment": "fig4-histograms", "parameters": {"N_values": [12, 12]}},
+        {"experiment": "fig5-fig6-tth", "parameters": {"Gamma": math.nan}},
+        {"experiment": "fig5-fig6-tth", "parameters": {"total_time": math.inf}},
+        {"experiment": "fig3-loss", "parameters": {"temperature": math.inf}},
+        {"experiment": "fig3-loss", "parameters": {"alpha": 1.0}},
+        {"experiment": "qudit-convergence", "parameters": {"H0": [[0.0, 0.0], [0.0, 1.0]]}},
+        {"experiment": "qudit-convergence", "parameters": {"H0": [[0.0, 1.0], [0.0]], "H1": [[1.0, 0.0], [0.0, 0.0]]}},
+        {"experiment": "qudit-convergence", "parameters": {"H0": [[0.0, 1.0], [0.0, 0.0]], "H1": [[1.0, 0.0], [0.0, 0.0]]}},
+        {"experiment": "qudit-convergence", "parameters": {"H0": [[1.0]], "H1": [[1.0, 0.0], [0.0, 0.0]]}},
+        {"experiment": "breakdown-scaling", "parameters": {"preset": "no-such-loop"}},
+        {"experiment": "fig3-loss", "sweep": {"axis": "N_grid", "values": [[10, 100], []]}},
+        {"experiment": "qudit-convergence", "parameters": {"H0": [[1.0]], "H1": [[2.0]]}},
+        {"experiment": "fig5-fig6-tth", "parameters": {"Gamma": 10**400}},
+        {"experiment": "fig3-loss", "sweep": {"axis": ["alpha"], "values": [0.5]}},
     ],
 )
 def test_resolve_rejects_invalid_configs(raw):
@@ -147,6 +178,18 @@ def test_fig4_summary_contents(tmp_path):
     assert hist[0] == "bin_left,bin_right,count"
     counts = sum(int(line.split(",")[2]) for line in hist[1:])
     assert counts <= 1500
+
+
+def test_fig4_single_step_passes_sigma_gate(tmp_path):
+    # a single step's work is deterministic: the sigma gate must accept sigma_exact = 0
+    cfg = {
+        "experiment": "fig4-histograms",
+        "parameters": {"N_values": [1], "runs": 40},
+        "output_dir": str(tmp_path / "o"),
+    }
+    run_experiment(cfg)
+    row = (tmp_path / "o" / "fig4_summary.csv").read_text().splitlines()[1].split(",")
+    assert float(row[5]) == 0.0
 
 
 def test_custom_op_emits_ledger_json(tmp_path):
@@ -279,6 +322,7 @@ def test_cli_config_file_plus_overrides(tmp_path):
         ["--experiment", "fig3-loss", "--set", "alpa=1"],  # misspelled key
         ["--config", "/nonexistent/path.json"],
         [],  # no experiment at all
+        ["--experiment", "fig4-histograms", "--set", 'N_values=["x"]'],  # a list holding a string
     ],
 )
 def test_cli_config_errors_exit_2(argv, tmp_path, capsys):
@@ -318,3 +362,42 @@ def test_cli_workers_env_default(tmp_path, monkeypatch):
     assert code == EXIT_OK
     monkeypatch.setenv("THERMOFLOW_WORKERS", "zebra")
     assert main(["--experiment", "fig3-loss", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+# small base parameters for every experiment, so one CLI run takes milliseconds
+SMALL_BASES = {
+    "fig3-loss": {"N_grid": [10, 100]},
+    "fig4-histograms": {"N_values": [12], "runs": 40, "bins": 10},
+    "qudit-convergence": {"N_values": [20]},
+    "breakdown-scaling": {"N_values": [4], "substeps": 2},
+    "fig5-fig6-tth": {"t_points": 8},
+    "custom": {"op": "loss", "N": 20},
+}
+PARAMETER_NAMES = {
+    "fig3-loss": ["alpha", "temperature", "N_grid"],
+    "fig4-histograms": ["N_values", "runs", "alpha", "temperature", "bins"],
+    "qudit-convergence": ["preset", "alpha", "temperature", "N_values", "H0", "H1"],
+    "breakdown-scaling": ["preset", "alpha", "temperature", "N_values", "channel", "evolution", "substeps"],
+    "fig5-fig6-tth": ["g", "tau_th", "t_points", "Gamma", "total_time"],
+    "custom": ["op", "N", "alpha", "temperature"],
+}
+# wrong types, JSON constants, empty and non-finite values, a list holding a
+# string, duplicates; small magnitudes only (a huge run count is valid work)
+HOSTILE_VALUES = st.one_of(
+    st.sampled_from(["x", True, None, [], {}, 0, -1, 0.5, 1, math.nan, math.inf, -math.inf, ["x"], [8, 8]]),
+    st.integers(-2, 3),
+    st.lists(st.integers(-1, 16), max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), value=HOSTILE_VALUES)
+def test_cli_never_ends_in_a_traceback(data, value):
+    experiment = data.draw(st.sampled_from(sorted(SMALL_BASES)))
+    name = data.draw(st.sampled_from(PARAMETER_NAMES[experiment]))
+    params = dict(SMALL_BASES[experiment], **{name: value})
+    with tempfile.TemporaryDirectory() as out:
+        argv = ["--experiment", experiment, "--out", out]
+        for key, item in params.items():
+            argv += ["--set", f"{key}={json.dumps(item)}"]
+        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)

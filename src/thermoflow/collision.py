@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .core import Temperature, ValidationError, gibbs_populations
-from .seeding import rng_for
+from .seeding import rng_for, trial_uniforms
 
 __all__ = [
     "BathSchedule",
@@ -170,13 +170,17 @@ class RandomAlpha:
         lo, hi, p_lo = self.params
         return p_lo * lo + (1.0 - p_lo) * hi
 
-    def draw_steps(self, n_steps: int, trial_index: int) -> np.ndarray:
-        rng = rng_for(self.seed, ALPHA_TAG, trial_index)
+    def draw_steps(self, n_steps: int, trial_indices) -> np.ndarray:
+        """Per-step alphas of each trial, shape (len(trial_indices), n_steps).
+
+        Row r is drawn from the stream rng_for(seed, ALPHA_TAG, trial_indices[r]).
+        """
+        u = trial_uniforms(self.seed, ALPHA_TAG, trial_indices, n_steps)
         if self.distribution == "uniform":
             a, b = self.params
-            return a + (b - a) * rng.random(n_steps)
+            return a + (b - a) * u
         lo, hi, p_lo = self.params
-        return np.where(rng.random(n_steps) < p_lo, lo, hi)
+        return np.where(u < p_lo, lo, hi)
 
 
 NoiseModel = Union[FixedAlpha, RandomAlpha]
@@ -411,12 +415,6 @@ def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
 # Stochastic sampling
 # ---------------------------------------------------------------------------
 
-def _per_step_alphas(config: QubitProtocolConfig, trial_index: int, n_steps: int):
-    if isinstance(config.noise, FixedAlpha):
-        return config.noise.alpha
-    return config.noise.draw_steps(n_steps, trial_index)
-
-
 def _simulate_block(config, seed, indices, step_sums, state_sums):
     """Simulate one block of trials; returns the per-trial total works.
 
@@ -426,13 +424,9 @@ def _simulate_block(config, seed, indices, step_sums, state_sums):
     N = config.schedule.N
     q_steps = config.schedule.q[1:]
     omega = config.swap_energies
-    B = len(indices)
-
-    uniforms = np.empty((B, 2 * N + 1))
-    alphas = np.empty((B, N))
-    for row, trial in enumerate(indices):
-        uniforms[row] = rng_for(seed, TRIAL_TAG, int(trial)).random(2 * N + 1)
-        alphas[row] = _per_step_alphas(config, int(trial), N)
+    noise = config.noise
+    alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, indices)
+    uniforms = trial_uniforms(seed, TRIAL_TAG, indices, 2 * N + 1)
 
     s0 = uniforms[:, 0] < config.p0
     swap = uniforms[:, 1 : N + 1] < (1.0 - alphas)

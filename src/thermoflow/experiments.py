@@ -257,9 +257,9 @@ def _assemble_fig4(p, results):
         summary_rows.append([n, count, mean, sigma, moments.mean, sigma_exact, stderr])
         hist_rows = [[float(edges[i]), float(edges[i + 1]), int(hist[i])] for i in range(len(hist))]
         artifacts.append(OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows))
-        if abs(mean - moments.mean) > 4.0 * stderr:
+        if not abs(mean - moments.mean) <= 4.0 * stderr:
             failures.append(f"collision-qubit/sample_work: mean off by >4 s.e. at N={n}")
-        if abs(sigma - sigma_exact) > 0.10 * sigma_exact:
+        if not abs(sigma - sigma_exact) <= 0.10 * sigma_exact:
             failures.append(f"collision-qubit/sample_work: sigma off by >10% at N={n}")
     summary_header = ["N", "runs", "mean", "sigma", "mean_exact", "sigma_exact", "mean_stderr"]
     return [OutputTable("fig4_summary.csv", summary_header, summary_rows)] + artifacts, failures
@@ -296,7 +296,7 @@ def _assemble_qudit(p, rows):
     header = ["N", "alpha", "W_exact", "W_dis_exact", "W_dis_predicted"]
     n, _, _, exact, predicted = rows[-1]
     rel = abs(exact - predicted) / abs(exact)
-    failures = [f"qudit-collision/asymptotic_dissipation: {rel:.3%} relative error at N={n}"] if rel > 0.05 else []
+    failures = [f"qudit-collision/asymptotic_dissipation: {rel:.3%} relative error at N={n}"] if not rel <= 0.05 else []
     return [OutputTable("qudit_convergence.csv", header, rows)], failures
 
 
@@ -313,7 +313,7 @@ def _assemble_breakdown(p, rows):
     failures = []
     for n, _, gamma, epsilon, kappa, total, _ in rows:
         residual = abs(gamma + epsilon + kappa - total)
-        if residual > 1e-9:
+        if not residual <= 1e-9:
             failures.append(f"thermal-maps/dissipation_breakdown: split residual {residual:.2e} at N={n}")
     return [OutputTable("breakdown_scaling.csv", header, rows)], failures
 

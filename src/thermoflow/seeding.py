@@ -9,6 +9,11 @@ partition, and independent implementations can reproduce them.
 
 where tag_hash(tag) is the first 8 bytes (big-endian) of SHA-256 of the
 UTF-8 tag string.
+
+`trial_uniforms` derives the streams of a whole block of trials at once:
+SplitMix64, numpy's SeedSequence pool hashing and PCG64 seeding run on numpy
+lanes, bit for bit as `default_rng(seed_i)` computes them one at a time, so
+only the state assignment and the draws stay per trial.
 """
 
 from __future__ import annotations
@@ -40,3 +45,131 @@ def derive_seed(master_seed: int, tag: str, index: int) -> int:
 
 def rng_for(master_seed: int, tag: str, index: int) -> np.random.Generator:
     return np.random.default_rng(derive_seed(master_seed, tag, index))
+
+
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): 32-bit hash
+# constants, pool size 4.  The hash constant evolves independently of the
+# data, so its whole sequence is fixed at import.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+MASK32 = (1 << 32) - 1
+
+
+def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor constant, multiplier) of each successive hash step."""
+    pairs = []
+    const = init
+    for _ in range(count):
+        nxt = (const * mult) & MASK32
+        pairs.append((np.uint32(const), np.uint32(nxt)))
+        const = nxt
+    return pairs
+
+
+# 4 hashmix calls fill the pool, 12 more cross-mix it; generate_state(4, uint64) hashes 8 words.
+_MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
+_STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+
+# PCG64 (pcg_setseq_128 XSL-RR) default multiplier, as (high, low) 64-bit words.
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & MASK64)
+
+
+def splitmix64_lanes(x: np.ndarray) -> np.ndarray:
+    """`splitmix64` applied to every element of a uint64 array (wraparound is native)."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _hash(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
+    xor, mult = constants
+    value = (value ^ xor) * mult
+    return value ^ (value >> np.uint32(_XSHIFT))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(_XSHIFT))
+
+
+def seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
+    """`SeedSequence(s).generate_state(4, np.uint64)` for every uint64 seed s; shape (len, 4).
+
+    The entropy words are [lo32, hi32], zero-padded to the pool size.  numpy
+    drops the zero high word of a seed below 2^32, but pads the pool with
+    zeros, so the result is the same.
+    """
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    constants = iter(_MIX_CONSTANTS)
+    zero = np.zeros_like(seeds, dtype=np.uint32)
+    entropy = [(seeds & np.uint64(MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    pool = [_hash(word, next(constants)) for word in entropy + [zero] * (_POOL_SIZE - len(entropy))]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hash(pool[src], next(constants)))
+    words = [_hash(pool[i % _POOL_SIZE], c).astype(np.uint64) for i, c in enumerate(_STATE_CONSTANTS)]
+    return np.stack([words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)], axis=-1)
+
+
+def _mul64(a: np.ndarray, b: np.uint64) -> tuple[np.ndarray, np.ndarray]:
+    """Full 128-bit product of uint64 lanes a and scalar b, as (high, low) words."""
+    a0, a1 = a & np.uint64(MASK32), a >> np.uint64(32)
+    b0, b1 = b & np.uint64(MASK32), b >> np.uint64(32)
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> np.uint64(32)) + (p01 & np.uint64(MASK32)) + (p10 & np.uint64(MASK32))
+    high = p11 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return high, a * b
+
+
+def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    lo = a_lo + b_lo
+    return a_hi + b_hi + (lo < a_lo).astype(np.uint64), lo
+
+
+def _pcg64_states(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """PCG64 (state_hi, state_lo, inc_hi, inc_lo) seeded from generate_state words.
+
+    numpy passes words (0, 1) as initstate and (2, 3) as initseq, high word
+    first, to pcg_setseq_128_srandom_r:
+    inc = (initseq << 1) | 1 and state = ((inc + initstate) * MULT + inc) mod 2^128.
+    """
+    s0, s1, s2, s3 = words.T
+    one = np.uint64(1)
+    inc_hi, inc_lo = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
+    t_hi, t_lo = _add128(inc_hi, inc_lo, s0, s1)
+    p_hi, p_lo = _mul64(t_lo, _PCG_MULT_LO)
+    p_hi = p_hi + t_lo * _PCG_MULT_HI + t_hi * _PCG_MULT_LO
+    state_hi, state_lo = _add128(p_hi, p_lo, inc_hi, inc_lo)
+    return state_hi, state_lo, inc_hi, inc_lo
+
+
+def trial_uniforms(master_seed: int, tag: str, indices, n: int) -> np.ndarray:
+    """Array of shape (len(indices), n) whose row r is rng_for(master_seed, tag, indices[r]).random(n).
+
+    Seeds, SeedSequence hashing and PCG64 seeding are computed for the whole
+    block in numpy lanes; per trial only the generator state is assigned and
+    the uniforms are drawn, into one reused PCG64.
+    """
+    base = splitmix64(splitmix64(master_seed & MASK64) ^ tag_hash(tag))
+    idx = np.asarray(indices).astype(np.uint64)
+    seeds = splitmix64_lanes(np.uint64(base) ^ idx)
+    state_hi, state_lo, inc_hi, inc_lo = _pcg64_states(seed_sequence_state(seeds))
+
+    out = np.empty((len(idx), n))
+    bitgen = np.random.PCG64(0)
+    generator = np.random.Generator(bitgen)
+    inner = {"state": 0, "inc": 0}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    rows = zip(out, state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
+    for row, s_hi, s_lo, i_hi, i_lo in rows:
+        inner["state"] = (s_hi << 64) | s_lo
+        inner["inc"] = (i_hi << 64) | i_lo
+        bitgen.state = state
+        generator.random(out=row)
+    return out

@@ -143,7 +143,10 @@ def _golden_section(fun, a: float, b: float, tol: float) -> float:
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = fun(c), fun(d)
-    while (b - a) > tol:
+    # The second test ends the search once rounding stops the probes from
+    # lying strictly inside the bracket: for a wide window, b - a never falls
+    # below an absolute tol.
+    while (b - a) > tol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN * (b - a)

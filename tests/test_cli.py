@@ -1,12 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import thermoflow
 from thermoflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from thermoflow.experiments import (
     ConfigError,
@@ -336,6 +341,28 @@ def test_cli_numeric_failure_exits_3(tmp_path, capsys):
     )
     assert code == EXIT_NUMERIC
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_cli_non_finite_gate_value_exits_3(tmp_path, capsys):
+    # at T = 1e200 the sum of squared works overflows: sigma is NaN, and NaN must fail its gate
+    code = main(
+        [
+            "--experiment", "fig4-histograms", "--set", "N_values=[10]", "--set", "runs=4000",
+            "--set", "temperature=1e200", "--out", str(tmp_path / "o"),
+        ]
+    )
+    assert code == EXIT_NUMERIC
+    assert "sigma off" in capsys.readouterr().err
+
+
+def test_cli_tth_wide_search_window_terminates(tmp_path):
+    # g = 1e-9 puts the golden-section window near pi/g, where the ulp of t exceeds the 1e-9 tolerance
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["--experiment", "fig5-fig6-tth", "--set", "g=1e-9", "--out", str(tmp_path / "o")]
+    done = subprocess.run([sys.executable, "-m", "thermoflow.cli", *argv], env=env, capture_output=True, timeout=15)
+    assert done.returncode == EXIT_OK, done.stderr.decode()
+    assert (tmp_path / "o" / "tth_optimum.json").exists()
 
 
 @pytest.mark.parametrize(

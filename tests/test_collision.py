@@ -5,12 +5,15 @@ import pytest
 
 from thermoflow.core import HamiltonianMatrix, ValidationError, free_energy, gibbs_state
 from thermoflow.collision import (
+    ALPHA_TAG,
+    TRIAL_TAG,
     BathSchedule,
     FixedAlpha,
     QubitProtocolConfig,
     RandomAlpha,
     WorkLedger,
     average_work,
+    default_bin_edges,
     enumerate_work_paths,
     epsilon_upper_bound,
     excitation_probabilities,
@@ -25,6 +28,8 @@ from thermoflow.collision import (
     thermal_op_reduction_check,
     work_moments,
 )
+
+from thermoflow.seeding import rng_for
 
 from conftest import FIG_TEMP
 
@@ -464,6 +469,48 @@ def test_random_alpha_mean_work_matches_average_alpha(noise):
 def test_simulate_random_alpha_requires_random_noise():
     with pytest.raises(ValidationError):
         simulate_random_alpha(canonical(10, 0.5), 100)
+
+
+def _per_trial_random_alpha_works(cfg, runs):
+    """Reference sampler: one rng_for stream per trial and a scalar state machine."""
+    N = cfg.schedule.N
+    q, omega, noise = cfg.schedule.q[1:], cfg.swap_energies, cfg.noise
+    works = np.empty(runs)
+    for t in range(runs):
+        u = rng_for(noise.seed, TRIAL_TAG, t).random(2 * N + 1)
+        a = rng_for(noise.seed, ALPHA_TAG, t).random(N)
+        if noise.distribution == "uniform":
+            lo, hi = noise.params
+            alphas = lo + (hi - lo) * a
+        else:
+            lo, hi, p_lo = noise.params
+            alphas = np.where(a < p_lo, lo, hi)
+        state = u[0] < cfg.p0
+        increments = np.zeros(N)
+        for k in range(N):
+            if u[1 + k] < 1.0 - alphas[k]:
+                bath = u[1 + N + k] < q[k]
+                increments[k] = omega[k] * (float(bath) - float(state))
+                state = bath
+        works[t] = increments.sum()
+    return works
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=5), RandomAlpha("uniform", (0.2, 0.6), seed=6)],
+    ids=["two-point", "uniform"],
+)
+def test_random_alpha_matches_per_trial_streams(noise):
+    N, runs = 12, 400
+    cfg = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
+    expected = _per_trial_random_alpha_works(cfg, runs)
+    works, _, _ = sample_work_values(cfg, runs, noise.seed)
+    np.testing.assert_array_equal(works, expected)
+    edges = default_bin_edges(cfg, bins=30)
+    ledger, _ = simulate_random_alpha(cfg, runs, bin_edges=edges)
+    np.testing.assert_array_equal(ledger.histogram[1], np.histogram(expected, bins=edges)[0])
+    assert ledger.sample_count == runs
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,77 @@
+"""Oracles for the block stream kernel `seeding.trial_uniforms`.
+
+Each lane function is checked against the scalar code or the numpy routine it
+reproduces: SplitMix64 against `splitmix64`/`derive_seed`, the SeedSequence
+port against `np.random.SeedSequence(s).generate_state(4, np.uint64)`, and
+whole rows against `rng_for(...).random(n)`.
+"""
+
+import numpy as np
+import pytest
+
+from thermoflow.seeding import (
+    derive_seed,
+    rng_for,
+    seed_sequence_state,
+    splitmix64,
+    splitmix64_lanes,
+    tag_hash,
+    trial_uniforms,
+)
+
+EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+
+def _random_u64(count: int, seed: int) -> np.ndarray:
+    return np.random.default_rng(seed).integers(0, 2**64, count, dtype=np.uint64, endpoint=False)
+
+
+def test_splitmix64_lanes_match_scalar():
+    x = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_u64(2000, 1)])
+    assert splitmix64_lanes(x).tolist() == [splitmix64(int(v)) for v in x]
+
+
+def test_splitmix64_lanes_reproduce_derive_seed():
+    master, tag = 20260809, "collision-mc"
+    base = splitmix64(splitmix64(master) ^ tag_hash(tag))
+    idx = np.array([0, 1, 511, 2**40 + 3, 2**64 - 1], dtype=np.uint64)
+    seeds = splitmix64_lanes(np.uint64(base) ^ idx)
+    assert seeds.tolist() == [derive_seed(master, tag, int(i)) for i in idx]
+
+
+def test_seed_sequence_state_matches_numpy():
+    seeds = np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_u64(20000, 2)])
+    # seeds below 2^32 have a single entropy word in numpy; cover many of them
+    seeds[5:2000] >>= np.uint64(32)
+    expected = np.array([np.random.SeedSequence(int(s)).generate_state(4, np.uint64) for s in seeds])
+    np.testing.assert_array_equal(seed_sequence_state(seeds), expected)
+
+
+@pytest.mark.parametrize("n", [1, 25, 4001])
+@pytest.mark.parametrize(
+    "indices",
+    [
+        [0, 1, 2, 3],
+        [7, 3, 1000, 12, 12],  # non-contiguous, unordered, repeated
+        [2**64 - 1, 2**64 - 2, 2**63, 2**63 - 1],
+    ],
+    ids=["contiguous", "scattered", "near-2^64"],
+)
+def test_trial_uniforms_rows_match_rng_for(indices, n):
+    master, tag = 987654321, "collision-mc"
+    got = trial_uniforms(master, tag, np.array(indices, dtype=np.uint64), n)
+    assert got.shape == (len(indices), n)
+    for row, index in zip(got, indices):
+        np.testing.assert_array_equal(row, rng_for(master, tag, index).random(n))
+
+
+def test_trial_uniforms_wraps_master_and_index_like_derive_seed():
+    # derive_seed masks both to 64 bits; so must the kernel, for int64 index arrays too
+    indices = [-1, 0, 2]
+    got = trial_uniforms(-5, "x", np.array(indices, dtype=np.int64), 4)
+    for row, index in zip(got, indices):
+        np.testing.assert_array_equal(row, rng_for(-5, "x", index).random(4))
+
+
+def test_trial_uniforms_empty_block():
+    assert trial_uniforms(1, "x", np.array([], dtype=np.int64), 25).shape == (0, 25)

@@ -16,6 +16,7 @@ __all__ = [
     "Temperature",
     "DensityOperator",
     "HamiltonianMatrix",
+    "check_density_matrices",
     "gibbs_populations",
     "gibbs_state",
     "von_neumann_entropy",
@@ -46,12 +47,6 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return m
 
 
-def _check_hermitian(m: np.ndarray, what: str) -> None:
-    dev = np.abs(m - m.conj().T).max()
-    if dev > HERMITICITY_TOL:
-        raise ValidationError(f"{what} is not Hermitian: max deviation {dev:.3e}")
-
-
 @dataclass(frozen=True)
 class Temperature:
     """Bath temperature T > 0 with cached inverse temperature beta = 1/T."""
@@ -65,6 +60,25 @@ class Temperature:
         object.__setattr__(self, "beta", 1.0 / self.T)
 
 
+def check_density_matrices(stack: np.ndarray) -> None:
+    """Require every matrix of a (B, d, d) stack to be Hermitian, unit-trace and PSD.
+
+    Each check runs once over the whole stack, with the tolerances above; the
+    first matrix that fails gets DensityOperator's message.  A NaN fails no check.
+    """
+    dev = np.abs(stack - stack.conj().swapaxes(-1, -2))
+    if np.fmax.reduce(dev, axis=None) > HERMITICITY_TOL:
+        worst = dev[(dev > HERMITICITY_TOL).any(axis=(-2, -1)).argmax()].max()
+        raise ValidationError(f"density operator is not Hermitian: max deviation {worst:.3e}")
+    tr = stack.trace(axis1=-2, axis2=-1).real
+    off_trace = abs(tr - 1.0)
+    if np.fmax.reduce(off_trace) > TRACE_TOL:
+        raise ValidationError(f"trace must be 1, got {tr[(off_trace > TRACE_TOL).argmax()]!r}")
+    lam_min = np.linalg.eigvalsh(stack)[:, 0]
+    if np.fmin.reduce(lam_min) < PSD_FLOOR:
+        raise ValidationError(f"negative eigenvalue {lam_min[(lam_min < PSD_FLOOR).argmax()]:.3e} below PSD floor")
+
+
 @dataclass(frozen=True)
 class DensityOperator:
     """A dim x dim Hermitian, unit-trace, PSD matrix."""
@@ -76,13 +90,7 @@ class DensityOperator:
         m = _as_complex_matrix(self.matrix)
         if m.shape[0] != self.dim:
             raise ValidationError(f"dim {self.dim} does not match matrix shape {m.shape}")
-        _check_hermitian(m, "density operator")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"trace must be 1, got {tr!r}")
-        lam_min = np.linalg.eigvalsh(m)[0]
-        if lam_min < PSD_FLOOR:
-            raise ValidationError(f"negative eigenvalue {lam_min:.3e} below PSD floor")
+        check_density_matrices(m[None])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -123,7 +131,9 @@ class HamiltonianMatrix:
         m = _as_complex_matrix(self.matrix)
         if m.shape[0] != self.dim:
             raise ValidationError(f"dim {self.dim} does not match matrix shape {m.shape}")
-        _check_hermitian(m, "Hamiltonian")
+        dev = np.abs(m - m.conj().T).max()
+        if dev > HERMITICITY_TOL:
+            raise ValidationError(f"Hamiltonian is not Hermitian: max deviation {dev:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -154,11 +164,12 @@ def gibbs_populations(energies, temp: Temperature) -> np.ndarray:
     The spectrum is shifted so the largest Boltzmann factor is exactly 1
     before exponentiation, which keeps the computation finite for any
     beta*spread, including the log-divergent Hamiltonians used in the
-    rank-deficient protocols.
+    rank-deficient protocols.  A stack of spectra is weighted row by row
+    along its last axis.
     """
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-temp.beta * (e - e.min()))
-    return w / w.sum()
+    w = np.exp(-temp.beta * (e - e.min(axis=-1, keepdims=True)))
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def gibbs_state(H: HamiltonianMatrix, temp: Temperature) -> DensityOperator:

@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -209,12 +210,24 @@ def _assemble_fig3(p, rows):
     return [OutputTable("fig3_loss.csv", ["N", "epsilon_exact", "epsilon_bound"], rows)], failures
 
 
+def _fig4_config(p, n: int) -> tuple[QubitProtocolConfig, int]:
+    """The config at T / 2^e, with 2^e the power of two nearest T, and e.
+
+    Works scale with T and their variance with T^2, which underflows at tiny
+    T; fig4 reports 2^e times its results at T / 2^e.  The scaling is exact,
+    so wherever nothing underflows the bytes are those of a run at T.
+    """
+    m, e = math.frexp(p["temperature"])  # T = m 2^e with 0.5 <= m < 1
+    e = e - 1 if m < 0.75 else e
+    return _canonical_qubit_config(n, p["alpha"], math.ldexp(p["temperature"], -e)), e
+
+
 def _plan_fig4(p, seed):
     """Blocks of TRIAL_BLOCK trials per N; the histogram edges are computed once per N."""
     items = []
     for n in p["N_values"]:
         n = int(n)
-        edges = default_bin_edges(_canonical_qubit_config(n, p["alpha"], p["temperature"]), bins=p["bins"])
+        edges = default_bin_edges(_fig4_config(p, n)[0], bins=p["bins"])
         task_seed = derive_seed(seed, f"fig4:N={n}", 0)
         for start in range(0, p["runs"], TRIAL_BLOCK):
             items.append((n, edges, task_seed, start, min(TRIAL_BLOCK, p["runs"] - start)))
@@ -223,7 +236,7 @@ def _plan_fig4(p, seed):
 
 def _run_fig4_block(p, item):
     n, edges, seed, start, count = item
-    cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
+    cfg, _ = _fig4_config(p, n)
     works, _, _ = sample_work_values(cfg, count, seed, trial_offset=start)
     counts, _ = np.histogram(works, bins=edges)
     return {
@@ -249,12 +262,12 @@ def _assemble_fig4(p, results):
         mean = total / count
         variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
         sigma = math.sqrt(variance)
-        cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
-        edges = default_bin_edges(cfg, bins=p["bins"])
+        cfg, e = _fig4_config(p, n)
+        edges = np.ldexp(default_bin_edges(cfg, bins=p["bins"]), e)
         moments = work_moments(cfg)
         sigma_exact = math.sqrt(moments.variance)
         stderr = sigma_exact / math.sqrt(count)
-        summary_rows.append([n, count, mean, sigma, moments.mean, sigma_exact, stderr])
+        summary_rows.append([n, count, *np.ldexp([mean, sigma, moments.mean, sigma_exact, stderr], e).tolist()])
         hist_rows = [[float(edges[i]), float(edges[i + 1]), int(hist[i])] for i in range(len(hist))]
         artifacts.append(OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows))
         if not abs(mean - moments.mean) <= 4.0 * stderr:
@@ -295,7 +308,7 @@ def _run_qudit_point(p, n):
 def _assemble_qudit(p, rows):
     header = ["N", "alpha", "W_exact", "W_dis_exact", "W_dis_predicted"]
     n, _, _, exact, predicted = rows[-1]
-    rel = abs(exact - predicted) / abs(exact)
+    rel = abs(exact - predicted) / abs(exact) if exact else math.nan  # NaN fails the gate
     failures = [f"qudit-collision/asymptotic_dissipation: {rel:.3%} relative error at N={n}"] if not rel <= 0.05 else []
     return [OutputTable("qudit_convergence.csv", header, rows)], failures
 
@@ -678,6 +691,19 @@ def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     return manifest
 
 
+def _group_name(axis: str, value) -> str:
+    """Sweep directory ``axis=value``, filesystem-safe for list values too.
+
+    A list is named by its numbers joined with '_' (cut at 48 characters) and
+    12 hex digits of the SHA-256 of its JSON: short, and distinct per list.
+    """
+    if not isinstance(value, list):
+        return f"{axis}={value}"
+    text = json.dumps(value, separators=(",", ":"))
+    numbers = "_".join(re.findall(r"[0-9A-Za-z.+-]+", text))[:48].rstrip("_")
+    return f"{axis}={numbers}-{hashlib.sha256(text.encode()).hexdigest()[:12]}"
+
+
 def sweep(raw_config: dict, axis: str, values, output_format: str = "csv") -> RunManifest:
     """Run one experiment per axis value, each into its own row-group directory.
 
@@ -696,7 +722,7 @@ def sweep(raw_config: dict, axis: str, values, output_format: str = "csv") -> Ru
         sub_raw = dict(base)
         sub_raw["parameters"] = dict(base.get("parameters", {}))
         sub_raw["parameters"][axis] = value
-        group = f"{axis}={value}"
+        group = _group_name(axis, value)
         sub_raw["output_dir"] = str(root / f"sweep-{axis}" / group)
         try:
             sub_manifest = run_experiment(sub_raw, output_format)

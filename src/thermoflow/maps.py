@@ -253,9 +253,8 @@ def evolve_unitary(path: HamiltonianPath, t_start: float, t_end: float, substeps
         raise ValidationError("substeps must be >= 1")
     dt = (t_end - t_start) / substeps
     U = np.eye(path.dim, dtype=complex)
-    for j in range(substeps):
-        mid = t_start + (j + 0.5) * dt
-        U = _slice_exponential(path.hamiltonian(mid), dt) @ U
+    for H in path.hamiltonians(t_start + (np.arange(substeps) + 0.5) * dt):
+        U = _slice_exponential(H, dt) @ U
     drift = np.linalg.norm(U.conj().T @ U - np.eye(path.dim), 2)
     if drift > 1e-10:
         raise ValidationError(f"propagator lost unitarity (deviation {drift:.3e})")

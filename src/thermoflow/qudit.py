@@ -20,6 +20,7 @@ from .core import (
     HamiltonianMatrix,
     Temperature,
     ValidationError,
+    check_density_matrices,
     free_energy,
     gibbs_populations,
     relative_entropy,
@@ -52,6 +53,7 @@ __all__ = [
 ]
 
 FULL_RANK_THRESHOLD = 1e-8
+BLOCK = 64  # contacts or nodes per stacked call: amortizes numpy's call cost, keeps temporaries small
 DEFAULT_DERIVATIVE_STEP = 1e-5
 SMOOTHNESS_CURVATURE_CAP = 1e6
 
@@ -70,54 +72,66 @@ class HamiltonianPath:
     temp: Temperature
     derivative_step: float = DEFAULT_DERIVATIVE_STEP
 
-    def hamiltonian(self, s: float) -> np.ndarray:
-        H = np.asarray(self.sampler(float(s)), dtype=complex)
-        if H.shape != (self.dim, self.dim):
-            raise ValidationError(f"sampler returned shape {H.shape}, expected ({self.dim}, {self.dim})")
-        if np.abs(H - H.conj().T).max() > 1e-12:
-            raise ValidationError(f"sampler returned a non-Hermitian matrix at s = {s}")
+    def hamiltonians(self, s) -> np.ndarray:
+        """H(s) for each entry of the 1-D array s, stacked as (len(s), dim, dim)."""
+        H = np.array([self.sampler(float(x)) for x in s], dtype=complex)
+        if H.shape[1:] != (self.dim, self.dim):
+            raise ValidationError(f"sampler returned shape {H.shape[1:]}, expected ({self.dim}, {self.dim})")
+        dev = np.abs(H - H.conj().swapaxes(1, 2))
+        if np.fmax.reduce(dev, axis=None) > 1e-12:  # fmax: a NaN fails no check, as before
+            s_bad = s[(dev > 1e-12).any(axis=(1, 2)).argmax()]
+            raise ValidationError(f"sampler returned a non-Hermitian matrix at s = {s_bad}")
         return H
 
-    def gibbs_matrix(self, s: float) -> np.ndarray:
-        lam, vecs = np.linalg.eigh(self.hamiltonian(s))
+    def gibbs_matrices(self, s) -> np.ndarray:
+        """tau(s) for each entry of the 1-D array s, stacked as (len(s), dim, dim)."""
+        return self._gibbs_of(self.hamiltonians(s))
+
+    def _gibbs_of(self, H: np.ndarray) -> np.ndarray:
+        lam, vecs = np.linalg.eigh(H)
         p = gibbs_populations(lam, self.temp)
-        m = (vecs * p) @ vecs.conj().T
-        return 0.5 * (m + m.conj().T)
+        m = (vecs * p[:, None, :]) @ vecs.conj().swapaxes(1, 2)
+        return 0.5 * (m + m.conj().swapaxes(1, 2))
+
+    def hamiltonian(self, s: float) -> np.ndarray:
+        return self.hamiltonians((s,))[0]
+
+    def gibbs_matrix(self, s: float) -> np.ndarray:
+        return self.gibbs_matrices((s,))[0]
 
     def gibbs(self, s: float) -> DensityOperator:
         return DensityOperator(dim=self.dim, matrix=self.gibbs_matrix(s))
 
-    def _fd_nodes(self, s: float) -> tuple[Optional[float], float, float, float]:
-        """Stencil (base, lo, hi, denom) for an O(h^2) derivative inside [0, 1]."""
-        h = self.derivative_step
-        if s - h < 0.0:
-            return s, s + h, s + 2 * h, 2 * h
-        if s + h > 1.0:
-            return s, s - h, s - 2 * h, -2 * h
-        return None, s - h, s + h, 2 * h  # central
+    def _fd(self, fun: Callable[[np.ndarray], np.ndarray], s) -> np.ndarray:
+        """O(h^2) derivatives of the stacked family fun at each entry of s, stencils inside [0, 1].
 
-    def _fd(self, fun: Callable[[float], np.ndarray], s: float) -> np.ndarray:
-        at, lo, hi, denom = self._fd_nodes(s)
-        if at is None:
-            return (fun(hi) - fun(lo)) / denom
-        # One-sided 3-point: (-3 f(s) + 4 f(s+h) - f(s+2h)) / 2h, sign in denom.
-        return (-3.0 * fun(at) + 4.0 * fun(lo) - fun(hi)) / denom
+        Central differences, or (-3 f(s) + 4 f(s+d) - f(s+2d)) / 2d with d = +h near 0, -h near 1.
+        """
+        s = np.asarray(s, dtype=float)
+        h = self.derivative_step
+        d = np.where(s - h < 0.0, h, np.where(s + h > 1.0, -h, 0.0))
+        one_sided = d != 0.0
+        c, o, d = s[~one_sided], s[one_sided], d[one_sided]
+        f = fun(np.concatenate([c - h, c + h, o, o + d, o + 2 * d]))
+        n, m = len(c), len(o)
+        out = np.empty((len(s),) + f.shape[1:], dtype=f.dtype)
+        out[~one_sided] = (f[n : 2 * n] - f[:n]) / (2 * h)
+        at, lo, hi = f[2 * n : 2 * n + m], f[2 * n + m : 2 * n + 2 * m], f[2 * n + 2 * m :]
+        out[one_sided] = (-3.0 * at + 4.0 * lo - hi) / (2 * d).reshape((-1,) + (1,) * (f.ndim - 1))
+        return out
 
     def hamiltonian_derivative(self, s: float) -> np.ndarray:
-        return self._fd(self.hamiltonian, s)
+        return self._fd(self.hamiltonians, (s,))[0]
 
     def gibbs_derivative(self, s: float) -> np.ndarray:
-        return self._fd(self.gibbs_matrix, s)
+        return self._fd(self.gibbs_matrices, (s,))[0]
 
     def probe_smoothness(self, points: int = 17) -> float:
         """Max second-difference curvature of H over a probe grid."""
         h = self.derivative_step
         grid = np.linspace(h, 1.0 - h, points)
-        worst = 0.0
-        for s in grid:
-            second = self.hamiltonian(s + h) - 2.0 * self.hamiltonian(s) + self.hamiltonian(s - h)
-            worst = max(worst, float(np.abs(second).max()) / (h * h))
-        return worst
+        second = self.hamiltonians(grid + h) - 2.0 * self.hamiltonians(grid) + self.hamiltonians(grid - h)
+        return max([0.0, *(np.abs(second).max(axis=(1, 2)) / (h * h)).tolist()])
 
     def require_smooth(self) -> None:
         scale = 1.0 + float(np.abs(self.hamiltonian(0.5)).max())
@@ -240,24 +254,40 @@ class QuditProtocolConfig:
         return float(np.linalg.eigvalsh(self.rho0.matrix)[0]) >= FULL_RANK_THRESHOLD
 
 
-def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[list[DensityOperator], WorkLedger]:
+def _blocks(values: np.ndarray):
+    """Consecutive runs of at most BLOCK entries of values."""
+    for start in range(0, len(values), BLOCK):
+        yield values[start : start + BLOCK]
+
+
+def _staircase(config: QuditProtocolConfig, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """States rho_0..rho_n and per-step works of the first n contacts (see run_qudit_protocol).
+
+    Per block of BLOCK contacts the targets come from one stacked evaluation,
+    the recursion runs row by row, and the new states are checked at once.
+    """
+    path, N, alpha = config.path, config.N, config.alpha
+    states = np.empty((n_steps + 1, path.dim, path.dim), dtype=complex)
+    states[0] = config.rho0.matrix
+    steps = np.empty(n_steps)
+    for k in _blocks(np.arange(1, n_steps + 1)):
+        H = path.hamiltonians(k / N)
+        taus = path._gibbs_of(H)
+        pull = (1.0 - alpha) * taus
+        for i, j in enumerate(k.tolist()):
+            states[j] = alpha * states[j - 1] + pull[i]
+        check_density_matrices(states[k])
+        steps[k - 1] = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[k - 1])).trace(axis1=1, axis2=2).real
+    return states, steps
+
+
+def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, WorkLedger]:
     """Iterate rho_k = alpha rho_{k-1} + (1-alpha) tau(k/N) and tally work.
 
     Step k contributes (1-alpha) Tr[(H(k/N) - H_S)(tau(k/N) - rho_{k-1})].
+    Returns the checked states rho_0..rho_N as one (N+1, dim, dim) array.
     """
-    N = config.N
-    alpha = config.alpha
-    H_S = config.H_system
-    states = [config.rho0]
-    rho = config.rho0.matrix
-    steps = np.empty(N)
-    for k in range(1, N + 1):
-        s = k / N
-        tau = config.path.gibbs_matrix(s)
-        H = config.path.hamiltonian(s)
-        steps[k - 1] = (1.0 - alpha) * np.trace((H - H_S) @ (tau - rho)).real
-        rho = alpha * rho + (1.0 - alpha) * tau
-        states.append(DensityOperator(dim=config.path.dim, matrix=rho))
+    states, steps = _staircase(config, config.N)
     total = float(steps.sum())
     ledger = WorkLedger(per_step_work=steps, cumulative_work=total, mean=total, variance=0.0)
     return states, ledger
@@ -277,12 +307,9 @@ def lag_deviation(config: QuditProtocolConfig, k: int) -> float:
     if k < math.isqrt(N):
         raise ValidationError(f"lag expansion needs k >= sqrt(N); got k = {k}, N = {N}")
     alpha = config.alpha
-    rho = config.rho0.matrix
-    for j in range(1, k + 1):
-        rho = alpha * rho + (1.0 - alpha) * config.path.gibbs_matrix(j / N)
     s = k / N
     correction = (alpha / (N * (1.0 - alpha))) * config.path.gibbs_derivative(s)
-    residual = rho - config.path.gibbs_matrix(s) + correction
+    residual = _staircase(config, k)[0][k] - config.path.gibbs_matrix(s) + correction
     return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (residual + residual.conj().T)))))
 
 
@@ -290,14 +317,20 @@ def lag_deviation(config: QuditProtocolConfig, k: int) -> float:
 # Trajectory coefficients
 # ---------------------------------------------------------------------------
 
-def _dissipation_density(path: HamiltonianPath, s: float) -> float:
-    """Integrand -(1/2) Tr(taudot(s) Hdot(s)); non-negative along Gibbs families."""
-    return -0.5 * np.trace(path.gibbs_derivative(s) @ path.hamiltonian_derivative(s)).real
+def _dissipation_density(path: HamiltonianPath, s: np.ndarray) -> np.ndarray:
+    """Integrand -(1/2) Tr(taudot(s) Hdot(s)) at each s; non-negative along Gibbs families."""
+
+    def gibbs_and_hamiltonian(x):
+        H = path.hamiltonians(x)
+        return np.stack([path._gibbs_of(H), H], axis=1)
+
+    both = path._fd(gibbs_and_hamiltonian, s)
+    return -0.5 * (both[:, 0] @ both[:, 1]).trace(axis1=1, axis2=2).real
 
 
-def _simpson(fun: Callable[[float], float], panels: int) -> float:
+def _simpson(fun: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
     xs = np.linspace(0.0, 1.0, panels + 1)
-    ys = np.array([fun(x) for x in xs])
+    ys = np.concatenate([fun(x) for x in _blocks(xs)])
     return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()) / (3.0 * panels))
 
 
@@ -346,20 +379,14 @@ def relative_entropy_curvature(path: HamiltonianPath, lam: float, x: float = 1e-
     return path.temp.T * (plus + minus) / (x * x)
 
 
-def _free_energy_of_s(config: QuditProtocolConfig, s: float) -> float:
-    H_S = HamiltonianMatrix(dim=config.path.dim, matrix=config.H_system)
-    return free_energy(config.path.gibbs(s), H_S, config.path.temp)
-
-
 def _fdot(config: QuditProtocolConfig, s: float) -> float:
-    """d/ds F(tau(s), H_system) by an O(h^2) stencil staying inside [0, 1]."""
-    h = config.path.derivative_step
-    F = lambda u: _free_energy_of_s(config, u)
-    if s + h > 1.0:
-        return (3.0 * F(s) - 4.0 * F(s - h) + F(s - 2 * h)) / (2.0 * h)
-    if s - h < 0.0:
-        return (-3.0 * F(s) + 4.0 * F(s + h) - F(s + 2 * h)) / (2.0 * h)
-    return (F(s + h) - F(s - h)) / (2.0 * h)
+    """d/ds F(tau(s), H_system) by the O(h^2) stencil of HamiltonianPath._fd."""
+    path, H_S = config.path, HamiltonianMatrix(dim=config.path.dim, matrix=config.H_system)
+
+    def free_energies(u):
+        return np.array([free_energy(DensityOperator(path.dim, tau), H_S, path.temp) for tau in path.gibbs_matrices(u)])
+
+    return float(path._fd(free_energies, (s,))[0])
 
 
 @dataclass(frozen=True)
@@ -388,7 +415,8 @@ def asymptotic_dissipation(config: QuditProtocolConfig) -> AsymptoticDissipation
     starting slope is still reported for diagnostics).
 
     lambda_over_gamma refits the alpha-linearity against an alpha = 0 run of
-    the same staircase; it approaches 2 when the endpoint terms vanish.
+    the same staircase; it approaches 2 when the endpoint terms vanish, and
+    is NaN when that run dissipates nothing.
     """
     if not config.is_full_rank:
         raise ValidationError("rank-deficient initial state: use rank_deficient_scaling")
@@ -405,7 +433,8 @@ def asymptotic_dissipation(config: QuditProtocolConfig) -> AsymptoticDissipation
         perfect = _exact_dissipation(
             QuditProtocolConfig(path=config.path, rho0=config.rho0, N=N, alpha=0.0, H_system=config.H_system)
         )
-        lambda_over_gamma = (exact - perfect) / (ratio * perfect)
+        scale = ratio * perfect
+        lambda_over_gamma = (exact - perfect) / scale if scale else float("nan")
     else:
         lambda_over_gamma = float("nan")
     return AsymptoticDissipation(
@@ -517,14 +546,12 @@ def initial_mismatch_work(config: QuditProtocolConfig) -> tuple[float, float]:
     obeys |W0| <= delta * max_s ||H(s) - H_S||_inf with delta the initial
     trace-norm mismatch.
     """
-    N, alpha = config.N, config.alpha
-    mismatch = config.path.gibbs_matrix(0.0) - config.rho0.matrix
+    N, alpha, path = config.N, config.alpha, config.path
+    mismatch = path.gibbs_matrix(0.0) - config.rho0.matrix
     w0 = 0.0
-    for k in range(1, N + 1):
-        H = config.path.hamiltonian(k / N)
-        w0 += (1.0 - alpha) * alpha ** (k - 1) * np.trace((H - config.H_system) @ mismatch).real
+    for k in _blocks(np.arange(1, N + 1)):
+        overlap = ((path.hamiltonians(k / N) - config.H_system) @ mismatch).trace(axis1=1, axis2=2).real
+        w0 += float(((1.0 - alpha) * alpha ** (k - 1) * overlap).sum())
     grid = np.linspace(0.0, 1.0, 201)
-    bound = config.delta * max(
-        float(np.linalg.norm(config.path.hamiltonian(s) - config.H_system, 2)) for s in grid
-    )
-    return float(w0), bound
+    bound = config.delta * float(np.linalg.norm(path.hamiltonians(grid) - config.H_system, 2, axis=(1, 2)).max())
+    return w0, bound

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from thermoflow.experiments import (
     ConfigError,
     DEFAULT_MASTER_SEED,
     NumericError,
+    _group_name,
     canonical_config_hash,
     resolve_config,
     run_experiment,
@@ -197,6 +199,30 @@ def test_fig4_single_step_passes_sigma_gate(tmp_path):
     assert float(row[5]) == 0.0
 
 
+@pytest.mark.parametrize("temperature", [1e-300, 1e200])
+def test_fig4_runs_at_extreme_temperatures(tmp_path, temperature):
+    # at T = 1e-300 the work variance (order T^2) underflowed to 0 and the mean
+    # gate failed on plain sampling noise; at T = 1e200 the sum of squares
+    # overflowed.  fig4 now runs near T = 1, so its reports at T are exactly
+    # 2^e times those at T / 2^e.
+    e = round(math.log2(temperature))
+    params = {"N_values": [10], "runs": 4000}
+    for label, T in (("T", temperature), ("unit", math.ldexp(temperature, -e))):
+        cfg = {"experiment": "fig4-histograms", "parameters": dict(params, temperature=T)}
+        run_experiment(dict(cfg, output_dir=str(tmp_path / label)))
+
+    def table(label, name):
+        return np.loadtxt(tmp_path / label / name, delimiter=",", skiprows=1, ndmin=2)
+
+    at_t, unit = table("T", "fig4_summary.csv"), table("unit", "fig4_summary.csv")
+    assert at_t[0, 5] > 0.0  # sigma_exact no longer underflows
+    assert np.array_equal(at_t[:, :2], unit[:, :2])
+    assert np.array_equal(at_t[:, 2:], np.ldexp(unit[:, 2:], e))
+    hist_t, hist_unit = table("T", "fig4_hist_N10.csv"), table("unit", "fig4_hist_N10.csv")
+    assert np.array_equal(hist_t[:, :2], np.ldexp(hist_unit[:, :2], e))
+    assert np.array_equal(hist_t[:, 2], hist_unit[:, 2])
+
+
 def test_custom_op_emits_ledger_json(tmp_path):
     cfg = {
         "experiment": "custom",
@@ -279,9 +305,24 @@ def test_sweep_over_qudit_ladder(tmp_path):
     manifest = sweep(cfg, "N_values", [[250], [500]])
     names = {name for name, _, _ in manifest.outputs}
     assert names == {
-        "sweep-N_values/N_values=[250]/qudit_convergence.csv",
-        "sweep-N_values/N_values=[500]/qudit_convergence.csv",
+        "sweep-N_values/N_values=250-997829838baf/qudit_convergence.csv",
+        "sweep-N_values/N_values=500-82678b87fb5a/qudit_convergence.csv",
     }
+
+
+def test_sweep_group_names_are_safe_and_distinct():
+    matrices = [
+        [[0.0, 0.0], [0.0, 1.6]],
+        [[0.0, [0.1, 0.2]], [[0.1, -0.2], 0.3]],
+        [[0.0, [0.1, -0.2]], [[0.1, 0.2], 0.3]],
+        [[float(i) for i in range(40)] for _ in range(40)],
+    ]
+    values = [[250], [250, 500], [[250]], [2, 50], [25, 0]] + matrices
+    names = [_group_name("H1", v) for v in values]
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert re.fullmatch(r"H1=[0-9A-Za-z_.+-]+", name) and len(name) <= 80
+    assert _group_name("alpha", 0.25) == "alpha=0.25"
 
 
 def test_sweep_key_inside_config_delegates(tmp_path):
@@ -344,15 +385,17 @@ def test_cli_numeric_failure_exits_3(tmp_path, capsys):
 
 
 def test_cli_non_finite_gate_value_exits_3(tmp_path, capsys):
-    # at T = 1e200 the sum of squared works overflows: sigma is NaN, and NaN must fail its gate
-    code = main(
-        [
-            "--experiment", "fig4-histograms", "--set", "N_values=[10]", "--set", "runs=4000",
-            "--set", "temperature=1e200", "--out", str(tmp_path / "o"),
-        ]
-    )
-    assert code == EXIT_NUMERIC
-    assert "sigma off" in capsys.readouterr().err
+    # at T = 1e300 the exact dissipation rounds to 0, so the relative error of
+    # the 1/N law is NaN (it used to end in a ZeroDivisionError), and NaN must fail its gate
+    for alpha in ("0", "0.5"):
+        code = main(
+            [
+                "--experiment", "qudit-convergence", "--set", "N_values=[10]", "--set", "temperature=1e300",
+                "--set", f"alpha={alpha}", "--out", str(tmp_path / alpha),
+            ]
+        )
+        assert code == EXIT_NUMERIC
+        assert "nan% relative error" in capsys.readouterr().err
 
 
 def test_cli_tth_wide_search_window_terminates(tmp_path):

@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from thermoflow import core
 from thermoflow.core import (
     DensityOperator,
     HamiltonianMatrix,
     Temperature,
     ValidationError,
+    check_density_matrices,
     free_energy,
     gibbs_state,
     partial_thermalize,
@@ -51,6 +53,36 @@ def test_density_operator_is_immutable():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):
         rho.matrix[0, 0] = 0.7
+
+
+def _breach(kind: str) -> np.ndarray:
+    """A 3x3 state that fails exactly one check, by 1e-11 or more."""
+    if kind == "trace":
+        return np.diag([0.5 + 1e-11, 0.3, 0.2]).astype(complex)
+    if kind == "eigenvalue":
+        return np.diag([0.6 + 1e-11, 0.4, -1e-11]).astype(complex)
+    m = np.diag([0.5, 0.3, 0.2]).astype(complex)
+    m[0, 1] = 1e-11j  # m[1, 0] stays 0
+    return m
+
+
+@pytest.mark.parametrize(
+    "kind,tolerance", [("trace", "TRACE_TOL"), ("eigenvalue", "PSD_FLOOR"), ("hermiticity", "HERMITICITY_TOL")]
+)
+def test_stacked_validator_rejects_one_bad_state(kind, tolerance, monkeypatch):
+    rng = np.random.default_rng(7)
+    stack = np.array([random_density(rng, 3).matrix for _ in range(1000)])
+    check_density_matrices(stack)
+    stack[617] = _breach(kind)
+    with pytest.raises(ValidationError) as stacked:
+        check_density_matrices(stack)
+    with pytest.raises(ValidationError) as single:
+        DensityOperator.from_matrix(_breach(kind))
+    assert str(stacked.value) == str(single.value)
+    # the verdict follows core's tolerance: widened past the breach, the stack passes
+    monkeypatch.setattr(core, tolerance, -1e-10 if tolerance == "PSD_FLOOR" else 1e-10)
+    check_density_matrices(stack)
+    DensityOperator.from_matrix(_breach(kind))
 
 
 def test_hamiltonian_requires_hermitian():

@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thermoflow.core import DensityOperator, ValidationError
+from thermoflow.core import DensityOperator, HamiltonianMatrix, ValidationError, gibbs_state
 from thermoflow.collision import FixedAlpha, QubitProtocolConfig, average_work, make_schedule
 from thermoflow.qudit import (
     HamiltonianPath,
@@ -103,7 +104,7 @@ def test_perfect_thermalization_follows_the_staircase():
     cfg = preset_config("qubit-gap-ramp", 25, 0.0)
     states, _ = run_qudit_protocol(cfg)
     for k in (1, 10, 25):
-        assert np.abs(states[k].matrix - cfg.path.gibbs_matrix(k / 25)).max() < 1e-12
+        assert np.abs(states[k] - cfg.path.gibbs_matrix(k / 25)).max() < 1e-12
 
 
 def test_single_step_work_formula():
@@ -147,7 +148,7 @@ def test_lag_first_order_coefficient():
     cfg = preset_config("qubit-gap-ramp", N, alpha)
     states, _ = run_qudit_protocol(cfg)
     k = N // 2
-    gap = states[k].matrix - cfg.path.gibbs_matrix(k / N)
+    gap = states[k] - cfg.path.gibbs_matrix(k / N)
     lag_norm = np.abs(np.linalg.eigvalsh(gap)).sum() * N * (1 - alpha) / alpha
     taudot = cfg.path.gibbs_derivative(k / N)
     taudot_norm = np.abs(np.linalg.eigvalsh(taudot)).sum()
@@ -354,3 +355,153 @@ def test_alpha_prefactor_collapse_across_paths():
             ratios.append(N * exact / (1.0 + 2.0 * alpha / (1.0 - alpha)))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
         assert spread < 0.03
+
+
+# ---------------------------------------------------------------------------
+# Bit-identity oracles: the per-step loop and the scalar Simpson rule
+# ---------------------------------------------------------------------------
+
+def _dense_complex_path():
+    rng = np.random.default_rng(5)
+    g = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+    return linear_endpoint_path(g[0] + g[0].conj().T, g[1] + g[1].conj().T, FIG_TEMP)
+
+
+ORACLE_PATHS = {name: lambda name=name: path_preset(name, FIG_TEMP) for name in PRESETS}
+ORACLE_PATHS["dense-complex-d3"] = _dense_complex_path
+
+
+def _reference_hamiltonian(path, s):
+    return np.asarray(path.sampler(float(s)), dtype=complex)
+
+
+def _reference_gibbs(path, s):
+    return gibbs_state(HamiltonianMatrix(dim=path.dim, matrix=_reference_hamiltonian(path, s)), path.temp).matrix
+
+
+def _reference_fd(path, fun, s):
+    h = path.derivative_step
+    if s - h < 0.0:
+        return (-3.0 * fun(s) + 4.0 * fun(s + h) - fun(s + 2 * h)) / (2 * h)
+    if s + h > 1.0:
+        return (-3.0 * fun(s) + 4.0 * fun(s - h) - fun(s - 2 * h)) / (-2 * h)
+    return (fun(s + h) - fun(s - h)) / (2 * h)
+
+
+def _reference_staircase(config):
+    """One Gibbs target, one work term and one DensityOperator per contact."""
+    N, alpha, H_S = config.N, config.alpha, config.H_system
+    rho = config.rho0.matrix
+    states, steps = [rho], np.empty(N)
+    for k in range(1, N + 1):
+        tau = _reference_gibbs(config.path, k / N)
+        H = _reference_hamiltonian(config.path, k / N)
+        steps[k - 1] = (1.0 - alpha) * np.trace((H - H_S) @ (tau - rho)).real
+        rho = alpha * rho + (1.0 - alpha) * tau
+        states.append(DensityOperator(dim=config.path.dim, matrix=rho).matrix)
+    return np.array(states), steps
+
+
+def _reference_gamma(path, M=256, tol=1e-9):
+    def density(s):
+        taudot = _reference_fd(path, lambda u: _reference_gibbs(path, u), s)
+        Hdot = _reference_fd(path, lambda u: _reference_hamiltonian(path, u), s)
+        return -0.5 * np.trace(taudot @ Hdot).real
+
+    def simpson(panels):
+        ys = np.array([density(x) for x in np.linspace(0.0, 1.0, panels + 1)])
+        return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()) / (3.0 * panels))
+
+    coarse = simpson(M)
+    while True:
+        M *= 2
+        fine = simpson(M)
+        if abs(fine - coarse) < tol or M >= 4096:
+            return fine + (fine - coarse) / 15.0
+        coarse = fine
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
+def test_stacked_path_evaluation_is_bit_identical(name):
+    path = ORACLE_PATHS[name]()
+    h = path.derivative_step
+    s = np.concatenate([[0.0, 0.5 * h, h, 1.0 - 0.5 * h, 1.0], np.random.default_rng(1).random(150)])
+    H, taus = path.hamiltonians(s), path.gibbs_matrices(s)
+    for i, x in enumerate(s):
+        assert np.array_equal(H[i], _reference_hamiltonian(path, x))
+        assert np.array_equal(taus[i], _reference_gibbs(path, x))
+    for x in s[:8]:
+        assert np.array_equal(path.gibbs_derivative(x), _reference_fd(path, lambda u: _reference_gibbs(path, u), x))
+        assert np.array_equal(
+            path.hamiltonian_derivative(x), _reference_fd(path, lambda u: _reference_hamiltonian(path, u), x)
+        )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
+def test_blocked_staircase_is_bit_identical_to_the_per_step_loop(name):
+    path = ORACLE_PATHS[name]()
+    for N, alpha in [(1, 0.3), (63, 0.0), (65, 0.37), (200, 0.9)]:
+        cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=alpha)
+        states, ledger = run_qudit_protocol(cfg)
+        ref_states, ref_steps = _reference_staircase(cfg)
+        assert states.shape == (N + 1, path.dim, path.dim)
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(ledger.per_step_work, ref_steps)
+        assert ledger.cumulative_work == float(ref_steps.sum())
+        if N >= 65:  # lag_deviation runs the same blocked staircase up to k
+            k = N - 3
+            taudot = _reference_fd(path, lambda u: _reference_gibbs(path, u), k / N)
+            residual = ref_states[k] - _reference_gibbs(path, k / N) + (alpha / (N * (1.0 - alpha))) * taudot
+            expected = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (residual + residual.conj().T)))))
+            assert lag_deviation(cfg, k) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
+def test_gamma_is_bit_identical_to_the_scalar_simpson(name):
+    path = ORACLE_PATHS[name]()
+    assert gamma_coefficient(path) == _reference_gamma(path)
+
+
+def test_staircase_work_is_blocked(monkeypatch):
+    # one stacked eigh (targets) and one eigvalsh (validation) per block of
+    # 64 contacts, and no DensityOperator per step
+    cfg = preset_config("random-diagonal-d4", 1000, 0.5)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(DensityOperator, "__post_init__", counted("density", DensityOperator.__post_init__))
+    states, _ = run_qudit_protocol(cfg)
+    limit = math.ceil(1001 / 64) + 1
+    assert calls["eigh"] <= limit
+    assert calls["eigvalsh"] <= limit
+    assert calls["density"] == 0
+    assert states.shape == (1001, 4, 4)
+
+
+@pytest.mark.parametrize("block", [0, 3])
+def test_staircase_checks_every_block(monkeypatch, block):
+    # N = 200 runs in blocks of 64, 64, 64 and 8 contacts; a target off trace
+    # by 1e-9 at the last contact of one block must stop the run
+    cfg = preset_config("qubit-gap-ramp", 200, 0.5)
+    gibbs_of = HamiltonianPath._gibbs_of
+    calls = []
+
+    def skewed(self, H):
+        taus = gibbs_of(self, H)
+        if len(calls) == block:
+            taus[-1, 0, 0] += 1e-9
+        calls.append(len(H))
+        return taus
+
+    monkeypatch.setattr(HamiltonianPath, "_gibbs_of", skewed)
+    with pytest.raises(ValidationError, match="trace must be 1"):
+        run_qudit_protocol(cfg)
+    assert calls == [64, 64, 64, 8][: block + 1]

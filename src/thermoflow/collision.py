@@ -83,7 +83,7 @@ class BathSchedule:
             raise ValidationError("q_1..q_N must lie strictly inside (0, 1)")
         interior = q > 0.0
         expected = 1.0 / (1.0 + np.exp(self.temp.beta * E[interior]))
-        if np.abs(q[interior] - expected).max() > 1e-12:
+        if not np.abs(q[interior] - expected).max() <= 1e-12:
             raise ValidationError("E_k inconsistent with q_k at the bath temperature")
         for arr in (q, E):
             arr.flags.writeable = False
@@ -240,7 +240,7 @@ class WorkLedger:
         steps = np.asarray(self.per_step_work, dtype=float)
         if not np.all(np.isfinite(steps)):
             raise ValidationError("non-finite per-step work: infinity sentinel dereferenced")
-        if abs(steps.sum() - self.cumulative_work) > 1e-10 * max(len(steps), 1):
+        if not abs(steps.sum() - self.cumulative_work) <= 1e-10 * max(len(steps), 1):
             raise ValidationError("cumulative work does not match the per-step sum")
         if self.variance < 0.0:
             raise ValidationError(f"variance must be non-negative, got {self.variance}")
@@ -252,27 +252,41 @@ class WorkLedger:
 # Deterministic recursions
 # ---------------------------------------------------------------------------
 
+def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """One pass over the swap steps: p_0..p_N, per-step mean work, <W> and <W^2>.
+
+    Besides the excitation probability p_m and the moments it tracks the
+    excited-state work correlator c_m = E[W_m ; state = 1], whose recursion is
+        c_m = q_m (1-alpha) (<W_{m-1}> + (1 - p_{m-1}) w_m) + alpha c_{m-1}
+    with w_m the swap energy of step m.
+    """
+    one = 1.0 - alpha
+    p = float(config.p0)
+    probabilities, steps = [p], []
+    mean = second = corr = 0.0
+    for qm, w in zip(config.schedule.q[1:].tolist(), config.swap_energies.tolist()):
+        inc = one * w * (qm - p)
+        second = second + 2.0 * w * one * (qm * mean - corr) + w * w * one * (qm + p - 2.0 * qm * p)
+        corr = qm * one * (mean + (1.0 - p) * w) + alpha * corr
+        mean += inc
+        p = alpha * p + one * qm
+        probabilities.append(p)
+        steps.append(inc)
+    return np.array(probabilities), np.array(steps), mean, second
+
+
 def excitation_probabilities(config: QubitProtocolConfig) -> np.ndarray:
     """System excitation p_0..p_N under fixed alpha.
 
     Step recursion p_k = alpha*p_{k-1} + (1-alpha)*q_k, equivalent to the
     closed form p_k = (1-alpha) * sum_i alpha^(k-i) q_i + alpha^k p_0.
     """
-    alpha = config._fixed_alpha("excitation_probabilities")
-    q = config.schedule.q
-    p = np.empty_like(q)
-    p[0] = config.p0
-    for k in range(1, len(q)):
-        p[k] = alpha * p[k - 1] + (1.0 - alpha) * q[k]
-    return p
+    return _moment_recursion(config, config._fixed_alpha("excitation_probabilities"))[0]
 
 
 def average_work(config: QubitProtocolConfig) -> WorkLedger:
     """Exact average extracted work, (1-alpha) * sum_k omega_k (q_k - p_{k-1})."""
-    alpha = config._fixed_alpha("average_work")
-    p = excitation_probabilities(config)
-    q = config.schedule.q
-    steps = (1.0 - alpha) * config.swap_energies * (q[1:] - p[:-1])
+    steps = _moment_recursion(config, config._fixed_alpha("average_work"))[1]
     total = float(steps.sum())
     return WorkLedger(per_step_work=steps, cumulative_work=total, mean=total, variance=0.0)
 
@@ -299,37 +313,8 @@ def epsilon_upper_bound(N: int, alpha: float, temp: Temperature) -> float:
 
 
 def work_moments(config: QubitProtocolConfig) -> WorkLedger:
-    """Mean and variance of the work distribution by an O(N) recursion.
-
-    Tracks four scalars per step: the excitation probability p_m, the mean
-    <W_m>, the second moment <W_m^2>, and the excited-state work correlator
-    c_m = E[W_m ; state = 1], whose recursion is
-        c_m = q_m (1-alpha) (<W_{m-1}> + (1 - p_{m-1}) w_m) + alpha c_{m-1}
-    with w_m the swap energy of step m.
-    """
-    alpha = config._fixed_alpha("work_moments")
-    q = config.schedule.q
-    omega = config.swap_energies
-    one = 1.0 - alpha
-
-    p = config.p0
-    mean = 0.0
-    second = 0.0
-    corr = 0.0
-    steps = np.empty(len(omega))
-    for m in range(1, len(q)):
-        w = omega[m - 1]
-        qm = q[m]
-        inc = one * w * (qm - p)
-        second = (
-            second
-            + 2.0 * w * one * (qm * mean - corr)
-            + w * w * one * (qm + p - 2.0 * qm * p)
-        )
-        corr = qm * one * (mean + (1.0 - p) * w) + alpha * corr
-        mean += inc
-        p = one * qm + alpha * p
-        steps[m - 1] = inc
+    """Mean and variance of the work distribution by an O(N) recursion (see _moment_recursion)."""
+    _, steps, mean, second = _moment_recursion(config, config._fixed_alpha("work_moments"))
     variance = max(second - mean * mean, 0.0)
     return WorkLedger(per_step_work=steps, cumulative_work=float(steps.sum()), mean=mean, variance=variance)
 

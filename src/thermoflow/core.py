@@ -18,6 +18,7 @@ __all__ = [
     "HamiltonianMatrix",
     "check_density_matrices",
     "gibbs_populations",
+    "gibbs_matrices",
     "gibbs_state",
     "von_neumann_entropy",
     "free_energy",
@@ -64,8 +65,11 @@ def check_density_matrices(stack: np.ndarray) -> None:
     """Require every matrix of a (B, d, d) stack to be Hermitian, unit-trace and PSD.
 
     Each check runs once over the whole stack, with the tolerances above; the
-    first matrix that fails gets DensityOperator's message.  A NaN fails no check.
+    first matrix that fails gets DensityOperator's message.  Non-finite entries
+    are rejected first, since every later comparison lets a NaN through.
     """
+    if not np.isfinite(stack).all():
+        raise ValidationError("density operator has non-finite entries")
     dev = np.abs(stack - stack.conj().swapaxes(-1, -2))
     if np.fmax.reduce(dev, axis=None) > HERMITICITY_TOL:
         worst = dev[(dev > HERMITICITY_TOL).any(axis=(-2, -1)).argmax()].max()
@@ -172,14 +176,18 @@ def gibbs_populations(energies, temp: Temperature) -> np.ndarray:
     return w / w.sum(axis=-1, keepdims=True)
 
 
+def gibbs_matrices(H: np.ndarray, temp: Temperature) -> np.ndarray:
+    """Gibbs matrices exp(-beta H)/Z of a Hermitian matrix or a (B, d, d) stack of them."""
+    lam, vecs = np.linalg.eigh(H)
+    p = gibbs_populations(lam, temp)
+    m = (vecs * p[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    # Re-symmetrize: eigh output is unitary only to rounding.
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
 def gibbs_state(H: HamiltonianMatrix, temp: Temperature) -> DensityOperator:
     """Gibbs state exp(-beta H)/Z of a Hermitian Hamiltonian."""
-    lam, vecs = np.linalg.eigh(H.matrix)
-    p = gibbs_populations(lam, temp)
-    m = (vecs * p) @ vecs.conj().T
-    # Re-symmetrize: eigh output is unitary only to rounding.
-    m = 0.5 * (m + m.conj().T)
-    return DensityOperator(dim=H.dim, matrix=m)
+    return DensityOperator(dim=H.dim, matrix=gibbs_matrices(H.matrix, temp))
 
 
 def _spectrum_for_entropy(rho: DensityOperator) -> np.ndarray:

@@ -24,7 +24,9 @@ from .core import (
     HamiltonianMatrix,
     Temperature,
     ValidationError,
+    check_density_matrices,
     free_energy,
+    gibbs_matrices,
     gibbs_state,
     trace_distance,
 )
@@ -71,15 +73,34 @@ class ThermalizingChannel:
     apply_matrix: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        if not 0.0 <= self.declared_alpha <= 1.0:
-            raise ValidationError(f"contraction factor must lie in [0, 1], got {self.declared_alpha}")
-        fixed = self.apply_matrix(self.target.matrix)
-        drift = np.sum(np.abs(np.linalg.eigvalsh(fixed - self.target.matrix)))
-        if drift > 1e-12:
-            raise ValidationError(f"channel does not fix its thermal target (drift {drift:.3e})")
+        _check_contraction(self.declared_alpha)
+        _check_fixed_points(self.apply_matrix(self.target.matrix), self.target.matrix)
 
     def apply(self, rho: DensityOperator) -> DensityOperator:
         return DensityOperator(dim=rho.dim, matrix=self.apply_matrix(rho.matrix))
+
+
+def _check_contraction(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError(f"contraction factor must lie in [0, 1], got {lam}")
+
+
+def _check_fixed_points(fixed: np.ndarray, targets: np.ndarray) -> None:
+    """Require a channel to map each target (one matrix or a stack) onto itself to 1e-12 in trace norm."""
+    drift = np.atleast_1d(np.abs(np.linalg.eigvalsh(fixed - targets)).sum(axis=-1))
+    bad = ~(drift <= 1e-12)
+    if bad.any():
+        raise ValidationError(f"channel does not fix its thermal target (drift {drift[bad.argmax()]:.3e})")
+
+
+def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Dephase m in the eigenbasis held in the columns of vecs (one matrix or a stack)."""
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    in_basis = vecs_h @ m @ vecs
+    diagonal = np.zeros_like(in_basis)
+    idx = np.arange(vecs.shape[-1])
+    diagonal[..., idx, idx] = in_basis[..., idx, idx]
+    return vecs @ diagonal @ vecs_h
 
 
 def partial_thermalization_channel(lam: float, target: DensityOperator) -> ThermalizingChannel:
@@ -103,9 +124,7 @@ def pinch_then_mix_channel(lam: float, H: HamiltonianMatrix, temp: Temperature) 
     tau = target.matrix
 
     def apply(m: np.ndarray) -> np.ndarray:
-        in_basis = vecs.conj().T @ m @ vecs
-        pinched = vecs @ np.diag(np.diag(in_basis)) @ vecs.conj().T
-        return lam * pinched + (1.0 - lam) * tau
+        return lam * _pinch(m, vecs) + (1.0 - lam) * tau
 
     return ThermalizingChannel(kind="pinch", declared_alpha=lam, target=target, apply_matrix=apply)
 
@@ -224,7 +243,7 @@ class CyclicProtocol:
         if self.substeps < 1:
             raise ValidationError("substeps must be >= 1")
         loop_gap = np.abs(self.path.hamiltonian(0.0) - self.path.hamiltonian(1.0)).max()
-        if loop_gap > 1e-12:
+        if not loop_gap <= 1e-12:
             raise ValidationError(f"path is not cyclic: ||H(0) - H(1)|| = {loop_gap:.3e}")
 
     @property
@@ -237,8 +256,9 @@ class CyclicProtocol:
 # ---------------------------------------------------------------------------
 
 def _slice_exponential(H: np.ndarray, dt: float) -> np.ndarray:
+    """exp(-i H dt) of a Hermitian matrix or of each matrix in a (B, d, d) stack."""
     lam, vecs = np.linalg.eigh(H)
-    return (vecs * np.exp(-1j * lam * dt)) @ vecs.conj().T
+    return (vecs * np.exp(-1j * lam * dt)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def evolve_unitary(path: HamiltonianPath, t_start: float, t_end: float, substeps: int) -> np.ndarray:
@@ -253,10 +273,11 @@ def evolve_unitary(path: HamiltonianPath, t_start: float, t_end: float, substeps
         raise ValidationError("substeps must be >= 1")
     dt = (t_end - t_start) / substeps
     U = np.eye(path.dim, dtype=complex)
-    for H in path.hamiltonians(t_start + (np.arange(substeps) + 0.5) * dt):
-        U = _slice_exponential(H, dt) @ U
-    drift = np.linalg.norm(U.conj().T @ U - np.eye(path.dim), 2)
-    if drift > 1e-10:
+    for E in _slice_exponential(path.hamiltonians(t_start + (np.arange(substeps) + 0.5) * dt), dt):
+        U = E @ U
+    # Spectral norm of the Hermitian deviation; eigvalsh passes a NaN on instead of raising.
+    drift = np.abs(np.linalg.eigvalsh(U.conj().T @ U - np.eye(path.dim))).max()
+    if not drift <= 1e-10:
         raise ValidationError(f"propagator lost unitarity (deviation {drift:.3e})")
     return U
 
@@ -283,15 +304,16 @@ def unitary_approx_error(path: HamiltonianPath, i: int, N: int, substeps: int = 
 class ProtocolRun:
     """Full trace of a protocol run for the dissipation split.
 
-    sigmas[i] is the state after contact i (sigmas[0] is the initial state),
-    unitaries[i] the step propagator (identity in quench mode), taus[i] the
-    Gibbs target at t_i.
+    All but work_steps are (N+1, dim, dim) arrays: hamiltonians[i] and
+    taus[i] are H and its Gibbs target at t_i = i/N, sigmas[i] the state
+    after contact i (sigmas[0] the initial state), unitaries[i] the
+    propagator of step i (identity in quench mode and at i = 0).
     """
 
-    hamiltonians: list
-    taus: list
-    sigmas: list
-    unitaries: list
+    hamiltonians: np.ndarray
+    taus: np.ndarray
+    sigmas: np.ndarray
+    unitaries: np.ndarray
     work_steps: np.ndarray
 
     @property
@@ -312,40 +334,48 @@ def _execute(
     evolution_mode: str,
     substeps: int,
 ) -> ProtocolRun:
-    temp = path.temp
-    dim = path.dim
-    hams = [path.hamiltonian(i / N) for i in range(N + 1)]
-    channels = [
-        make_channel(channel_kind, channel_alpha, HamiltonianMatrix(dim=dim, matrix=hams[i]), temp)
-        for i in range(1, N + 1)
-    ]
-    taus = [gibbs_state(HamiltonianMatrix(dim=dim, matrix=hams[0]), temp)] + [c.target for c in channels]
-    identity = np.eye(dim, dtype=complex)
+    """Run N contacts; Hamiltonians, targets, channel checks and state checks are stacked."""
+    if channel_kind not in CHANNEL_KINDS:
+        raise ValidationError(f"unknown channel kind {channel_kind!r}; choose from {CHANNEL_KINDS}")
+    lam = channel_alpha
+    _check_contraction(lam)
+    hams = path.hamiltonians(np.arange(N + 1) / N)
+    taus = gibbs_matrices(hams, path.temp)
+    check_density_matrices(taus)
+    pull = (1.0 - lam) * taus
+    vecs = np.linalg.eigh(hams)[1] if channel_kind == "pinch" else None
 
-    sigmas = [rho0]
-    unitaries = [None]
+    def contact(m, i):
+        return lam * (m if vecs is None else _pinch(m, vecs[i])) + pull[i]
+
+    _check_fixed_points(contact(taus[1:], slice(1, None)), taus[1:])
+
+    unitaries = np.tile(np.eye(path.dim, dtype=complex), (N + 1, 1, 1))
+    sigmas = np.empty_like(hams)
+    sigmas[0] = sigma = rho0.matrix
     work_steps = np.empty(N)
-    sigma = rho0.matrix
     for i in range(1, N + 1):
         if evolution_mode == "unitary":
-            U = evolve_unitary(path, (i - 1) / N, i / N, substeps)
+            U = unitaries[i] = evolve_unitary(path, (i - 1) / N, i / N, substeps)
             rho_i = U @ sigma @ U.conj().T
         else:
-            U = identity
             rho_i = sigma
-        work_steps[i - 1] = (
-            np.trace(hams[i - 1] @ sigma).real - np.trace(hams[i] @ rho_i).real
-        )
-        sigma = channels[i - 1].apply_matrix(rho_i)
-        unitaries.append(U)
-        sigmas.append(DensityOperator(dim=dim, matrix=0.5 * (sigma + sigma.conj().T)))
-    return ProtocolRun(
-        hamiltonians=hams,
-        taus=taus,
-        sigmas=sigmas,
-        unitaries=unitaries,
-        work_steps=work_steps,
-    )
+        work_steps[i - 1] = np.trace(hams[i - 1] @ sigma).real - np.trace(hams[i] @ rho_i).real
+        sigma = sigmas[i] = contact(rho_i, i)
+    # The recursion carries the raw states; the recorded ones are re-symmetrized.
+    sigmas[1:] = 0.5 * (sigmas[1:] + sigmas[1:].conj().swapaxes(1, 2))
+    check_density_matrices(sigmas)
+    return ProtocolRun(hamiltonians=hams, taus=taus, sigmas=sigmas, unitaries=unitaries, work_steps=work_steps)
+
+
+def _free_energy(rho: np.ndarray, H: np.ndarray, temp: Temperature) -> float:
+    return free_energy(DensityOperator(dim=len(H), matrix=rho), HamiltonianMatrix(dim=len(H), matrix=H), temp)
+
+
+def _run(protocol: CyclicProtocol, rho0: DensityOperator) -> ProtocolRun:
+    """_execute with the protocol's own settings."""
+    p = protocol
+    return _execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
 
 
 def run_protocol_segment(
@@ -363,39 +393,23 @@ def run_protocol_segment(
     staircase, where the Hamiltonian ramps between two distinct endpoints.
     """
     run = _execute(path, N, rho0, channel_kind, channel_alpha, evolution_mode, substeps)
-    return run.ledger(), run.sigmas[-1]
+    return run.ledger(), DensityOperator(dim=path.dim, matrix=run.sigmas[-1])
 
 
 def run_cyclic_protocol(protocol: CyclicProtocol, rho0: DensityOperator) -> tuple[WorkLedger, DensityOperator]:
     """Run a cyclic protocol and enforce the free-energy work bound."""
-    run = _execute(
-        protocol.path,
-        protocol.N,
-        rho0,
-        protocol.channel_kind,
-        protocol.channel_alpha,
-        protocol.evolution_mode,
-        protocol.substeps,
-    )
-    H0 = HamiltonianMatrix(dim=protocol.path.dim, matrix=run.hamiltonians[0])
-    bound = free_energy(rho0, H0, protocol.path.temp) - free_energy(run.taus[0], H0, protocol.path.temp)
-    if run.work > bound + 1e-9:
+    run = _run(protocol, rho0)
+    H0, temp = run.hamiltonians[0], protocol.path.temp
+    bound = _free_energy(rho0.matrix, H0, temp) - _free_energy(run.taus[0], H0, temp)
+    if not run.work <= bound + 1e-9:
         raise ValidationError(f"second-law violation: W = {run.work!r} exceeds DeltaF = {bound!r}")
-    return run.ledger(), run.sigmas[-1]
+    return run.ledger(), DensityOperator(dim=protocol.path.dim, matrix=run.sigmas[-1])
 
 
 def protocol_state_lag(protocol: CyclicProtocol, rho0: DensityOperator) -> float:
     """Max over contacts of ||sigma_i - tau_i||_1; shrinks as 1/N."""
-    run = _execute(
-        protocol.path,
-        protocol.N,
-        rho0,
-        protocol.channel_kind,
-        protocol.channel_alpha,
-        protocol.evolution_mode,
-        protocol.substeps,
-    )
-    return max(trace_distance(run.sigmas[i], run.taus[i]) for i in range(1, protocol.N + 1))
+    run = _run(protocol, rho0)
+    return float(np.abs(np.linalg.eigvalsh(run.sigmas[1:] - run.taus[1:])).sum(axis=-1).max())
 
 
 # ---------------------------------------------------------------------------
@@ -420,44 +434,28 @@ class DissipationBreakdown:
 
     def __post_init__(self):
         gap = abs(self.gamma + self.epsilon + self.kappa - self.total)
-        if gap > 1e-9:
+        if not gap <= 1e-9:
             raise ValidationError(f"dissipation split does not close: residual {gap:.3e}")
 
 
 def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> DissipationBreakdown:
     """Run the protocol and split DeltaF_iso - W into its three exact parts."""
-    run = _execute(
-        protocol.path,
-        protocol.N,
-        rho0,
-        protocol.channel_kind,
-        protocol.channel_alpha,
-        protocol.evolution_mode,
-        protocol.substeps,
-    )
+    run = _run(protocol, rho0)
+    hams, taus, sigmas, U = run.hamiltonians, run.taus, run.sigmas[:-1], run.unitaries[1:]
     temp = protocol.path.temp
-    dim = protocol.path.dim
-    H_first = HamiltonianMatrix(dim=dim, matrix=run.hamiltonians[0])
-    H_last = HamiltonianMatrix(dim=dim, matrix=run.hamiltonians[-1])
-    delta_f_iso = free_energy(run.taus[0], H_first, temp) - free_energy(run.taus[-1], H_last, temp)
+    delta_f_iso = _free_energy(taus[0], hams[0], temp) - _free_energy(taus[-1], hams[-1], temp)
 
-    gamma = delta_f_iso
-    epsilon = 0.0
-    kappa = 0.0
-    for i in range(1, len(run.hamiltonians)):
-        dH = run.hamiltonians[i - 1] - run.hamiltonians[i]
-        sigma_prev = run.sigmas[i - 1].matrix
-        tau_prev = run.taus[i - 1].matrix
-        gamma -= np.trace(dH @ tau_prev).real
-        epsilon -= np.trace(dH @ (sigma_prev - tau_prev)).real
-        U = run.unitaries[i]
-        evolved = U @ sigma_prev @ U.conj().T
-        kappa -= np.trace(run.hamiltonians[i] @ (sigma_prev - evolved)).real
+    def traces(a, b):
+        return (a @ b).trace(axis1=1, axis2=2).real.tolist()
+
+    dH = hams[:-1] - hams[1:]
+    evolved = U @ sigmas @ U.conj().swapaxes(1, 2)
+    gamma, epsilon, kappa = delta_f_iso, 0.0, 0.0
+    # Sequential sums: a pairwise np.sum would round differently.
+    for g, e, k in zip(traces(dH, taus[:-1]), traces(dH, sigmas - taus[:-1]), traces(hams[1:], sigmas - evolved)):
+        gamma -= g
+        epsilon -= e
+        kappa -= k
     return DissipationBreakdown(
-        gamma=float(gamma),
-        epsilon=float(epsilon),
-        kappa=float(kappa),
-        total=float(delta_f_iso - run.work),
-        w_iso=run.work,
-        delta_f_iso=float(delta_f_iso),
+        gamma=gamma, epsilon=epsilon, kappa=kappa, total=delta_f_iso - run.work, w_iso=run.work, delta_f_iso=delta_f_iso
     )

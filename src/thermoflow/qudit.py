@@ -22,7 +22,7 @@ from .core import (
     ValidationError,
     check_density_matrices,
     free_energy,
-    gibbs_populations,
+    gibbs_matrices,
     relative_entropy,
     trace_distance,
 )
@@ -85,13 +85,7 @@ class HamiltonianPath:
 
     def gibbs_matrices(self, s) -> np.ndarray:
         """tau(s) for each entry of the 1-D array s, stacked as (len(s), dim, dim)."""
-        return self._gibbs_of(self.hamiltonians(s))
-
-    def _gibbs_of(self, H: np.ndarray) -> np.ndarray:
-        lam, vecs = np.linalg.eigh(H)
-        p = gibbs_populations(lam, self.temp)
-        m = (vecs * p[:, None, :]) @ vecs.conj().swapaxes(1, 2)
-        return 0.5 * (m + m.conj().swapaxes(1, 2))
+        return gibbs_matrices(self.hamiltonians(s), self.temp)
 
     def hamiltonian(self, s: float) -> np.ndarray:
         return self.hamiltonians((s,))[0]
@@ -239,11 +233,11 @@ class QuditProtocolConfig:
         if self.rho0.dim != self.path.dim:
             raise ValidationError("initial state dimension does not match the path")
         H_S = self.path.hamiltonian(1.0) if self.H_system is None else np.asarray(self.H_system, dtype=complex)
-        if np.abs(H_S - H_S.conj().T).max() > 1e-12:
+        if not np.abs(H_S - H_S.conj().T).max() <= 1e-12:
             raise ValidationError("H_system must be Hermitian")
         object.__setattr__(self, "H_system", H_S)
         delta = trace_distance(self.rho0, self.path.gibbs(0.0))
-        if self.is_full_rank and delta > 1e-10:
+        if self.is_full_rank and not delta <= 1e-10:
             raise ValidationError(
                 f"full-rank protocols require rho0 = tau(0); mismatch {delta:.3e}"
             )
@@ -272,7 +266,7 @@ def _staircase(config: QuditProtocolConfig, n_steps: int) -> tuple[np.ndarray, n
     steps = np.empty(n_steps)
     for k in _blocks(np.arange(1, n_steps + 1)):
         H = path.hamiltonians(k / N)
-        taus = path._gibbs_of(H)
+        taus = gibbs_matrices(H, path.temp)
         pull = (1.0 - alpha) * taus
         for i, j in enumerate(k.tolist()):
             states[j] = alpha * states[j - 1] + pull[i]
@@ -322,7 +316,7 @@ def _dissipation_density(path: HamiltonianPath, s: np.ndarray) -> np.ndarray:
 
     def gibbs_and_hamiltonian(x):
         H = path.hamiltonians(x)
-        return np.stack([path._gibbs_of(H), H], axis=1)
+        return np.stack([gibbs_matrices(H, path.temp), H], axis=1)
 
     both = path._fd(gibbs_and_hamiltonian, s)
     return -0.5 * (both[:, 0] @ both[:, 1]).trace(axis1=1, axis2=2).real

@@ -85,6 +85,16 @@ def test_work_ledger_invariants():
         WorkLedger(per_step_work=np.array([math.inf]), cumulative_work=math.inf, mean=0.0, variance=0.0)
 
 
+def test_schedule_rejects_nan_energy():
+    with pytest.raises(ValidationError, match="inconsistent"):
+        BathSchedule(q=np.array([0.0, 0.25]), E=np.array([math.inf, math.nan]), temp=FIG_TEMP)
+
+
+def test_ledger_rejects_nan_total():
+    with pytest.raises(ValidationError, match="does not match"):
+        WorkLedger(per_step_work=np.array([1.0]), cumulative_work=math.nan, mean=1.0, variance=0.0)
+
+
 def test_noise_model_validation():
     with pytest.raises(ValidationError):
         FixedAlpha(1.0)
@@ -244,6 +254,40 @@ def test_moments_match_enumeration(N, alpha):
     assert abs(dist.probabilities.sum() - 1.0) < 1e-12
     assert abs(dist.mean - m.mean) < 1e-10
     assert abs(dist.variance - m.variance) < 1e-10
+
+
+def _reference_recursions(config, alpha):
+    """The three separate loops the shared recursion replaced, in their own operation order."""
+    q, omega, one = config.schedule.q, config.swap_energies, 1.0 - alpha
+    p = np.empty_like(q)
+    p[0] = config.p0
+    for k in range(1, len(q)):
+        p[k] = alpha * p[k - 1] + (1.0 - alpha) * q[k]
+    average_steps = (1.0 - alpha) * omega * (q[1:] - p[:-1])
+    pm, mean, second, corr, steps = config.p0, 0.0, 0.0, 0.0, np.empty(len(omega))
+    for m in range(1, len(q)):
+        w, qm = omega[m - 1], q[m]
+        inc = one * w * (qm - pm)
+        second = second + 2.0 * w * one * (qm * mean - corr) + w * w * one * (qm + pm - 2.0 * qm * pm)
+        corr = qm * one * (mean + (1.0 - pm) * w) + alpha * corr
+        mean += inc
+        pm = one * qm + alpha * pm
+        steps[m - 1] = inc
+    return p, average_steps, steps, mean, max(second - mean * mean, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.93])
+@pytest.mark.parametrize("N", [1, 7, 2000])
+def test_shared_recursion_is_bit_identical_to_the_separate_loops(N, alpha):
+    q = np.linspace(0.05, 0.47, N + 1) ** 1.3
+    ladders = [canonical(N, alpha), QubitProtocolConfig(0.3, 0.2, make_schedule(q, FIG_TEMP), FixedAlpha(alpha))]
+    for cfg in ladders:
+        p, average_steps, steps, mean, variance = _reference_recursions(cfg, alpha)
+        assert np.array_equal(excitation_probabilities(cfg), p)
+        assert np.array_equal(average_work(cfg).per_step_work, average_steps)
+        m = work_moments(cfg)
+        assert np.array_equal(m.per_step_work, steps)
+        assert (m.mean, m.variance) == (mean, variance)
 
 
 def test_moments_fig4_sigmas():

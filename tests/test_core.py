@@ -49,6 +49,16 @@ def test_density_operator_validation():
         DensityOperator(dim=3, matrix=np.eye(2) / 2)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_density_operator_rejects_non_finite_entries(bad):
+    with pytest.raises(ValidationError, match="non-finite"):
+        DensityOperator.from_matrix(np.full((2, 2), bad))
+    stack = np.array([np.eye(2) / 2] * 5, dtype=complex)
+    stack[3, 0, 1] = stack[3, 1, 0] = bad
+    with pytest.raises(ValidationError, match="non-finite"):
+        check_density_matrices(stack)
+
+
 def test_density_operator_is_immutable():
     rho = DensityOperator.maximally_mixed(2)
     with pytest.raises(ValueError):

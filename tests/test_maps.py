@@ -1,18 +1,25 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from thermoflow import maps
 from thermoflow.core import (
     DensityOperator,
     HamiltonianMatrix,
     ValidationError,
     free_energy,
+    gibbs_matrices,
     gibbs_state,
     trace_distance,
 )
 from thermoflow.maps import (
+    CYCLIC_PATH_PRESETS,
     CyclicProtocol,
+    DissipationBreakdown,
+    ThermalizingChannel,
     custom_channel,
     cyclic_qubit_gap_path,
     cyclic_qubit_zx_path,
@@ -34,6 +41,14 @@ from thermoflow.qudit import (
 )
 
 from conftest import FIG_TEMP, random_density
+
+
+def counting(calls: Counter, name: str, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +107,12 @@ def test_contraction_probe_count_validation():
         estimate_contraction(ch, probes=0)
 
 
+def test_nan_channel_output_fails_fixed_point_check():
+    tau = gibbs_state(qubit_h(1.0), FIG_TEMP)
+    with pytest.raises(ValidationError, match="does not fix"):
+        custom_channel(lambda m: np.full_like(m, np.nan), declared_alpha=0.5, target=tau)
+
+
 # ---------------------------------------------------------------------------
 # Unitary propagation
 # ---------------------------------------------------------------------------
@@ -140,6 +161,19 @@ def test_evolve_unitary_guards():
         evolve_unitary(path, 0.0, 0.5, 0)
 
 
+def test_nan_propagator_fails_unitarity_check():
+    path = HamiltonianPath(dim=2, sampler=lambda t: np.full((2, 2), np.nan), temp=FIG_TEMP)
+    with pytest.raises(ValidationError, match="lost unitarity"):
+        evolve_unitary(path, 0.0, 1.0, 2)
+
+
+def test_propagator_takes_one_stacked_eigh(monkeypatch):
+    calls = Counter()
+    monkeypatch.setattr(np.linalg, "eigh", counting(calls, "eigh", np.linalg.eigh))
+    evolve_unitary(cyclic_qubit_zx_path(FIG_TEMP), 0.0, 1.0, 64)
+    assert calls["eigh"] == 1
+
+
 def test_frozen_hamiltonian_error_constant_path():
     H = np.diag([0.2, -0.2]).astype(complex)
     path = HamiltonianPath(dim=2, sampler=lambda t: H, temp=FIG_TEMP)
@@ -181,6 +215,19 @@ def test_cyclic_protocol_validation():
         CyclicProtocol(path=loop, N=4, channel_alpha=0.5, evolution_mode="warp")
     proto = CyclicProtocol(path=loop, N=4, channel_alpha=0.5, contact_duration=0.25)
     assert proto.total_time == 1.0
+
+
+def test_nan_endpoint_fails_loop_check():
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    path = HamiltonianPath(dim=2, sampler=lambda t: np.full((2, 2), np.nan) if t == 1.0 else Z, temp=FIG_TEMP)
+    with pytest.raises(ValidationError, match="not cyclic"):
+        CyclicProtocol(path=path, N=4, channel_alpha=0.5)
+
+
+def test_unknown_channel_kind_is_rejected():
+    segment = qubit_excitation_path(0.2, 0.45, FIG_TEMP)
+    with pytest.raises(ValidationError, match="unknown channel kind"):
+        run_protocol_segment(segment, 4, segment.gibbs(0.0), channel_alpha=0.5, channel_kind="bogus")
 
 
 def test_single_step_identity_channel_work():
@@ -250,6 +297,14 @@ def test_optimal_protocol_reaches_free_energy_gap():
     assert gaps[0] / gaps[1] > 3.0  # vanishes at first order in 1/N
 
 
+def test_nan_bound_fails_second_law_check(monkeypatch):
+    loop = cyclic_qubit_gap_path(FIG_TEMP)
+    proto = CyclicProtocol(path=loop, N=4, channel_alpha=0.5, evolution_mode="quench")
+    monkeypatch.setattr(maps, "free_energy", lambda rho, H, temp: math.nan)
+    with pytest.raises(ValidationError, match="second-law"):
+        run_cyclic_protocol(proto, loop.gibbs(0.0))
+
+
 def test_state_lag_shrinks_as_one_over_n():
     loop = cyclic_qubit_zx_path(FIG_TEMP)
     lags = {}
@@ -278,6 +333,11 @@ def test_breakdown_identity_closes(mode, kind):
     b = breakdown_at(48, 0.45, mode=mode, kind=kind)
     assert abs(b.gamma + b.epsilon + b.kappa - b.total) < 1e-9
     assert abs(b.total - (b.delta_f_iso - b.w_iso)) < 1e-12
+
+
+def test_nan_split_fails_closure_check():
+    with pytest.raises(ValidationError, match="does not close"):
+        DissipationBreakdown(gamma=math.nan, epsilon=0.0, kappa=0.0, total=0.0, w_iso=0.0, delta_f_iso=0.0)
 
 
 def test_breakdown_epsilon_vanishes_at_full_thermalization():
@@ -331,3 +391,111 @@ def test_quench_segment_reproduces_collision_staircase_dissipation():
     # the raw work ledgers differ by the fixed initial-Hamiltonian offset
     offset = np.trace((segment.hamiltonian(1.0) - segment.hamiltonian(0.0)) @ rho0.matrix).real
     assert abs(qudit_ledger.cumulative_work - ledger.cumulative_work - offset) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Stacked engine against the per-step reference
+# ---------------------------------------------------------------------------
+
+def _reference_propagator(path, t_start, t_end, substeps):
+    """One Hamiltonian and one eigh per substep, later slices on the left."""
+    dt = (t_end - t_start) / substeps
+    U = np.eye(path.dim, dtype=complex)
+    for j in range(substeps):
+        lam, vecs = np.linalg.eigh(path.hamiltonian(t_start + (j + 0.5) * dt))
+        U = ((vecs * np.exp(-1j * lam * dt)) @ vecs.conj().T) @ U
+    return U
+
+
+def _reference_run(path, N, rho0, kind, lam, mode, substeps):
+    """One HamiltonianMatrix, channel and DensityOperator per contact."""
+    hams = [path.hamiltonian(i / N) for i in range(N + 1)]
+    channels = [make_channel(kind, lam, HamiltonianMatrix(dim=path.dim, matrix=H), path.temp) for H in hams[1:]]
+    tau0 = gibbs_state(HamiltonianMatrix(dim=path.dim, matrix=hams[0]), path.temp)
+    taus = [tau0.matrix] + [c.target.matrix for c in channels]
+    identity = np.eye(path.dim, dtype=complex)
+    sigma, sigmas, unitaries, work = rho0.matrix, [rho0.matrix], [identity], np.empty(N)
+    for i in range(1, N + 1):
+        U = _reference_propagator(path, (i - 1) / N, i / N, substeps) if mode == "unitary" else identity
+        rho_i = U @ sigma @ U.conj().T if mode == "unitary" else sigma
+        work[i - 1] = np.trace(hams[i - 1] @ sigma).real - np.trace(hams[i] @ rho_i).real
+        sigma = channels[i - 1].apply_matrix(rho_i)
+        unitaries.append(U)
+        sigmas.append(DensityOperator(dim=path.dim, matrix=0.5 * (sigma + sigma.conj().T)).matrix)
+    return [np.array(x) for x in (hams, taus, sigmas, unitaries)] + [work]
+
+
+def _reference_breakdown(path, hams, taus, sigmas, unitaries, work):
+    def F(rho, H):
+        return free_energy(DensityOperator.from_matrix(rho), HamiltonianMatrix.from_matrix(H), path.temp)
+
+    delta_f_iso = F(taus[0], hams[0]) - F(taus[-1], hams[-1])
+    gamma, epsilon, kappa = delta_f_iso, 0.0, 0.0
+    for i in range(1, len(hams)):
+        dH = hams[i - 1] - hams[i]
+        gamma -= np.trace(dH @ taus[i - 1]).real
+        epsilon -= np.trace(dH @ (sigmas[i - 1] - taus[i - 1])).real
+        evolved = unitaries[i] @ sigmas[i - 1] @ unitaries[i].conj().T
+        kappa -= np.trace(hams[i] @ (sigmas[i - 1] - evolved)).real
+    w = float(work.sum())
+    return dict(
+        gamma=float(gamma), epsilon=float(epsilon), kappa=float(kappa),
+        total=float(delta_f_iso - w), w_iso=w, delta_f_iso=float(delta_f_iso),
+    )
+
+
+@pytest.mark.parametrize("N", [1, 5, 64])
+@pytest.mark.parametrize("mode", ["unitary", "quench"])
+@pytest.mark.parametrize("kind", ["partial", "pinch"])
+@pytest.mark.parametrize("preset", sorted(CYCLIC_PATH_PRESETS))
+def test_stacked_engine_is_bit_identical_to_the_per_step_loop(preset, kind, mode, N):
+    path = CYCLIC_PATH_PRESETS[preset](FIG_TEMP)
+    rho0 = random_density(np.random.default_rng(N), 2)
+    proto = CyclicProtocol(path=path, N=N, channel_alpha=0.45, channel_kind=kind, evolution_mode=mode, substeps=16)
+    run = maps._run(proto, rho0)
+    ref = _reference_run(path, N, rho0, kind, 0.45, mode, 16)
+    for name, expected in zip(("hamiltonians", "taus", "sigmas", "unitaries", "work_steps"), ref):
+        assert np.array_equal(getattr(run, name), expected), name
+    assert dataclasses.asdict(dissipation_breakdown(proto, rho0)) == _reference_breakdown(path, *ref)
+
+
+@pytest.mark.parametrize("kind", ["partial", "pinch"])
+def test_quench_breakdown_does_no_per_step_linear_algebra(monkeypatch, kind):
+    loop = cyclic_qubit_gap_path(FIG_TEMP)
+    rho0 = loop.gibbs(0.0)
+    counts = {}
+    for N in (64, 512):
+        proto = CyclicProtocol(path=loop, N=N, channel_alpha=0.5, channel_kind=kind, evolution_mode="quench")
+        calls = Counter()
+        with monkeypatch.context() as m:
+            for name in ("eigh", "eigvalsh"):
+                m.setattr(np.linalg, name, counting(calls, name, getattr(np.linalg, name)))
+            for cls in (DensityOperator, HamiltonianMatrix, ThermalizingChannel):
+                m.setattr(cls, "__post_init__", counting(calls, cls.__name__, cls.__post_init__))
+            m.setattr(maps, "gibbs_state", counting(calls, "gibbs_state", gibbs_state))
+            dissipation_breakdown(proto, rho0)
+        counts[N] = calls
+    assert counts[64] == counts[512]
+    assert counts[64]["ThermalizingChannel"] == counts[64]["gibbs_state"] == 0
+
+
+@pytest.mark.parametrize("contact", [1, 16])
+@pytest.mark.parametrize("what", ["target", "state"])
+def test_off_trace_contact_is_rejected(monkeypatch, what, contact):
+    loop = cyclic_qubit_zx_path(FIG_TEMP)
+    proto = CyclicProtocol(path=loop, N=16, channel_alpha=0.5, substeps=4)
+    if what == "target":
+        def skewed(H, temp):
+            taus = gibbs_matrices(H, temp)
+            taus[contact, 0, 0] += 1e-9
+            return taus
+
+        monkeypatch.setattr(maps, "gibbs_matrices", skewed)
+    else:
+        def skewed(path, t_start, t_end, substeps):
+            U = evolve_unitary(path, t_start, t_end, substeps)
+            return U * math.sqrt(1.0 + 2e-9) if t_end == contact / 16 else U
+
+        monkeypatch.setattr(maps, "evolve_unitary", skewed)
+    with pytest.raises(ValidationError, match=r"trace must be 1, got .*1\.00000000"):
+        dissipation_breakdown(proto, loop.gibbs(0.0))

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from thermoflow.core import DensityOperator, HamiltonianMatrix, ValidationError, gibbs_state
+import thermoflow.qudit
+from thermoflow.core import DensityOperator, HamiltonianMatrix, ValidationError, gibbs_matrices, gibbs_state
 from thermoflow.collision import FixedAlpha, QubitProtocolConfig, average_work, make_schedule
 from thermoflow.qudit import (
     HamiltonianPath,
@@ -66,6 +67,19 @@ def test_smoothness_probe_flags_jumps():
 def test_unknown_preset_rejected():
     with pytest.raises(ValidationError):
         path_preset("no-such-path", FIG_TEMP)
+
+
+def test_config_rejects_nan_system_hamiltonian():
+    path = path_preset("qubit-gap-ramp", FIG_TEMP)
+    with pytest.raises(ValidationError, match="H_system must be Hermitian"):
+        QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=4, alpha=0.5, H_system=np.full((2, 2), np.nan))
+
+
+def test_config_rejects_nan_initial_mismatch(monkeypatch):
+    path = path_preset("qubit-gap-ramp", FIG_TEMP)
+    monkeypatch.setattr(thermoflow.qudit, "trace_distance", lambda rho, sigma: math.nan)
+    with pytest.raises(ValidationError, match="mismatch nan"):
+        QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=4, alpha=0.5)
 
 
 def test_full_rank_config_requires_matching_start():
@@ -491,17 +505,16 @@ def test_staircase_checks_every_block(monkeypatch, block):
     # N = 200 runs in blocks of 64, 64, 64 and 8 contacts; a target off trace
     # by 1e-9 at the last contact of one block must stop the run
     cfg = preset_config("qubit-gap-ramp", 200, 0.5)
-    gibbs_of = HamiltonianPath._gibbs_of
     calls = []
 
-    def skewed(self, H):
-        taus = gibbs_of(self, H)
+    def skewed(H, temp):
+        taus = gibbs_matrices(H, temp)
         if len(calls) == block:
             taus[-1, 0, 0] += 1e-9
         calls.append(len(H))
         return taus
 
-    monkeypatch.setattr(HamiltonianPath, "_gibbs_of", skewed)
+    monkeypatch.setattr(thermoflow.qudit, "gibbs_matrices", skewed)
     with pytest.raises(ValidationError, match="trace must be 1"):
         run_qudit_protocol(cfg)
     assert calls == [64, 64, 64, 8][: block + 1]

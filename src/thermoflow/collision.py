@@ -242,7 +242,7 @@ class WorkLedger:
             raise ValidationError("non-finite per-step work: infinity sentinel dereferenced")
         if not abs(steps.sum() - self.cumulative_work) <= 1e-10 * max(len(steps), 1):
             raise ValidationError("cumulative work does not match the per-step sum")
-        if self.variance < 0.0:
+        if not self.variance >= 0.0:
             raise ValidationError(f"variance must be non-negative, got {self.variance}")
         steps.flags.writeable = False
         object.__setattr__(self, "per_step_work", steps)
@@ -404,30 +404,29 @@ def _simulate_block(config, seed, indices, step_sums, state_sums):
     """Simulate one block of trials; returns the per-trial total works.
 
     Per trial, stream order is: one uniform for the initial bit, N uniforms
-    for the swap decisions, N uniforms for the fresh bath bits.
+    for the swap decisions, N uniforms for the fresh bath bits.  The state
+    scan is one running max over packed codes (s_0, then 2k + b_k at a swap
+    and 0 otherwise, in the narrowest signed int holding 2N + 1): its low bit is s_k,
+    so the increments omega_k (s_k - s_{k-1}) are exact and are the scan's
+    only float array.
     """
     N = config.schedule.N
-    q_steps = config.schedule.q[1:]
-    omega = config.swap_energies
     noise = config.noise
     alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, indices)
     uniforms = trial_uniforms(seed, TRIAL_TAG, indices, 2 * N + 1)
 
-    s0 = uniforms[:, 0] < config.p0
-    swap = uniforms[:, 1 : N + 1] < (1.0 - alphas)
-    bath = uniforms[:, N + 1 :] < q_steps
+    codes = np.empty((len(indices), N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
+    np.less(uniforms[:, 0], config.p0, out=codes[:, 0])
+    np.less(uniforms[:, N + 1 :], config.schedule.q[1:], out=codes[:, 1:])
+    codes[:, 1:] += np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
+    codes[:, 1:] *= uniforms[:, 1 : N + 1] < (1.0 - alphas)
+    del uniforms
+    np.maximum.accumulate(codes, axis=1, out=codes)
+    codes &= 1
 
-    # System bit after step k equals the bath bit of the most recent swap
-    # (or the initial bit if none happened yet): a cumulative-max scan.
-    step_index = np.where(swap, np.arange(1, N + 1), 0)
-    last_swap = np.maximum.accumulate(step_index, axis=1)
-    bits = np.concatenate([s0[:, None], bath], axis=1)
-    states = np.take_along_axis(bits, last_swap, axis=1)
-    prev = np.concatenate([s0[:, None], states[:, :-1]], axis=1)
-
-    increments = swap * omega * (bath.astype(float) - prev.astype(float))
+    increments = config.swap_energies * np.diff(codes, axis=1)
     step_sums += increments.sum(axis=0)
-    state_sums += states.sum(axis=0)
+    state_sums += codes[:, 1:].sum(axis=0)
     return increments.sum(axis=1)
 
 

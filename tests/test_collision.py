@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from thermoflow.collision import (
     work_moments,
 )
 
-from thermoflow.seeding import rng_for
+from thermoflow.seeding import rng_for, trial_uniforms
 
 from conftest import FIG_TEMP
 
@@ -83,6 +84,19 @@ def test_work_ledger_invariants():
         WorkLedger(per_step_work=np.array([1.0]), cumulative_work=1.0, mean=1.0, variance=-1e-3)
     with pytest.raises(ValidationError):  # infinity sentinel dereferenced
         WorkLedger(per_step_work=np.array([math.inf]), cumulative_work=math.inf, mean=0.0, variance=0.0)
+
+
+def test_ledger_rejects_nan_variance():
+    with pytest.raises(ValidationError, match="variance"):
+        WorkLedger(per_step_work=np.array([1.0]), cumulative_work=1.0, mean=1.0, variance=math.nan)
+
+
+def test_moments_reject_a_nan_variance():
+    # omega ~ 1e200 overflows w * w: the second moment becomes NaN while every
+    # per-step mean stays finite, and max(nan, 0.0) would pass the NaN on
+    cfg = QubitProtocolConfig(p0=0.0, eps_S=-1e200, schedule=make_linear_schedule(3, FIG_TEMP), noise=FixedAlpha(0.5))
+    with pytest.raises(ValidationError, match="variance"):
+        work_moments(cfg)
 
 
 def test_schedule_rejects_nan_energy():
@@ -401,6 +415,67 @@ def test_sampling_block_partition_is_invariant():
     first, _, _ = sample_work_values(cfg, 50, seed=5)
     rest, _, _ = sample_work_values(cfg, 70, seed=5, trial_offset=50)
     np.testing.assert_array_equal(whole, np.concatenate([first, rest]))
+
+
+def _reference_sample_work_values(config, runs, seed, trial_offset=0):
+    """The sampler before packed swap codes: an index scan, a gather and a float chain."""
+    N = config.schedule.N
+    q_steps, omega, noise = config.schedule.q[1:], config.swap_energies, config.noise
+    works, step_sums, state_sums = np.empty(runs), np.zeros(N), np.zeros(N)
+    block = max(1, min(8192, (1 << 22) // N))
+    for start in range(0, runs, block):
+        stop = min(start + block, runs)
+        idx = np.arange(trial_offset + start, trial_offset + stop)
+        alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, idx)
+        uniforms = trial_uniforms(seed, TRIAL_TAG, idx, 2 * N + 1)
+        s0 = uniforms[:, 0] < config.p0
+        swap = uniforms[:, 1 : N + 1] < (1.0 - alphas)
+        bath = uniforms[:, N + 1 :] < q_steps
+        last_swap = np.maximum.accumulate(np.where(swap, np.arange(1, N + 1), 0), axis=1)
+        states = np.take_along_axis(np.concatenate([s0[:, None], bath], axis=1), last_swap, axis=1)
+        prev = np.concatenate([s0[:, None], states[:, :-1]], axis=1)
+        increments = swap * omega * (bath.astype(float) - prev.astype(float))
+        step_sums += increments.sum(axis=0)
+        state_sums += states.sum(axis=0)
+        works[start:stop] = increments.sum(axis=1)
+    return works, step_sums / runs, state_sums / runs
+
+
+def _oracle_cases():
+    for N in (1, 2, 5, 20, 2000):
+        for alpha in (0.0, 0.3, 0.9):
+            yield pytest.param(canonical(N, alpha), 300, 0, id=f"canonical-N{N}-a{alpha}")
+    q = np.linspace(0.05, 0.47, 41)
+    for eps_S in (0.8, -0.3):  # eps_S = 0.8 makes the late omega_k negative
+        cfg = QubitProtocolConfig(p0=0.4, eps_S=eps_S, schedule=make_schedule(q, FIG_TEMP), noise=FixedAlpha(0.3))
+        yield pytest.param(cfg, 300, 0, id=f"ladder-eps{eps_S}")
+    for noise in (RandomAlpha("uniform", (0.2, 0.7), seed=8), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=9)):
+        cfg = QubitProtocolConfig(p0=0.4, eps_S=0.0, schedule=make_linear_schedule(30, FIG_TEMP), noise=noise)
+        yield pytest.param(cfg, 300, 0, id=f"random-{noise.distribution}")
+    yield pytest.param(canonical(50, 0.5), 300, 1234, id="trial-offset")
+    for N in (16383, 16384):  # the widest int16 codes, then the int32 path; omega_N != 0
+        ladder = make_schedule(np.linspace(0.05, 0.47, N + 1), FIG_TEMP)
+        yield pytest.param(QubitProtocolConfig(0.4, -0.3, ladder, FixedAlpha(0.3)), 16, 0, id=f"wide-N{N}")
+
+
+@pytest.mark.parametrize("config, runs, offset", list(_oracle_cases()))
+def test_sampler_is_bit_identical_to_the_gather_scan(config, runs, offset):
+    got = sample_work_values(config, runs, seed=20260809, trial_offset=offset)
+    expected = _reference_sample_work_values(config, runs, seed=20260809, trial_offset=offset)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def test_sampler_block_memory_stays_near_its_uniforms():
+    cfg, runs = canonical(2000, 0.5), 512
+    sample_work_values(cfg, runs, seed=1)  # warm-up: caches and first-call allocations
+    tracemalloc.start()
+    try:
+        sample_work_values(cfg, runs, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * runs * (2 * 2000 + 1) * 8
 
 
 def test_sampling_mean_agrees_with_moments():

@@ -187,8 +187,8 @@ _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 def cyclic_qubit_gap_path(temp: Temperature, base: float = 1.0, amplitude: float = 0.8) -> HamiltonianPath:
     """Commuting loop: splitting modulated by sin^2(pi t) around a base value."""
 
-    def sampler(t: float) -> np.ndarray:
-        return (base + amplitude * math.sin(math.pi * t) ** 2) * _SIGMA_Z
+    def sampler(t: np.ndarray) -> np.ndarray:
+        return (base + amplitude * np.array([x**2 for x in np.sin(math.pi * t).tolist()]))[:, None, None] * _SIGMA_Z
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
 
@@ -201,10 +201,10 @@ def cyclic_qubit_zx_path(
 ) -> HamiltonianPath:
     """Non-commuting loop mixing z and x components; H(0) = H(1) = base * Z."""
 
-    def sampler(t: float) -> np.ndarray:
-        z = base + z_amplitude * math.sin(math.pi * t) ** 2
-        x = x_amplitude * math.sin(math.pi * t)
-        return z * _SIGMA_Z + x * _SIGMA_X
+    def sampler(t: np.ndarray) -> np.ndarray:
+        sines = np.sin(math.pi * t)
+        z = base + z_amplitude * np.array([x**2 for x in sines.tolist()])  # libm pow, as the scalar formula
+        return z[:, None, None] * _SIGMA_Z + (x_amplitude * sines)[:, None, None] * _SIGMA_X
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
 

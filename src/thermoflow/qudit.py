@@ -65,22 +65,29 @@ def smoothstep(s):
 
 @dataclass(frozen=True)
 class HamiltonianPath:
-    """Smooth family s -> H(s) on [0, 1] with its Gibbs family tau(s)."""
+    """Smooth family s -> H(s) on [0, 1] with its Gibbs family tau(s).
+
+    sampler maps a 1-D float array s to the (len(s), dim, dim) stack H(s). Scalar formulas keep their
+    bytes with math.log and Python float ** (libm pow) per value: numpy's log and ** round differently.
+    """
 
     dim: int
-    sampler: Callable[[float], np.ndarray]
+    sampler: Callable[[np.ndarray], np.ndarray]
     temp: Temperature
     derivative_step: float = DEFAULT_DERIVATIVE_STEP
 
     def hamiltonians(self, s) -> np.ndarray:
-        """H(s) for each entry of the 1-D array s, stacked as (len(s), dim, dim)."""
-        H = np.array([self.sampler(float(x)) for x in s], dtype=complex)
-        if H.shape[1:] != (self.dim, self.dim):
-            raise ValidationError(f"sampler returned shape {H.shape[1:]}, expected ({self.dim}, {self.dim})")
-        dev = np.abs(H - H.conj().swapaxes(1, 2))
-        if np.fmax.reduce(dev, axis=None) > 1e-12:  # fmax: a NaN fails no check, as before
-            s_bad = s[(dev > 1e-12).any(axis=(1, 2)).argmax()]
-            raise ValidationError(f"sampler returned a non-Hermitian matrix at s = {s_bad}")
+        """H(s) for each entry of the 1-D array s, stacked as (len(s), dim, dim), from one sampler call."""
+        s = np.asarray(s, dtype=float)
+        H = np.asarray(self.sampler(s), dtype=complex)
+        if H.shape != (len(s), self.dim, self.dim):
+            raise ValidationError(f"sampler returned shape {H.shape}, expected ({len(s)}, {self.dim}, {self.dim})")
+        finite = np.isfinite(H).all(axis=(1, 2))
+        if not finite.all():
+            raise ValidationError(f"sampler returned a non-finite matrix at s = {s[finite.argmin()]}")
+        hermitian = (np.abs(H - H.conj().swapaxes(1, 2)) <= 1e-12).all(axis=(1, 2))
+        if not hermitian.all():
+            raise ValidationError(f"sampler returned a non-Hermitian matrix at s = {s[hermitian.argmin()]}")
         return H
 
     def gibbs_matrices(self, s) -> np.ndarray:
@@ -138,18 +145,22 @@ class HamiltonianPath:
 # Path constructors
 # ---------------------------------------------------------------------------
 
+def _diagonal_stack(entries: np.ndarray) -> np.ndarray:
+    """(n, d) real diagonals as an (n, d, d) complex stack with +0.0 off the diagonal."""
+    return np.where(np.eye(entries.shape[1], dtype=bool), entries[:, None, :], 0.0).astype(complex)
+
+
 def linear_endpoint_path(H0, H1, temp: Temperature, derivative_step: float = DEFAULT_DERIVATIVE_STEP) -> HamiltonianPath:
     """Straight-line interpolation H(s) = (1-s) H0 + s H1."""
     m0 = H0.matrix if isinstance(H0, HamiltonianMatrix) else np.asarray(H0, dtype=complex)
     m1 = H1.matrix if isinstance(H1, HamiltonianMatrix) else np.asarray(H1, dtype=complex)
     if m0.shape != m1.shape:
         raise ValidationError("endpoint Hamiltonians must share a dimension")
-    return HamiltonianPath(
-        dim=m0.shape[0],
-        sampler=lambda s: (1.0 - s) * m0 + s * m1,
-        temp=temp,
-        derivative_step=derivative_step,
-    )
+
+    def sampler(s: np.ndarray) -> np.ndarray:
+        return (1.0 - s)[:, None, None] * m0 + s[:, None, None] * m1
+
+    return HamiltonianPath(dim=m0.shape[0], sampler=sampler, temp=temp, derivative_step=derivative_step)
 
 
 def qubit_excitation_path(q_start: float, q_end: float, temp: Temperature, smooth: bool = True) -> HamiltonianPath:
@@ -161,10 +172,10 @@ def qubit_excitation_path(q_start: float, q_end: float, temp: Temperature, smoot
     if not (0.0 < q_start < 1.0 and 0.0 < q_end < 1.0):
         raise ValidationError("excitation endpoints must lie in (0, 1)")
 
-    def sampler(s: float) -> np.ndarray:
-        w = smoothstep(s) if smooth else s
-        q = q_start + (q_end - q_start) * w
-        return np.diag([0.0, temp.T * math.log((1.0 - q) / q)]).astype(complex)
+    def sampler(s: np.ndarray) -> np.ndarray:
+        q = q_start + (q_end - q_start) * (smoothstep(s) if smooth else s)
+        gaps = [temp.T * math.log((1.0 - x) / x) for x in q.tolist()]  # math.log, as the scalar formula
+        return _diagonal_stack(np.stack([np.zeros(len(s)), gaps], axis=1))
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
 
@@ -172,9 +183,9 @@ def qubit_excitation_path(q_start: float, q_end: float, temp: Temperature, smoot
 def qubit_gap_ramp_path(gap_start: float, gap_end: float, temp: Temperature, smooth: bool = True) -> HamiltonianPath:
     """Qubit path ramping the energy gap from gap_start to gap_end."""
 
-    def sampler(s: float) -> np.ndarray:
+    def sampler(s: np.ndarray) -> np.ndarray:
         w = smoothstep(s) if smooth else s
-        return np.diag([0.0, gap_start + (gap_end - gap_start) * w]).astype(complex)
+        return _diagonal_stack(np.stack([np.zeros(len(s)), gap_start + (gap_end - gap_start) * w], axis=1))
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
 
@@ -185,9 +196,9 @@ def random_diagonal_path(temp: Temperature, dim: int = 4, seed: int = 11, smooth
     d0 = np.sort(rng.uniform(-1.0, 1.0, size=dim))
     d1 = np.sort(rng.uniform(-1.0, 1.0, size=dim))
 
-    def sampler(s: float) -> np.ndarray:
-        w = smoothstep(s) if smooth else s
-        return np.diag((1.0 - w) * d0 + w * d1).astype(complex)
+    def sampler(s: np.ndarray) -> np.ndarray:
+        w = (smoothstep(s) if smooth else s)[:, None]
+        return _diagonal_stack((1.0 - w) * d0 + w * d1)
 
     return HamiltonianPath(dim=dim, sampler=sampler, temp=temp)
 
@@ -483,10 +494,9 @@ def _diagonal_population_path(start: np.ndarray, end: np.ndarray, temp: Temperat
     """
     anchor = int(np.argmax(start))
 
-    def sampler(s: float) -> np.ndarray:
-        pops = (1.0 - s) * start + s * end
-        energies = temp.T * (np.log(pops[anchor]) - np.log(pops))
-        return np.diag(energies).astype(complex)
+    def sampler(s: np.ndarray) -> np.ndarray:
+        logs = np.log((1.0 - s)[:, None] * start + s[:, None] * end)
+        return _diagonal_stack(temp.T * (logs[:, anchor, None] - logs))
 
     return HamiltonianPath(dim=len(start), sampler=sampler, temp=temp)
 

@@ -119,7 +119,7 @@ def test_nan_channel_output_fails_fixed_point_check():
 
 def test_constant_hamiltonian_propagator_is_exact():
     H = np.array([[0.3, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]], dtype=complex)
-    path = HamiltonianPath(dim=2, sampler=lambda t: H, temp=FIG_TEMP)
+    path = HamiltonianPath(dim=2, sampler=lambda t: np.tile(H, (len(t), 1, 1)), temp=FIG_TEMP)
     lam, vecs = np.linalg.eigh(H)
     exact = (vecs * np.exp(-1j * lam * 0.37)) @ vecs.conj().T
     for substeps in (1, 7, 16):
@@ -130,7 +130,7 @@ def test_constant_hamiltonian_propagator_is_exact():
 def test_commuting_family_matches_scalar_integral():
     H0 = np.diag([0.4, -0.4]).astype(complex)
     path = HamiltonianPath(
-        dim=2, sampler=lambda t: (1.0 + 0.5 * math.sin(math.pi * t) ** 2) * H0, temp=FIG_TEMP
+        dim=2, sampler=lambda t: (1.0 + 0.5 * np.sin(np.pi * t) ** 2)[:, None, None] * H0, temp=FIG_TEMP
     )
     U = evolve_unitary(path, 0.0, 1.0, 256)
     integral = 1.25  # int_0^1 (1 + 0.5 sin^2(pi t)) dt
@@ -161,10 +161,11 @@ def test_evolve_unitary_guards():
         evolve_unitary(path, 0.0, 0.5, 0)
 
 
-def test_nan_propagator_fails_unitarity_check():
-    path = HamiltonianPath(dim=2, sampler=lambda t: np.full((2, 2), np.nan), temp=FIG_TEMP)
+def test_nan_propagator_fails_unitarity_check(monkeypatch):
+    # the path rejects a NaN Hamiltonian, so the NaN enters at the slice exponentials
+    monkeypatch.setattr(maps, "_slice_exponential", lambda H, dt: np.full(H.shape, np.nan, dtype=complex))
     with pytest.raises(ValidationError, match="lost unitarity"):
-        evolve_unitary(path, 0.0, 1.0, 2)
+        evolve_unitary(cyclic_qubit_zx_path(FIG_TEMP), 0.0, 1.0, 2)
 
 
 def test_propagator_takes_one_stacked_eigh(monkeypatch):
@@ -176,7 +177,7 @@ def test_propagator_takes_one_stacked_eigh(monkeypatch):
 
 def test_frozen_hamiltonian_error_constant_path():
     H = np.diag([0.2, -0.2]).astype(complex)
-    path = HamiltonianPath(dim=2, sampler=lambda t: H, temp=FIG_TEMP)
+    path = HamiltonianPath(dim=2, sampler=lambda t: np.tile(H, (len(t), 1, 1)), temp=FIG_TEMP)
     assert unitary_approx_error(path, 3, 10, substeps=32) < 1e-12
 
 
@@ -217,11 +218,13 @@ def test_cyclic_protocol_validation():
     assert proto.total_time == 1.0
 
 
-def test_nan_endpoint_fails_loop_check():
-    Z = np.diag([1.0, -1.0]).astype(complex)
-    path = HamiltonianPath(dim=2, sampler=lambda t: np.full((2, 2), np.nan) if t == 1.0 else Z, temp=FIG_TEMP)
+def test_nan_endpoint_fails_loop_check(monkeypatch):
+    # the path rejects a NaN Hamiltonian, so the NaN enters at the endpoint evaluation
+    endpoint = HamiltonianPath.hamiltonian
+    nan_at_one = lambda path, t: np.full((2, 2), np.nan) if t == 1.0 else endpoint(path, t)
+    monkeypatch.setattr(HamiltonianPath, "hamiltonian", nan_at_one)
     with pytest.raises(ValidationError, match="not cyclic"):
-        CyclicProtocol(path=path, N=4, channel_alpha=0.5)
+        CyclicProtocol(path=cyclic_qubit_gap_path(FIG_TEMP), N=4, channel_alpha=0.5)
 
 
 def test_unknown_channel_kind_is_rejected():

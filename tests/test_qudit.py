@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from collections import Counter
 
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 import thermoflow.qudit
 from thermoflow.core import DensityOperator, HamiltonianMatrix, ValidationError, gibbs_matrices, gibbs_state
 from thermoflow.collision import FixedAlpha, QubitProtocolConfig, average_work, make_schedule
+from thermoflow.maps import cyclic_qubit_gap_path, cyclic_qubit_zx_path, evolve_unitary
 from thermoflow.qudit import (
     HamiltonianPath,
     QuditProtocolConfig,
@@ -41,9 +43,16 @@ def preset_config(name: str, N: int, alpha: float) -> QuditProtocolConfig:
 # Paths and configuration
 # ---------------------------------------------------------------------------
 
+def _qubit_stack(gaps):
+    """diag(0, gap) for each gap, stacked as the sampler contract asks."""
+    H = np.zeros((len(gaps), 2, 2), dtype=complex)
+    H[:, 1, 1] = gaps
+    return H
+
+
 def test_path_rejects_non_hermitian_sampler():
-    path = HamiltonianPath(dim=2, sampler=lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]), temp=FIG_TEMP)
-    with pytest.raises(ValidationError):
+    path = HamiltonianPath(dim=2, sampler=lambda s: np.tile([[0.0, 1.0], [0.0, 0.0]], (len(s), 1, 1)), temp=FIG_TEMP)
+    with pytest.raises(ValidationError, match="non-Hermitian"):
         path.hamiltonian(0.5)
 
 
@@ -53,9 +62,28 @@ def test_path_rejects_wrong_shape():
         path.hamiltonian(0.0)
 
 
+def test_path_rejects_a_per_point_sampler():
+    # a sampler that returns one (d, d) matrix for the whole array s
+    path = HamiltonianPath(dim=2, sampler=lambda s: np.eye(2), temp=FIG_TEMP)
+    with pytest.raises(ValidationError, match=r"sampler returned shape \(2, 2\), expected \(3, 2, 2\)"):
+        path.hamiltonians(np.array([0.0, 0.5, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_path_rejects_non_finite_sampler(bad):
+    def sampler(s):
+        H = _qubit_stack(np.ones(len(s)))
+        H[s == 0.5, 1, 1] = bad
+        return H
+
+    path = HamiltonianPath(dim=2, sampler=sampler, temp=FIG_TEMP)
+    with pytest.raises(ValidationError, match=r"sampler returned a non-finite matrix at s = 0\.5"):
+        path.hamiltonians(np.array([0.25, 0.5, 0.75]))
+
+
 def test_smoothness_probe_flags_jumps():
     def jumpy(s):
-        return np.diag([0.0, 0.0 if s < 0.5 else 5.0]).astype(complex)
+        return _qubit_stack(np.where(s < 0.5, 0.0, 5.0))
 
     path = HamiltonianPath(dim=2, sampler=jumpy, temp=FIG_TEMP)
     smooth = path_preset("qubit-gap-ramp", FIG_TEMP)
@@ -299,7 +327,7 @@ def test_dissipation_law_final_slope_coefficient():
     # N * W_dis -> bulk - (alpha/(1-alpha)) Fdot(1)
     def sampler(s):
         w = s * s
-        return np.diag([0.0, 1.6 + (0.3 - 1.6) * w]).astype(complex)
+        return _qubit_stack(1.6 + (0.3 - 1.6) * w)
 
     path = HamiltonianPath(dim=2, sampler=sampler, temp=FIG_TEMP)
     H_S = np.diag([0.0, 0.9]).astype(complex)
@@ -375,22 +403,79 @@ def test_alpha_prefactor_collapse_across_paths():
 # Bit-identity oracles: the per-step loop and the scalar Simpson rule
 # ---------------------------------------------------------------------------
 
-def _dense_complex_path():
+def _dense_ends():
     rng = np.random.default_rng(5)
     g = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
-    return linear_endpoint_path(g[0] + g[0].conj().T, g[1] + g[1].conj().T, FIG_TEMP)
+    return g[0] + g[0].conj().T, g[1] + g[1].conj().T
 
+
+def _random_diagonal_ends():
+    rng = np.random.default_rng(11)
+    return np.sort(rng.uniform(-1.0, 1.0, size=4)), np.sort(rng.uniform(-1.0, 1.0, size=4))
+
+
+RANK_DEFICIENT_POPULATIONS = (np.array([1.0 - 5e-3, 2.5e-3, 2.5e-3]), np.full(3, 1.0 / 3.0))
 
 ORACLE_PATHS = {name: lambda name=name: path_preset(name, FIG_TEMP) for name in PRESETS}
-ORACLE_PATHS["dense-complex-d3"] = _dense_complex_path
+ORACLE_PATHS["dense-complex-d3"] = lambda: linear_endpoint_path(*_dense_ends(), FIG_TEMP)
+ORACLE_PATHS["qubit-cyclic-gap"] = lambda: cyclic_qubit_gap_path(FIG_TEMP)
+ORACLE_PATHS["qubit-cyclic-zx"] = lambda: cyclic_qubit_zx_path(FIG_TEMP)
+ORACLE_PATHS["rank-deficient-d3"] = lambda: thermoflow.qudit._diagonal_population_path(
+    *RANK_DEFICIENT_POPULATIONS, FIG_TEMP
+)
 
 
-def _reference_hamiltonian(path, s):
-    return np.asarray(path.sampler(float(s)), dtype=complex)
+def _scalar_hamiltonians():
+    """H(s) at one float s by the per-point formulas of each oracle path: np.diag, math.log, math.sin ** 2."""
+    T = FIG_TEMP.T
+    m0, m1 = _dense_ends()
+    d0, d1 = _random_diagonal_ends()
+    start, end = RANK_DEFICIENT_POPULATIONS
+    Z = np.diag([1.0, -1.0]).astype(complex)
+    X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+    def smoothstep(s):
+        return s * s * (3.0 - 2.0 * s)
+
+    def linear_q(s):
+        q = 0.2 + (0.5 - 0.2) * smoothstep(s)
+        return np.diag([0.0, T * math.log((1.0 - q) / q)]).astype(complex)
+
+    def gap_ramp(s):
+        return np.diag([0.0, 1.6 + (0.3 - 1.6) * smoothstep(s)]).astype(complex)
+
+    def random_diagonal(s):
+        w = smoothstep(s)
+        return np.diag((1.0 - w) * d0 + w * d1).astype(complex)
+
+    def cyclic_zx(s):
+        return (1.0 + 0.5 * math.sin(math.pi * s) ** 2) * Z + 0.7 * math.sin(math.pi * s) * X
+
+    def rank_deficient(s):
+        pops = (1.0 - s) * start + s * end
+        return np.diag(T * (np.log(pops[0]) - np.log(pops))).astype(complex)
+
+    return {
+        "qubit-linear-q": linear_q,
+        "qubit-gap-ramp": gap_ramp,
+        "random-diagonal-d4": random_diagonal,
+        "dense-complex-d3": lambda s: (1.0 - s) * m0 + s * m1,
+        "qubit-cyclic-gap": lambda s: (1.0 + 0.8 * math.sin(math.pi * s) ** 2) * Z,
+        "qubit-cyclic-zx": cyclic_zx,
+        "rank-deficient-d3": rank_deficient,
+    }
 
 
-def _reference_gibbs(path, s):
-    return gibbs_state(HamiltonianMatrix(dim=path.dim, matrix=_reference_hamiltonian(path, s)), path.temp).matrix
+SCALAR_HAMILTONIANS = _scalar_hamiltonians()
+
+
+def _reference_hamiltonian(name, s):
+    return SCALAR_HAMILTONIANS[name](float(s))
+
+
+def _reference_gibbs(name, s):
+    H = _reference_hamiltonian(name, s)
+    return gibbs_state(HamiltonianMatrix(dim=len(H), matrix=H), FIG_TEMP).matrix
 
 
 def _reference_fd(path, fun, s):
@@ -402,24 +487,24 @@ def _reference_fd(path, fun, s):
     return (fun(s + h) - fun(s - h)) / (2 * h)
 
 
-def _reference_staircase(config):
+def _reference_staircase(config, name):
     """One Gibbs target, one work term and one DensityOperator per contact."""
     N, alpha, H_S = config.N, config.alpha, config.H_system
     rho = config.rho0.matrix
     states, steps = [rho], np.empty(N)
     for k in range(1, N + 1):
-        tau = _reference_gibbs(config.path, k / N)
-        H = _reference_hamiltonian(config.path, k / N)
+        tau = _reference_gibbs(name, k / N)
+        H = _reference_hamiltonian(name, k / N)
         steps[k - 1] = (1.0 - alpha) * np.trace((H - H_S) @ (tau - rho)).real
         rho = alpha * rho + (1.0 - alpha) * tau
         states.append(DensityOperator(dim=config.path.dim, matrix=rho).matrix)
     return np.array(states), steps
 
 
-def _reference_gamma(path, M=256, tol=1e-9):
+def _reference_gamma(path, name, M=256, tol=1e-9):
     def density(s):
-        taudot = _reference_fd(path, lambda u: _reference_gibbs(path, u), s)
-        Hdot = _reference_fd(path, lambda u: _reference_hamiltonian(path, u), s)
+        taudot = _reference_fd(path, lambda u: _reference_gibbs(name, u), s)
+        Hdot = _reference_fd(path, lambda u: _reference_hamiltonian(name, u), s)
         return -0.5 * np.trace(taudot @ Hdot).real
 
     def simpson(panels):
@@ -435,6 +520,16 @@ def _reference_gamma(path, M=256, tol=1e-9):
         coarse = fine
 
 
+def _unitary_midpoints(N, substeps=16):
+    """The substep midpoints evolve_unitary samples on every step of an N-contact protocol."""
+    mids = []
+    for i in range(1, N + 1):
+        t0, t1 = (i - 1) / N, i / N
+        dt = (t1 - t0) / substeps
+        mids.append(t0 + (np.arange(substeps) + 0.5) * dt)
+    return np.concatenate(mids)
+
+
 @pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
 def test_stacked_path_evaluation_is_bit_identical(name):
     path = ORACLE_PATHS[name]()
@@ -442,13 +537,18 @@ def test_stacked_path_evaluation_is_bit_identical(name):
     s = np.concatenate([[0.0, 0.5 * h, h, 1.0 - 0.5 * h, 1.0], np.random.default_rng(1).random(150)])
     H, taus = path.hamiltonians(s), path.gibbs_matrices(s)
     for i, x in enumerate(s):
-        assert np.array_equal(H[i], _reference_hamiltonian(path, x))
-        assert np.array_equal(taus[i], _reference_gibbs(path, x))
+        assert H[i].tobytes() == _reference_hamiltonian(name, x).tobytes()
+        assert np.array_equal(taus[i], _reference_gibbs(name, x))
     for x in s[:8]:
-        assert np.array_equal(path.gibbs_derivative(x), _reference_fd(path, lambda u: _reference_gibbs(path, u), x))
+        assert np.array_equal(path.gibbs_derivative(x), _reference_fd(path, lambda u: _reference_gibbs(name, u), x))
         assert np.array_equal(
-            path.hamiltonian_derivative(x), _reference_fd(path, lambda u: _reference_hamiltonian(path, u), x)
+            path.hamiltonian_derivative(x), _reference_fd(path, lambda u: _reference_hamiltonian(name, u), x)
         )
+    for s in (np.arange(65) / 64, np.arange(513) / 512, _unitary_midpoints(64), np.random.default_rng(2).random(2000)):
+        stack = path.hamiltonians(s)
+        assert stack.shape == (len(s), path.dim, path.dim)
+        for i, x in enumerate(s):
+            assert stack[i].tobytes() == _reference_hamiltonian(name, x).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
@@ -457,15 +557,15 @@ def test_blocked_staircase_is_bit_identical_to_the_per_step_loop(name):
     for N, alpha in [(1, 0.3), (63, 0.0), (65, 0.37), (200, 0.9)]:
         cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=alpha)
         states, ledger = run_qudit_protocol(cfg)
-        ref_states, ref_steps = _reference_staircase(cfg)
+        ref_states, ref_steps = _reference_staircase(cfg, name)
         assert states.shape == (N + 1, path.dim, path.dim)
         assert np.array_equal(states, ref_states)
         assert np.array_equal(ledger.per_step_work, ref_steps)
         assert ledger.cumulative_work == float(ref_steps.sum())
         if N >= 65:  # lag_deviation runs the same blocked staircase up to k
             k = N - 3
-            taudot = _reference_fd(path, lambda u: _reference_gibbs(path, u), k / N)
-            residual = ref_states[k] - _reference_gibbs(path, k / N) + (alpha / (N * (1.0 - alpha))) * taudot
+            taudot = _reference_fd(path, lambda u: _reference_gibbs(name, u), k / N)
+            residual = ref_states[k] - _reference_gibbs(name, k / N) + (alpha / (N * (1.0 - alpha))) * taudot
             expected = float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (residual + residual.conj().T)))))
             assert lag_deviation(cfg, k) == expected
 
@@ -473,7 +573,7 @@ def test_blocked_staircase_is_bit_identical_to_the_per_step_loop(name):
 @pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
 def test_gamma_is_bit_identical_to_the_scalar_simpson(name):
     path = ORACLE_PATHS[name]()
-    assert gamma_coefficient(path) == _reference_gamma(path)
+    assert gamma_coefficient(path) == _reference_gamma(path, name)
 
 
 def test_staircase_work_is_blocked(monkeypatch):
@@ -498,6 +598,24 @@ def test_staircase_work_is_blocked(monkeypatch):
     assert calls["eigvalsh"] <= limit
     assert calls["density"] == 0
     assert states.shape == (1001, 4, 4)
+
+
+def test_paths_are_sampled_once_per_stacked_call():
+    # one sampler call per block of BLOCK contacts, and one for all midpoints of a propagator
+    calls = []
+
+    def counted(path):
+        return dataclasses.replace(path, sampler=lambda s: calls.append(np.size(s)) or path.sampler(s))
+
+    ramp = counted(path_preset("qubit-gap-ramp", FIG_TEMP))
+    cfg = QuditProtocolConfig(path=ramp, rho0=ramp.gibbs(0.0), N=1000, alpha=0.5)
+    calls.clear()
+    run_qudit_protocol(cfg)
+    assert len(calls) <= math.ceil(1000 / thermoflow.qudit.BLOCK) == 16
+    assert sum(calls) == 1000
+    calls.clear()
+    evolve_unitary(counted(cyclic_qubit_zx_path(FIG_TEMP)), 0.0, 1.0, 64)
+    assert calls == [64]
 
 
 @pytest.mark.parametrize("block", [0, 3])

@@ -25,6 +25,7 @@ __all__ = [
     "relative_entropy",
     "trace_distance",
     "partial_thermalize",
+    "contact_chain",
 ]
 
 # Validation tolerances (max-elementwise for Hermiticity, spectral for PSD).
@@ -256,3 +257,15 @@ def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float)
         raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
     m = alpha * rho.matrix + (1.0 - alpha) * tau.matrix
     return DensityOperator(dim=rho.dim, matrix=m)
+
+
+def contact_chain(rho0, lam: float, pull: np.ndarray, move=None) -> np.ndarray:
+    """Unchecked (n+1, d, d) states of rho_i = lam * move(rho_{i-1}, i) + pull[i-1], rho0 first.
+
+    move defaults to the identity; the row-by-row operation order fixes the output bytes.
+    """
+    states = np.empty((len(pull) + 1,) + np.shape(rho0), dtype=complex)
+    states[0] = rho0
+    for i in range(1, len(states)):
+        states[i] = lam * (states[i - 1] if move is None else move(states[i - 1], i)) + pull[i - 1]
+    return states

@@ -210,12 +210,13 @@ def _assemble_fig3(p, rows):
     return [OutputTable("fig3_loss.csv", ["N", "epsilon_exact", "epsilon_bound"], rows)], failures
 
 
-def _fig4_config(p, n: int) -> tuple[QubitProtocolConfig, int]:
-    """The config at T / 2^e, with 2^e the power of two nearest T, and e.
+def _scaled_qubit_config(p, n: int) -> tuple[QubitProtocolConfig, int]:
+    """The canonical qubit config at T / 2^e, with 2^e the power of two nearest T, and e.
 
-    Works scale with T and their variance with T^2, which underflows at tiny
-    T; fig4 reports 2^e times its results at T / 2^e.  The scaling is exact,
-    so wherever nothing underflows the bytes are those of a run at T.
+    Works scale with T and their variance with T^2, which underflows or
+    overflows at extreme T; fig4 and custom report 2^e times their works and
+    4^e times variances at T / 2^e.  The scaling is exact, so wherever nothing
+    underflows or overflows the bytes are those of a run at T.
     """
     m, e = math.frexp(p["temperature"])  # T = m 2^e with 0.5 <= m < 1
     e = e - 1 if m < 0.75 else e
@@ -227,7 +228,7 @@ def _plan_fig4(p, seed):
     items = []
     for n in p["N_values"]:
         n = int(n)
-        edges = default_bin_edges(_fig4_config(p, n)[0], bins=p["bins"])
+        edges = default_bin_edges(_scaled_qubit_config(p, n)[0], bins=p["bins"])
         task_seed = derive_seed(seed, f"fig4:N={n}", 0)
         for start in range(0, p["runs"], TRIAL_BLOCK):
             items.append((n, edges, task_seed, start, min(TRIAL_BLOCK, p["runs"] - start)))
@@ -236,7 +237,7 @@ def _plan_fig4(p, seed):
 
 def _run_fig4_block(p, item):
     n, edges, seed, start, count = item
-    cfg, _ = _fig4_config(p, n)
+    cfg, _ = _scaled_qubit_config(p, n)
     works, _, _ = sample_work_values(cfg, count, seed, trial_offset=start)
     counts, _ = np.histogram(works, bins=edges)
     return {
@@ -262,7 +263,7 @@ def _assemble_fig4(p, results):
         mean = total / count
         variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
         sigma = math.sqrt(variance)
-        cfg, e = _fig4_config(p, n)
+        cfg, e = _scaled_qubit_config(p, n)
         edges = np.ldexp(default_bin_edges(cfg, bins=p["bins"]), e)
         moments = work_moments(cfg)
         sigma_exact = math.sqrt(moments.variance)
@@ -370,27 +371,29 @@ def _assemble_tth(p, results):
     return artifacts, failures
 
 
+def _ldexp(x, e: int):
+    """x * 2^e as Python floats; a result beyond the float range is inf, which the custom gate fails."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e).tolist()
+
+
 def _run_custom(p, _item):
-    cfg = _canonical_qubit_config(p["N"], p["alpha"], p["temperature"])
-    if p["op"] == "average-work":
-        ledger = average_work(cfg)
-        return {"op": p["op"], "value": ledger.cumulative_work, "ledger": _ledger_dict(ledger)}
+    cfg, e = _scaled_qubit_config(p, p["N"])
     if p["op"] == "loss":
-        return {"op": p["op"], "value": loss_epsilon(cfg)}
-    ledger = work_moments(cfg)
-    return {"op": p["op"], "value": ledger.mean, "ledger": _ledger_dict(ledger)}
+        return {"op": p["op"], "value": _ldexp(loss_epsilon(cfg), e)}
+    ledger = _ledger_dict(average_work(cfg) if p["op"] == "average-work" else work_moments(cfg), e)
+    value = ledger["cumulative_work"] if p["op"] == "average-work" else ledger["mean"]
+    return {"op": p["op"], "value": value, "ledger": ledger}
 
 
-def _ledger_dict(ledger) -> dict:
-    data = {
-        "cumulative_work": ledger.cumulative_work,
-        "mean": ledger.mean,
-        "variance": ledger.variance,
-        "per_step_work": [float(w) for w in ledger.per_step_work],
+def _ledger_dict(ledger, e: int) -> dict:
+    """The ledger of a run at T / 2^e, reported at T: works times 2^e, the variance times 4^e."""
+    return {
+        "cumulative_work": _ldexp(ledger.cumulative_work, e),
+        "mean": _ldexp(ledger.mean, e),
+        "variance": _ldexp(ledger.variance, 2 * e),
+        "per_step_work": _ldexp(ledger.per_step_work, e),
     }
-    if ledger.sample_count is not None:
-        data["sample_count"] = ledger.sample_count
-    return data
 
 
 def _assemble_custom(p, results):
@@ -398,7 +401,8 @@ def _assemble_custom(p, results):
     artifacts = [OutputTable("custom.csv", ["op", "value"], [[r["op"], r["value"]]])]
     if "ledger" in r:
         artifacts.append(OutputDocument("custom_ledger.json", r["ledger"]))
-    return artifacts, []
+    finite = np.isfinite(np.hstack([r["value"], *r.get("ledger", {}).values()])).all()
+    return artifacts, [] if finite else [f"custom/{p['op']}: result beyond the float range at T = {p['temperature']!r}"]
 
 
 @dataclass(frozen=True)

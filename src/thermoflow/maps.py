@@ -25,6 +25,7 @@ from .core import (
     Temperature,
     ValidationError,
     check_density_matrices,
+    contact_chain,
     free_energy,
     gibbs_matrices,
     gibbs_state,
@@ -83,6 +84,11 @@ class ThermalizingChannel:
 def _check_contraction(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ValidationError(f"contraction factor must lie in [0, 1], got {lam}")
+
+
+def _check_evolution_mode(mode: str) -> None:
+    if mode not in ("unitary", "quench"):
+        raise ValidationError(f"evolution_mode must be 'unitary' or 'quench', got {mode!r}")
 
 
 def _check_fixed_points(fixed: np.ndarray, targets: np.ndarray) -> None:
@@ -234,8 +240,7 @@ class CyclicProtocol:
     def __post_init__(self):
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
-        if self.evolution_mode not in ("unitary", "quench"):
-            raise ValidationError(f"evolution_mode must be 'unitary' or 'quench', got {self.evolution_mode!r}")
+        _check_evolution_mode(self.evolution_mode)
         if self.channel_kind not in CHANNEL_KINDS:
             raise ValidationError(f"channel_kind must be one of {CHANNEL_KINDS}")
         if not 0.0 <= self.channel_alpha <= 1.0:
@@ -325,6 +330,11 @@ class ProtocolRun:
         return WorkLedger(per_step_work=self.work_steps, cumulative_work=total, mean=total, variance=0.0)
 
 
+def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re Tr(a_i b_i) for each pair of matrices of two (B, d, d) stacks."""
+    return (a @ b).trace(axis1=1, axis2=2).real
+
+
 def _execute(
     path: HamiltonianPath,
     N: int,
@@ -334,34 +344,34 @@ def _execute(
     evolution_mode: str,
     substeps: int,
 ) -> ProtocolRun:
-    """Run N contacts; Hamiltonians, targets, channel checks and state checks are stacked."""
+    """Run N contacts by one core.contact_chain call; all else is stacked.
+
+    Step i evolves sigma_{i-1} to rho_i and does work Tr(H_{i-1} sigma_{i-1}) - Tr(H_i rho_i).
+    """
     if channel_kind not in CHANNEL_KINDS:
         raise ValidationError(f"unknown channel kind {channel_kind!r}; choose from {CHANNEL_KINDS}")
+    _check_evolution_mode(evolution_mode)
     lam = channel_alpha
     _check_contraction(lam)
     hams = path.hamiltonians(np.arange(N + 1) / N)
     taus = gibbs_matrices(hams, path.temp)
     check_density_matrices(taus)
-    pull = (1.0 - lam) * taus
+    pull = (1.0 - lam) * taus[1:]
     vecs = np.linalg.eigh(hams)[1] if channel_kind == "pinch" else None
-
-    def contact(m, i):
-        return lam * (m if vecs is None else _pinch(m, vecs[i])) + pull[i]
-
-    _check_fixed_points(contact(taus[1:], slice(1, None)), taus[1:])
+    _check_fixed_points(lam * (taus[1:] if vecs is None else _pinch(taus[1:], vecs[1:])) + pull, taus[1:])
 
     unitaries = np.tile(np.eye(path.dim, dtype=complex), (N + 1, 1, 1))
-    sigmas = np.empty_like(hams)
-    sigmas[0] = sigma = rho0.matrix
-    work_steps = np.empty(N)
-    for i in range(1, N + 1):
-        if evolution_mode == "unitary":
-            U = unitaries[i] = evolve_unitary(path, (i - 1) / N, i / N, substeps)
-            rho_i = U @ sigma @ U.conj().T
-        else:
-            rho_i = sigma
-        work_steps[i - 1] = np.trace(hams[i - 1] @ sigma).real - np.trace(hams[i] @ rho_i).real
-        sigma = sigmas[i] = contact(rho_i, i)
+    if evolution_mode == "unitary":
+        unitaries[1:] = [evolve_unitary(path, (i - 1) / N, i / N, substeps) for i in range(1, N + 1)]
+    evolved = np.empty_like(taus[1:])
+
+    def move(m, i):
+        # Quench mode never multiplies by the identity: I @ m @ I can flip a -0.0 to +0.0.
+        rho = evolved[i - 1] = m if evolution_mode == "quench" else unitaries[i] @ m @ unitaries[i].conj().T
+        return rho if vecs is None else _pinch(rho, vecs[i])
+
+    sigmas = contact_chain(rho0.matrix, lam, pull, move)
+    work_steps = _traces(hams[:-1], sigmas[:-1]) - _traces(hams[1:], evolved)
     # The recursion carries the raw states; the recorded ones are re-symmetrized.
     sigmas[1:] = 0.5 * (sigmas[1:] + sigmas[1:].conj().swapaxes(1, 2))
     check_density_matrices(sigmas)
@@ -445,14 +455,12 @@ def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> Di
     temp = protocol.path.temp
     delta_f_iso = _free_energy(taus[0], hams[0], temp) - _free_energy(taus[-1], hams[-1], temp)
 
-    def traces(a, b):
-        return (a @ b).trace(axis1=1, axis2=2).real.tolist()
-
     dH = hams[:-1] - hams[1:]
     evolved = U @ sigmas @ U.conj().swapaxes(1, 2)
     gamma, epsilon, kappa = delta_f_iso, 0.0, 0.0
     # Sequential sums: a pairwise np.sum would round differently.
-    for g, e, k in zip(traces(dH, taus[:-1]), traces(dH, sigmas - taus[:-1]), traces(hams[1:], sigmas - evolved)):
+    terms = np.stack([_traces(dH, taus[:-1]), _traces(dH, sigmas - taus[:-1]), _traces(hams[1:], sigmas - evolved)], 1)
+    for g, e, k in terms.tolist():
         gamma -= g
         epsilon -= e
         kappa -= k

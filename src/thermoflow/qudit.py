@@ -21,6 +21,7 @@ from .core import (
     Temperature,
     ValidationError,
     check_density_matrices,
+    contact_chain,
     free_energy,
     gibbs_matrices,
     relative_entropy,
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 FULL_RANK_THRESHOLD = 1e-8
-BLOCK = 64  # contacts or nodes per stacked call: amortizes numpy's call cost, keeps temporaries small
 DEFAULT_DERIVATIVE_STEP = 1e-5
 SMOOTHNESS_CURVATURE_CAP = 1e6
 
@@ -259,30 +259,14 @@ class QuditProtocolConfig:
         return float(np.linalg.eigvalsh(self.rho0.matrix)[0]) >= FULL_RANK_THRESHOLD
 
 
-def _blocks(values: np.ndarray):
-    """Consecutive runs of at most BLOCK entries of values."""
-    for start in range(0, len(values), BLOCK):
-        yield values[start : start + BLOCK]
-
-
 def _staircase(config: QuditProtocolConfig, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """States rho_0..rho_n and per-step works of the first n contacts (see run_qudit_protocol).
-
-    Per block of BLOCK contacts the targets come from one stacked evaluation,
-    the recursion runs row by row, and the new states are checked at once.
-    """
-    path, N, alpha = config.path, config.N, config.alpha
-    states = np.empty((n_steps + 1, path.dim, path.dim), dtype=complex)
-    states[0] = config.rho0.matrix
-    steps = np.empty(n_steps)
-    for k in _blocks(np.arange(1, n_steps + 1)):
-        H = path.hamiltonians(k / N)
-        taus = gibbs_matrices(H, path.temp)
-        pull = (1.0 - alpha) * taus
-        for i, j in enumerate(k.tolist()):
-            states[j] = alpha * states[j - 1] + pull[i]
-        check_density_matrices(states[k])
-        steps[k - 1] = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[k - 1])).trace(axis1=1, axis2=2).real
+    """States rho_0..rho_n and per-step works of the first n contacts, all stacked (see run_qudit_protocol)."""
+    path, alpha = config.path, config.alpha
+    H = path.hamiltonians(np.arange(1, n_steps + 1) / config.N)
+    taus = gibbs_matrices(H, path.temp)
+    states = contact_chain(config.rho0.matrix, alpha, (1.0 - alpha) * taus)
+    check_density_matrices(states[1:])
+    steps = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[:-1])).trace(axis1=1, axis2=2).real
     return states, steps
 
 
@@ -334,8 +318,7 @@ def _dissipation_density(path: HamiltonianPath, s: np.ndarray) -> np.ndarray:
 
 
 def _simpson(fun: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
-    xs = np.linspace(0.0, 1.0, panels + 1)
-    ys = np.concatenate([fun(x) for x in _blocks(xs)])
+    ys = fun(np.linspace(0.0, 1.0, panels + 1))
     return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()) / (3.0 * panels))
 
 
@@ -552,10 +535,9 @@ def initial_mismatch_work(config: QuditProtocolConfig) -> tuple[float, float]:
     """
     N, alpha, path = config.N, config.alpha, config.path
     mismatch = path.gibbs_matrix(0.0) - config.rho0.matrix
-    w0 = 0.0
-    for k in _blocks(np.arange(1, N + 1)):
-        overlap = ((path.hamiltonians(k / N) - config.H_system) @ mismatch).trace(axis1=1, axis2=2).real
-        w0 += float(((1.0 - alpha) * alpha ** (k - 1) * overlap).sum())
+    k = np.arange(1, N + 1)
+    overlap = ((path.hamiltonians(k / N) - config.H_system) @ mismatch).trace(axis1=1, axis2=2).real
+    w0 = float(((1.0 - alpha) * alpha ** (k - 1) * overlap).sum())
     grid = np.linspace(0.0, 1.0, 201)
     bound = config.delta * float(np.linalg.norm(path.hamiltonians(grid) - config.H_system, 2, axis=(1, 2)).max())
     return w0, bound

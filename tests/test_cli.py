@@ -236,6 +236,30 @@ def test_custom_op_emits_ledger_json(tmp_path):
     assert ledger["variance"] >= 0.0
 
 
+@pytest.mark.parametrize(
+    "settings,expected",
+    [
+        (["op=work-moments", "N=40", "temperature=1e200"], EXIT_NUMERIC),  # variance ~1e400
+        (["op=work-moments", "temperature=1e-310"], EXIT_OK),
+        (["op=loss", "temperature=1e308"], EXIT_OK),
+        (["op=average-work", "temperature=1e308"], EXIT_OK),
+    ],
+    ids=["work-moments-1e200", "work-moments-1e-310", "loss-1e308", "average-work-1e308"],
+)
+def test_cli_custom_runs_at_extreme_temperatures(settings, expected, tmp_path, capsys):
+    # custom runs at T / 2^e like fig4; these inputs used to exit 2 with a numeric failure as a config error
+    argv = ["--experiment", "custom", "--out", str(tmp_path / "o")]
+    for setting in settings:
+        argv += ["--set", setting]
+    assert main(argv) == expected
+    err = capsys.readouterr().err
+    if expected == EXIT_NUMERIC:
+        assert "result beyond the float range" in err
+    else:
+        value = float((tmp_path / "o" / "custom.csv").read_text().splitlines()[1].split(",")[1])
+        assert math.isfinite(value) and value != 0.0
+
+
 def test_json_format_renders_tables_as_json(tmp_path):
     cfg = fig3_config(tmp_path / "o")
     run_experiment(cfg, output_format="json")

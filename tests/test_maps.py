@@ -233,6 +233,16 @@ def test_unknown_channel_kind_is_rejected():
         run_protocol_segment(segment, 4, segment.gibbs(0.0), channel_alpha=0.5, channel_kind="bogus")
 
 
+def test_misspelled_evolution_mode_is_rejected():
+    # "unitry" used to run silently as a quench
+    loop = cyclic_qubit_zx_path(FIG_TEMP)
+    message = "evolution_mode must be 'unitary' or 'quench', got 'unitry'"
+    with pytest.raises(ValidationError, match=message):
+        run_protocol_segment(loop, 8, loop.gibbs(0.0), 0.5, evolution_mode="unitry")
+    with pytest.raises(ValidationError, match=message):
+        CyclicProtocol(path=loop, N=8, channel_alpha=0.5, evolution_mode="unitry")
+
+
 def test_single_step_identity_channel_work():
     # N = 1 with a non-contracting channel: only the step work remains
     loop = cyclic_qubit_zx_path(FIG_TEMP)
@@ -476,6 +486,7 @@ def test_quench_breakdown_does_no_per_step_linear_algebra(monkeypatch, kind):
             for cls in (DensityOperator, HamiltonianMatrix, ThermalizingChannel):
                 m.setattr(cls, "__post_init__", counting(calls, cls.__name__, cls.__post_init__))
             m.setattr(maps, "gibbs_state", counting(calls, "gibbs_state", gibbs_state))
+            m.setattr(np, "trace", counting(calls, "trace", np.trace))
             dissipation_breakdown(proto, rho0)
         counts[N] = calls
     assert counts[64] == counts[512]

@@ -576,9 +576,9 @@ def test_gamma_is_bit_identical_to_the_scalar_simpson(name):
     assert gamma_coefficient(path) == _reference_gamma(path, name)
 
 
-def test_staircase_work_is_blocked(monkeypatch):
-    # one stacked eigh (targets) and one eigvalsh (validation) per block of
-    # 64 contacts, and no DensityOperator per step
+def test_staircase_work_is_stacked(monkeypatch):
+    # one stacked eigh (targets) and one eigvalsh (validation) for all
+    # contacts, and no DensityOperator per step
     cfg = preset_config("random-diagonal-d4", 1000, 0.5)
     calls = Counter()
 
@@ -593,15 +593,14 @@ def test_staircase_work_is_blocked(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(DensityOperator, "__post_init__", counted("density", DensityOperator.__post_init__))
     states, _ = run_qudit_protocol(cfg)
-    limit = math.ceil(1001 / 64) + 1
-    assert calls["eigh"] <= limit
-    assert calls["eigvalsh"] <= limit
+    assert calls["eigh"] == 1
+    assert calls["eigvalsh"] == 1
     assert calls["density"] == 0
     assert states.shape == (1001, 4, 4)
 
 
 def test_paths_are_sampled_once_per_stacked_call():
-    # one sampler call per block of BLOCK contacts, and one for all midpoints of a propagator
+    # one sampler call for all contacts of a staircase, and one for all midpoints of a propagator
     calls = []
 
     def counted(path):
@@ -611,28 +610,26 @@ def test_paths_are_sampled_once_per_stacked_call():
     cfg = QuditProtocolConfig(path=ramp, rho0=ramp.gibbs(0.0), N=1000, alpha=0.5)
     calls.clear()
     run_qudit_protocol(cfg)
-    assert len(calls) <= math.ceil(1000 / thermoflow.qudit.BLOCK) == 16
-    assert sum(calls) == 1000
+    assert calls == [1000]
     calls.clear()
     evolve_unitary(counted(cyclic_qubit_zx_path(FIG_TEMP)), 0.0, 1.0, 64)
     assert calls == [64]
 
 
-@pytest.mark.parametrize("block", [0, 3])
-def test_staircase_checks_every_block(monkeypatch, block):
-    # N = 200 runs in blocks of 64, 64, 64 and 8 contacts; a target off trace
-    # by 1e-9 at the last contact of one block must stop the run
+@pytest.mark.parametrize("contact", [1, 200])
+def test_staircase_checks_every_contact(monkeypatch, contact):
+    # all 200 targets come from one stacked call; a target off trace by 1e-9
+    # at the first or the last contact must stop the run
     cfg = preset_config("qubit-gap-ramp", 200, 0.5)
     calls = []
 
     def skewed(H, temp):
         taus = gibbs_matrices(H, temp)
-        if len(calls) == block:
-            taus[-1, 0, 0] += 1e-9
+        taus[contact - 1, 0, 0] += 1e-9
         calls.append(len(H))
         return taus
 
     monkeypatch.setattr(thermoflow.qudit, "gibbs_matrices", skewed)
     with pytest.raises(ValidationError, match="trace must be 1"):
         run_qudit_protocol(cfg)
-    assert calls == [64, 64, 64, 8][: block + 1]
+    assert calls == [200]

@@ -1,13 +1,14 @@
 """Density-operator algebra shared by all protocol modules.
 
 Dimension-generic Gibbs states, entropies, free energies, distance measures
-and the partial-thermalization map, in natural units (hbar = k_B = 1).
+and the one thermalizing channel, in natural units (hbar = k_B = 1).
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +25,7 @@ __all__ = [
     "free_energy",
     "relative_entropy",
     "trace_distance",
+    "ThermalizingChannel",
     "partial_thermalize",
     "contact_chain",
 ]
@@ -247,25 +249,60 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     return float(np.sum(np.abs(lam)))
 
 
+def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Dephase m in the eigenbasis held in the columns of vecs (one matrix or a stack)."""
+    vecs_h = vecs.conj().swapaxes(-1, -2)
+    in_basis = vecs_h @ m @ vecs
+    diagonal = np.zeros_like(in_basis)
+    idx = np.arange(vecs.shape[-1])
+    diagonal[..., idx, idx] = in_basis[..., idx, idx]
+    return vecs @ diagonal @ vecs_h
+
+
+@dataclass(frozen=True)
+class ThermalizingChannel:
+    """rho -> lam * P(rho) + (1 - lam) * tau toward one target tau or each of a (n, d, d) stack.
+
+    P is the identity or, given bases, the pinch: dephasing in the eigenbasis
+    held in the columns of bases[i].  The channel contracts the trace
+    distance to tau by at least lam (exactly lam without the pinch); it fixes
+    tau when tau is diagonal in that basis, which the caller checks.
+    """
+
+    lam: float
+    targets: np.ndarray
+    bases: Optional[np.ndarray] = None
+    pull: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if not 0.0 <= self.lam <= 1.0:
+            raise ValidationError(f"contraction factor must lie in [0, 1], got {self.lam}")
+        object.__setattr__(self, "pull", (1.0 - self.lam) * self.targets)
+
+    def apply(self, rho: np.ndarray, i=slice(None)) -> np.ndarray:
+        """Contact i's map on rho; with the default i, each contact's map on its row of a stack.
+
+        A one-target channel maps a single state or any stack of them.
+        """
+        return self.lam * (rho if self.bases is None else _pinch(rho, self.bases[i])) + self.pull[i]
+
+
 def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float) -> DensityOperator:
     """Convex mix alpha*rho + (1-alpha)*tau toward the thermal target tau.
 
     Contracts the trace distance to tau by exactly alpha.
     """
     _require_same_dim(rho, tau)
-    if not 0.0 <= alpha <= 1.0:
-        raise ValidationError(f"alpha must lie in [0, 1], got {alpha}")
-    m = alpha * rho.matrix + (1.0 - alpha) * tau.matrix
-    return DensityOperator(dim=rho.dim, matrix=m)
+    return DensityOperator(dim=rho.dim, matrix=ThermalizingChannel(alpha, tau.matrix).apply(rho.matrix))
 
 
-def contact_chain(rho0, lam: float, pull: np.ndarray, move=None) -> np.ndarray:
-    """Unchecked (n+1, d, d) states of rho_i = lam * move(rho_{i-1}, i) + pull[i-1], rho0 first.
+def contact_chain(rho0, channel: ThermalizingChannel, move=None) -> np.ndarray:
+    """Unchecked (n+1, d, d) states of rho_i = channel.apply(move(rho_{i-1}, i), i-1) over n contacts, rho0 first.
 
     move defaults to the identity; the row-by-row operation order fixes the output bytes.
     """
-    states = np.empty((len(pull) + 1,) + np.shape(rho0), dtype=complex)
+    states = np.empty((len(channel.targets) + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
     for i in range(1, len(states)):
-        states[i] = lam * (states[i - 1] if move is None else move(states[i - 1], i)) + pull[i - 1]
+        states[i] = channel.apply(states[i - 1] if move is None else move(states[i - 1], i), i - 1)
     return states

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -264,12 +263,14 @@ def _assemble_fig4(p, results):
         variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
         sigma = math.sqrt(variance)
         cfg, e = _scaled_qubit_config(p, n)
-        edges = np.ldexp(default_bin_edges(cfg, bins=p["bins"]), e)
+        edges = _ldexp(default_bin_edges(cfg, bins=p["bins"]), e)
         moments = work_moments(cfg)
         sigma_exact = math.sqrt(moments.variance)
         stderr = sigma_exact / math.sqrt(count)
-        summary_rows.append([n, count, *np.ldexp([mean, sigma, moments.mean, sigma_exact, stderr], e).tolist()])
-        hist_rows = [[float(edges[i]), float(edges[i + 1]), int(hist[i])] for i in range(len(hist))]
+        summary = _ldexp([mean, sigma, moments.mean, sigma_exact, stderr], e)
+        summary_rows.append([n, count, *summary])
+        failures += _finite_gate(f"collision-qubit/sample_work at N={n}", [edges, summary], p["temperature"])
+        hist_rows = [[edges[i], edges[i + 1], int(hist[i])] for i in range(len(hist))]
         artifacts.append(OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows))
         if not abs(mean - moments.mean) <= 4.0 * stderr:
             failures.append(f"collision-qubit/sample_work: mean off by >4 s.e. at N={n}")
@@ -372,9 +373,15 @@ def _assemble_tth(p, results):
 
 
 def _ldexp(x, e: int):
-    """x * 2^e as Python floats; a result beyond the float range is inf, which the custom gate fails."""
+    """x * 2^e as Python floats; a result beyond the float range is inf, which _finite_gate fails."""
     with np.errstate(over="ignore"):
         return np.ldexp(x, e).tolist()
+
+
+def _finite_gate(name: str, values, temperature: float) -> list[str]:
+    """No failure when every number of values (scalars and lists) is finite, else one."""
+    finite = np.isfinite(np.hstack(values)).all()
+    return [] if finite else [f"{name}: result beyond the float range at T = {temperature!r}"]
 
 
 def _run_custom(p, _item):
@@ -401,8 +408,7 @@ def _assemble_custom(p, results):
     artifacts = [OutputTable("custom.csv", ["op", "value"], [[r["op"], r["value"]]])]
     if "ledger" in r:
         artifacts.append(OutputDocument("custom_ledger.json", r["ledger"]))
-    finite = np.isfinite(np.hstack([r["value"], *r.get("ledger", {}).values()])).all()
-    return artifacts, [] if finite else [f"custom/{p['op']}: result beyond the float range at T = {p['temperature']!r}"]
+    return artifacts, _finite_gate(f"custom/{p['op']}", [r["value"], *r.get("ledger", {}).values()], p["temperature"])
 
 
 @dataclass(frozen=True)
@@ -644,6 +650,8 @@ def _resolve_workers(config: dict) -> int:
 def _run_tasks(tasks, workers: int) -> list[dict]:
     if workers <= 1 or len(tasks) <= 1:
         return [_execute_task(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # only runs with a pool pay for this import
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(_execute_task, tasks, chunksize=1))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -23,26 +23,22 @@ from .core import (
     DensityOperator,
     HamiltonianMatrix,
     Temperature,
+    ThermalizingChannel,
     ValidationError,
     check_density_matrices,
     contact_chain,
     free_energy,
     gibbs_matrices,
     gibbs_state,
-    trace_distance,
 )
 from .collision import WorkLedger
 from .qudit import HamiltonianPath
 from .seeding import rng_for
 
 __all__ = [
-    "ThermalizingChannel",
     "CyclicProtocol",
     "DissipationBreakdown",
     "ProtocolRun",
-    "partial_thermalization_channel",
-    "pinch_then_mix_channel",
-    "custom_channel",
     "make_channel",
     "cyclic_qubit_gap_path",
     "cyclic_qubit_zx_path",
@@ -64,122 +60,62 @@ DEFAULT_SUBSTEPS = 16
 # Thermalizing channels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ThermalizingChannel:
-    """A channel with Gibbs fixed point and declared contraction factor."""
-
-    kind: str
-    declared_alpha: float
-    target: DensityOperator
-    apply_matrix: Callable[[np.ndarray], np.ndarray]
-
-    def __post_init__(self):
-        _check_contraction(self.declared_alpha)
-        _check_fixed_points(self.apply_matrix(self.target.matrix), self.target.matrix)
-
-    def apply(self, rho: DensityOperator) -> DensityOperator:
-        return DensityOperator(dim=rho.dim, matrix=self.apply_matrix(rho.matrix))
-
-
-def _check_contraction(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ValidationError(f"contraction factor must lie in [0, 1], got {lam}")
-
-
 def _check_evolution_mode(mode: str) -> None:
     if mode not in ("unitary", "quench"):
         raise ValidationError(f"evolution_mode must be 'unitary' or 'quench', got {mode!r}")
 
 
-def _check_fixed_points(fixed: np.ndarray, targets: np.ndarray) -> None:
-    """Require a channel to map each target (one matrix or a stack) onto itself to 1e-12 in trace norm."""
-    drift = np.atleast_1d(np.abs(np.linalg.eigvalsh(fixed - targets)).sum(axis=-1))
+def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> ThermalizingChannel:
+    """The kind's channel toward the Gibbs targets taus of hams (one matrix or a stack).
+
+    "pinch" dephases in the eigenbasis of each H before mixing: not a convex
+    combination of the identity with a point map, yet it contracts at least
+    as fast as lam.  The channel must map each target onto itself to 1e-12 in
+    trace norm.
+    """
+    if kind not in CHANNEL_KINDS:
+        raise ValidationError(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+    channel = ThermalizingChannel(lam, taus, np.linalg.eigh(hams)[1] if kind == "pinch" else None)
+    drift = np.atleast_1d(np.abs(np.linalg.eigvalsh(channel.apply(taus) - taus)).sum(axis=-1))
     bad = ~(drift <= 1e-12)
     if bad.any():
         raise ValidationError(f"channel does not fix its thermal target (drift {drift[bad.argmax()]:.3e})")
-
-
-def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Dephase m in the eigenbasis held in the columns of vecs (one matrix or a stack)."""
-    vecs_h = vecs.conj().swapaxes(-1, -2)
-    in_basis = vecs_h @ m @ vecs
-    diagonal = np.zeros_like(in_basis)
-    idx = np.arange(vecs.shape[-1])
-    diagonal[..., idx, idx] = in_basis[..., idx, idx]
-    return vecs @ diagonal @ vecs_h
-
-
-def partial_thermalization_channel(lam: float, target: DensityOperator) -> ThermalizingChannel:
-    """G(rho) = lam * rho + (1 - lam) * tau; contraction factor exactly lam."""
-    tau = target.matrix
-
-    def apply(m: np.ndarray) -> np.ndarray:
-        return lam * m + (1.0 - lam) * tau
-
-    return ThermalizingChannel(kind="partial", declared_alpha=lam, target=target, apply_matrix=apply)
-
-
-def pinch_then_mix_channel(lam: float, H: HamiltonianMatrix, temp: Temperature) -> ThermalizingChannel:
-    """Dephase in the eigenbasis of H, then mix toward Gibbs(H) with weight 1 - lam.
-
-    A second, inequivalent channel family: not a convex combination of the
-    identity with a point map, yet it still contracts at least as fast as lam.
-    """
-    target = gibbs_state(H, temp)
-    _, vecs = np.linalg.eigh(H.matrix)
-    tau = target.matrix
-
-    def apply(m: np.ndarray) -> np.ndarray:
-        return lam * _pinch(m, vecs) + (1.0 - lam) * tau
-
-    return ThermalizingChannel(kind="pinch", declared_alpha=lam, target=target, apply_matrix=apply)
-
-
-def custom_channel(
-    apply_matrix: Callable[[np.ndarray], np.ndarray],
-    declared_alpha: float,
-    target: DensityOperator,
-) -> ThermalizingChannel:
-    return ThermalizingChannel(
-        kind="custom", declared_alpha=declared_alpha, target=target, apply_matrix=apply_matrix
-    )
+    return channel
 
 
 def make_channel(kind: str, lam: float, H: HamiltonianMatrix, temp: Temperature) -> ThermalizingChannel:
-    if kind == "partial":
-        return partial_thermalization_channel(lam, gibbs_state(H, temp))
-    if kind == "pinch":
-        return pinch_then_mix_channel(lam, H, temp)
-    raise ValidationError(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+    """The kind's channel toward Gibbs(H) at temp, as the protocol engine builds it for each contact."""
+    return _channel(kind, lam, H.matrix, gibbs_state(H, temp).matrix)
 
 
 def estimate_contraction(channel: ThermalizingChannel, probes: int = 200, seed: int = 7) -> float:
-    """Worst measured ||G(rho) - tau||_1 / ||rho - tau||_1 over random probes.
+    """Worst measured ||G(rho) - tau||_1 / ||rho - tau||_1 over random probes of a one-target channel.
 
     Half the probes are Haar-random pure states (far from tau), half random
     diagonal states (the commuting sector).  Probes that coincide with tau
-    are skipped.
+    are skipped.  The probes go through the channel as one stack.
     """
     if probes < 1:
         raise ValidationError(f"probes must be >= 1, got {probes}")
-    tau = channel.target
-    dim = tau.dim
-    worst = 0.0
+    tau = channel.targets
+    if tau.ndim != 2:
+        raise ValidationError(f"expected a one-target channel, got targets of shape {tau.shape}")
+    dim = len(tau)
+    rhos = np.empty((probes, dim, dim), dtype=complex)
     for i in range(probes):
         rng = rng_for(seed, "contraction-probe", i)
         if i % 2 == 0:
             vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             vec /= np.linalg.norm(vec)
-            rho = DensityOperator.from_matrix(np.outer(vec, vec.conj()))
+            rhos[i] = np.outer(vec, vec.conj())
         else:
             pops = rng.random(dim) + 1e-3
-            rho = DensityOperator.diagonal(pops / pops.sum())
-        gap = trace_distance(rho, tau)
-        if gap < 1e-12:
-            continue
-        moved = trace_distance(channel.apply(rho), tau)
-        worst = max(worst, moved / gap)
-    return worst
+            rhos[i] = np.diag(pops / pops.sum())
+    images = channel.apply(rhos)
+    check_density_matrices(np.concatenate((rhos, images)))
+    gap, moved = (np.abs(np.linalg.eigvalsh(x - tau)).sum(axis=-1) for x in (rhos, images))
+    kept = gap >= 1e-12
+    return float((moved[kept] / gap[kept]).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +284,11 @@ def _execute(
 
     Step i evolves sigma_{i-1} to rho_i and does work Tr(H_{i-1} sigma_{i-1}) - Tr(H_i rho_i).
     """
-    if channel_kind not in CHANNEL_KINDS:
-        raise ValidationError(f"unknown channel kind {channel_kind!r}; choose from {CHANNEL_KINDS}")
     _check_evolution_mode(evolution_mode)
-    lam = channel_alpha
-    _check_contraction(lam)
     hams = path.hamiltonians(np.arange(N + 1) / N)
     taus = gibbs_matrices(hams, path.temp)
     check_density_matrices(taus)
-    pull = (1.0 - lam) * taus[1:]
-    vecs = np.linalg.eigh(hams)[1] if channel_kind == "pinch" else None
-    _check_fixed_points(lam * (taus[1:] if vecs is None else _pinch(taus[1:], vecs[1:])) + pull, taus[1:])
+    channel = _channel(channel_kind, channel_alpha, hams[1:], taus[1:])
 
     unitaries = np.tile(np.eye(path.dim, dtype=complex), (N + 1, 1, 1))
     if evolution_mode == "unitary":
@@ -368,9 +298,9 @@ def _execute(
     def move(m, i):
         # Quench mode never multiplies by the identity: I @ m @ I can flip a -0.0 to +0.0.
         rho = evolved[i - 1] = m if evolution_mode == "quench" else unitaries[i] @ m @ unitaries[i].conj().T
-        return rho if vecs is None else _pinch(rho, vecs[i])
+        return rho
 
-    sigmas = contact_chain(rho0.matrix, lam, pull, move)
+    sigmas = contact_chain(rho0.matrix, channel, move)
     work_steps = _traces(hams[:-1], sigmas[:-1]) - _traces(hams[1:], evolved)
     # The recursion carries the raw states; the recorded ones are re-symmetrized.
     sigmas[1:] = 0.5 * (sigmas[1:] + sigmas[1:].conj().swapaxes(1, 2))

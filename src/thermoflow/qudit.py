@@ -19,6 +19,7 @@ from .core import (
     DensityOperator,
     HamiltonianMatrix,
     Temperature,
+    ThermalizingChannel,
     ValidationError,
     check_density_matrices,
     contact_chain,
@@ -264,7 +265,7 @@ def _staircase(config: QuditProtocolConfig, n_steps: int) -> tuple[np.ndarray, n
     path, alpha = config.path, config.alpha
     H = path.hamiltonians(np.arange(1, n_steps + 1) / config.N)
     taus = gibbs_matrices(H, path.temp)
-    states = contact_chain(config.rho0.matrix, alpha, (1.0 - alpha) * taus)
+    states = contact_chain(config.rho0.matrix, ThermalizingChannel(alpha, taus))
     check_density_matrices(states[1:])
     steps = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[:-1])).trace(axis1=1, axis2=2).real
     return states, steps

@@ -260,6 +260,17 @@ def test_cli_custom_runs_at_extreme_temperatures(settings, expected, tmp_path, c
         assert math.isfinite(value) and value != 0.0
 
 
+def test_cli_fig4_edges_beyond_the_float_range_exit_3(tmp_path, capsys):
+    # the histogram edges at 2^e times those at T / 2^e overflow; they were written as +-inf with exit 0
+    argv = ["--experiment", "fig4-histograms", "--out", str(tmp_path / "o")]
+    for setting in ("N_values=[10]", "runs=4000", "temperature=1.7e308"):
+        argv += ["--set", setting]
+    assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert "collision-qubit/sample_work at N=10: result beyond the float range at T = 1.7e+308" in err
+    assert "Traceback" not in err
+
+
 def test_json_format_renders_tables_as_json(tmp_path):
     cfg = fig3_config(tmp_path / "o")
     run_experiment(cfg, output_format="json")

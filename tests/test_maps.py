@@ -9,6 +9,7 @@ from thermoflow import maps
 from thermoflow.core import (
     DensityOperator,
     HamiltonianMatrix,
+    ThermalizingChannel,
     ValidationError,
     free_energy,
     gibbs_matrices,
@@ -19,8 +20,6 @@ from thermoflow.maps import (
     CYCLIC_PATH_PRESETS,
     CyclicProtocol,
     DissipationBreakdown,
-    ThermalizingChannel,
-    custom_channel,
     cyclic_qubit_gap_path,
     cyclic_qubit_zx_path,
     dissipation_breakdown,
@@ -40,7 +39,7 @@ from thermoflow.qudit import (
     run_qudit_protocol,
 )
 
-from conftest import FIG_TEMP, random_density
+from conftest import FIG_TEMP, random_density, random_hermitian
 
 
 def counting(calls: Counter, name: str, fn):
@@ -76,10 +75,14 @@ def test_pinch_channel_contracts_at_most_lambda():
         assert estimate_contraction(ch, probes=200, seed=11) <= 0.5 + 1e-9
 
 
+def trace_norms(m: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+
+
 def test_channels_fix_their_target():
     for kind in ("partial", "pinch"):
         ch = make_channel(kind, 0.7, qubit_h(1.5), FIG_TEMP)
-        assert trace_distance(ch.apply(ch.target), ch.target) < 1e-12
+        assert trace_norms(ch.apply(ch.targets) - ch.targets) < 1e-12
 
 
 def test_channel_monotonicity_on_probes():
@@ -87,30 +90,53 @@ def test_channel_monotonicity_on_probes():
     for kind in ("partial", "pinch"):
         ch = make_channel(kind, 0.6, qubit_h(0.9), FIG_TEMP)
         for _ in range(40):
-            rho = random_density(rng, 2)
-            assert trace_distance(ch.apply(rho), ch.target) <= trace_distance(rho, ch.target) + 1e-12
+            rho = random_density(rng, 2).matrix
+            assert trace_norms(ch.apply(rho) - ch.targets) <= trace_norms(rho - ch.targets) + 1e-12
 
 
-def test_custom_channel_and_validation():
-    tau = gibbs_state(qubit_h(1.0), FIG_TEMP)
-    ch = custom_channel(lambda m: 0.3 * m + 0.7 * tau.matrix, declared_alpha=0.3, target=tau)
-    assert estimate_contraction(ch, probes=60, seed=2) <= 0.3 + 1e-9
-    with pytest.raises(ValidationError):  # does not fix the target
-        custom_channel(lambda m: np.eye(2, dtype=complex) / 2.0, declared_alpha=0.5, target=tau)
-    with pytest.raises(ValidationError):
-        make_channel("bogus", 0.5, qubit_h(1.0), FIG_TEMP)
+@pytest.mark.parametrize("dim", [2, 4])
+def test_pinch_channel_is_the_projector_sum(dim):
+    # independent of core._pinch: lam * sum_k P_k rho P_k + (1 - lam) tau over the eigenprojectors of H
+    rng = np.random.default_rng(dim)
+    lam, n = 0.35, 5
+    hams = np.array([random_hermitian(rng, dim) for _ in range(n)])
+    taus = gibbs_matrices(hams, FIG_TEMP)
+    rhos = np.array([random_density(rng, dim).matrix for _ in range(n)])
+    expected = np.empty_like(rhos)
+    for i in range(n):
+        vecs = np.linalg.eigh(hams[i])[1]
+        projectors = [np.outer(v, v.conj()) for v in vecs.T]
+        expected[i] = lam * sum(P @ rhos[i] @ P for P in projectors) + (1.0 - lam) * taus[i]
+    channel = maps._channel("pinch", lam, hams, taus)
+    assert np.abs(channel.apply(rhos) - expected).max() < 1e-12
+    for i in range(n):
+        assert np.abs(channel.apply(rhos[i], i) - expected[i]).max() < 1e-12
+    single = make_channel("pinch", lam, HamiltonianMatrix.from_matrix(hams[0]), FIG_TEMP)
+    assert np.abs(single.apply(rhos[0]) - expected[0]).max() < 1e-12
+
+
+def test_channel_factory_rejects_a_channel_that_moves_its_target():
+    H = qubit_h(1.0)
+    tau = gibbs_state(H, FIG_TEMP).matrix
+    with pytest.raises(ValidationError, match="does not fix"):  # a basis that does not diagonalize tau
+        maps._channel("pinch", 0.5, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), tau)
+    with pytest.raises(ValidationError, match="unknown channel kind"):
+        make_channel("bogus", 0.5, H, FIG_TEMP)
+    with pytest.raises(ValidationError, match="contraction factor"):
+        make_channel("partial", 1.5, H, FIG_TEMP)
 
 
 def test_contraction_probe_count_validation():
     ch = make_channel("partial", 0.5, qubit_h(1.0), FIG_TEMP)
     with pytest.raises(ValidationError):
         estimate_contraction(ch, probes=0)
+    with pytest.raises(ValidationError, match="one-target"):
+        estimate_contraction(ThermalizingChannel(0.5, np.stack([ch.targets, ch.targets])))
 
 
-def test_nan_channel_output_fails_fixed_point_check():
-    tau = gibbs_state(qubit_h(1.0), FIG_TEMP)
+def test_nan_target_fails_fixed_point_check():
     with pytest.raises(ValidationError, match="does not fix"):
-        custom_channel(lambda m: np.full_like(m, np.nan), declared_alpha=0.5, target=tau)
+        maps._channel("partial", 0.5, qubit_h(1.0).matrix, np.full((2, 2), np.nan, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +410,16 @@ def test_breakdown_gamma_tracks_trajectory_coefficient():
 # Cross-framework consistency
 # ---------------------------------------------------------------------------
 
-def test_quench_segment_reproduces_collision_staircase_dissipation():
-    alpha, N = 0.5, 400
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+@pytest.mark.parametrize("channel_kind", ["partial", "pinch"])
+def test_quench_segment_reproduces_collision_staircase_dissipation(channel_kind, alpha):
+    # on this commuting path the states stay diagonal, so the pinch changes nothing
+    N = 400
     segment = qubit_excitation_path(0.2, 0.45, FIG_TEMP, smooth=True)
     rho0 = segment.gibbs(0.0)
-    ledger, _ = run_protocol_segment(segment, N, rho0, channel_alpha=alpha, evolution_mode="quench")
+    ledger, _ = run_protocol_segment(
+        segment, N, rho0, channel_alpha=alpha, channel_kind=channel_kind, evolution_mode="quench"
+    )
     H0 = HamiltonianMatrix(dim=2, matrix=segment.hamiltonian(0.0))
     H1 = HamiltonianMatrix(dim=2, matrix=segment.hamiltonian(1.0))
     delta_f_iso = free_energy(segment.gibbs(0.0), H0, FIG_TEMP) - free_energy(
@@ -420,19 +451,30 @@ def _reference_propagator(path, t_start, t_end, substeps):
     return U
 
 
+def _reference_channel(kind, lam, H, tau):
+    """lam * P(rho) + (1 - lam) * tau with its own pinch, in the engine's operation order."""
+    vecs = np.linalg.eigh(H)[1]
+
+    def apply(m):
+        if kind == "pinch":
+            m = vecs @ np.diag(np.diag(vecs.conj().T @ m @ vecs)) @ vecs.conj().T
+        return lam * m + (1.0 - lam) * tau
+
+    return apply
+
+
 def _reference_run(path, N, rho0, kind, lam, mode, substeps):
-    """One HamiltonianMatrix, channel and DensityOperator per contact."""
+    """One HamiltonianMatrix, Gibbs state, channel and DensityOperator per contact."""
     hams = [path.hamiltonian(i / N) for i in range(N + 1)]
-    channels = [make_channel(kind, lam, HamiltonianMatrix(dim=path.dim, matrix=H), path.temp) for H in hams[1:]]
-    tau0 = gibbs_state(HamiltonianMatrix(dim=path.dim, matrix=hams[0]), path.temp)
-    taus = [tau0.matrix] + [c.target.matrix for c in channels]
+    taus = [gibbs_state(HamiltonianMatrix(dim=path.dim, matrix=H), path.temp).matrix for H in hams]
+    channels = [_reference_channel(kind, lam, H, tau) for H, tau in zip(hams[1:], taus[1:])]
     identity = np.eye(path.dim, dtype=complex)
     sigma, sigmas, unitaries, work = rho0.matrix, [rho0.matrix], [identity], np.empty(N)
     for i in range(1, N + 1):
         U = _reference_propagator(path, (i - 1) / N, i / N, substeps) if mode == "unitary" else identity
         rho_i = U @ sigma @ U.conj().T if mode == "unitary" else sigma
         work[i - 1] = np.trace(hams[i - 1] @ sigma).real - np.trace(hams[i] @ rho_i).real
-        sigma = channels[i - 1].apply_matrix(rho_i)
+        sigma = channels[i - 1](rho_i)
         unitaries.append(U)
         sigmas.append(DensityOperator(dim=path.dim, matrix=0.5 * (sigma + sigma.conj().T)).matrix)
     return [np.array(x) for x in (hams, taus, sigmas, unitaries)] + [work]
@@ -490,7 +532,8 @@ def test_quench_breakdown_does_no_per_step_linear_algebra(monkeypatch, kind):
             dissipation_breakdown(proto, rho0)
         counts[N] = calls
     assert counts[64] == counts[512]
-    assert counts[64]["ThermalizingChannel"] == counts[64]["gibbs_state"] == 0
+    assert counts[64]["ThermalizingChannel"] == 1
+    assert counts[64]["gibbs_state"] == 0
 
 
 @pytest.mark.parametrize("contact", [1, 16])

@@ -247,6 +247,12 @@ class WorkLedger:
         steps.flags.writeable = False
         object.__setattr__(self, "per_step_work", steps)
 
+    @classmethod
+    def exact(cls, steps: np.ndarray) -> "WorkLedger":
+        """The ledger of a deterministic work sequence: its total is the mean, with zero variance."""
+        total = float(steps.sum())
+        return cls(per_step_work=steps, cumulative_work=total, mean=total, variance=0.0)
+
 
 # ---------------------------------------------------------------------------
 # Deterministic recursions
@@ -286,9 +292,7 @@ def excitation_probabilities(config: QubitProtocolConfig) -> np.ndarray:
 
 def average_work(config: QubitProtocolConfig) -> WorkLedger:
     """Exact average extracted work, (1-alpha) * sum_k omega_k (q_k - p_{k-1})."""
-    steps = _moment_recursion(config, config._fixed_alpha("average_work"))[1]
-    total = float(steps.sum())
-    return WorkLedger(per_step_work=steps, cumulative_work=total, mean=total, variance=0.0)
+    return WorkLedger.exact(_moment_recursion(config, config._fixed_alpha("average_work"))[1])
 
 
 def loss_epsilon(config: QubitProtocolConfig) -> float:

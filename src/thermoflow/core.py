@@ -1,7 +1,8 @@
 """Density-operator algebra shared by all protocol modules.
 
 Dimension-generic Gibbs states, entropies, free energies, distance measures
-and the one thermalizing channel, in natural units (hbar = k_B = 1).
+and the one thermalizing channel, in natural units (hbar = k_B = 1).  The
+measures take a (d, d) matrix or a (B, d, d) stack and give one value per matrix.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-12
 # Eigenvalues below this are treated as exactly zero in entropy-like sums.
 SUPPORT_TOL = 1e-15
-# Harder floor: anything below this is a genuine invariant breach, not dust.
-EIGENVALUE_FAILURE = -1e-9
 
 
 class ValidationError(ValueError):
@@ -45,10 +44,17 @@ class ValidationError(ValueError):
 
 
 def _as_complex_matrix(matrix) -> np.ndarray:
+    """matrix as a complex square matrix or (B, d, d) stack of them."""
     m = np.asarray(matrix, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {m.shape}")
+    if m.ndim not in (2, 3) or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     return m
+
+
+def _check_hermitian(H: np.ndarray) -> None:
+    dev = np.abs(H - H.conj().swapaxes(-1, -2)).max()
+    if dev > HERMITICITY_TOL:
+        raise ValidationError(f"Hamiltonian is not Hermitian: max deviation {dev:.3e}")
 
 
 @dataclass(frozen=True)
@@ -64,12 +70,13 @@ class Temperature:
         object.__setattr__(self, "beta", 1.0 / self.T)
 
 
-def check_density_matrices(stack: np.ndarray) -> None:
-    """Require every matrix of a (B, d, d) stack to be Hermitian, unit-trace and PSD.
+def check_density_matrices(stack: np.ndarray) -> np.ndarray:
+    """Require every matrix of a (B, d, d) stack to be Hermitian, unit-trace and PSD; return the (B, d) eigenvalues.
 
     Each check runs once over the whole stack, with the tolerances above; the
     first matrix that fails gets DensityOperator's message.  Non-finite entries
-    are rejected first, since every later comparison lets a NaN through.
+    are rejected first, since every later comparison lets a NaN through.  The
+    eigenvalues come in ascending order, each at least PSD_FLOOR.
     """
     if not np.isfinite(stack).all():
         raise ValidationError("density operator has non-finite entries")
@@ -81,41 +88,51 @@ def check_density_matrices(stack: np.ndarray) -> None:
     off_trace = abs(tr - 1.0)
     if np.fmax.reduce(off_trace) > TRACE_TOL:
         raise ValidationError(f"trace must be 1, got {tr[(off_trace > TRACE_TOL).argmax()]!r}")
-    lam_min = np.linalg.eigvalsh(stack)[:, 0]
+    lam = np.linalg.eigvalsh(stack)
+    lam_min = lam[:, 0]
     if np.fmin.reduce(lam_min) < PSD_FLOOR:
         raise ValidationError(f"negative eigenvalue {lam_min[(lam_min < PSD_FLOOR).argmax()]:.3e} below PSD floor")
+    return lam
+
+
+class _ValidatedMatrix:
+    """A dim x dim matrix, checked and frozen on construction; numpy reads it as its read-only matrix."""
+
+    def _freeze(self, check) -> None:
+        m = _as_complex_matrix(self.matrix)
+        if m.shape != (self.dim, self.dim):
+            raise ValidationError(f"dim {self.dim} does not match matrix shape {m.shape}")
+        check(m)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.matrix, dtype=dtype, copy=copy)
+
+    @classmethod
+    def from_matrix(cls, matrix):
+        m = _as_complex_matrix(matrix)
+        return cls(dim=m.shape[0], matrix=m)
+
+    @classmethod
+    def diagonal(cls, entries):
+        e = np.asarray(entries, dtype=float)
+        return cls(dim=len(e), matrix=np.diag(e.astype(complex)))
 
 
 @dataclass(frozen=True)
-class DensityOperator:
+class DensityOperator(_ValidatedMatrix):
     """A dim x dim Hermitian, unit-trace, PSD matrix."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        if m.shape[0] != self.dim:
-            raise ValidationError(f"dim {self.dim} does not match matrix shape {m.shape}")
-        check_density_matrices(m[None])
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "DensityOperator":
-        m = _as_complex_matrix(matrix)
-        return cls(dim=m.shape[0], matrix=m)
-
-    @classmethod
-    def diagonal(cls, populations) -> "DensityOperator":
-        p = np.asarray(populations, dtype=float)
-        return cls(dim=len(p), matrix=np.diag(p.astype(complex)))
+        self._freeze(lambda m: check_density_matrices(m[None]))
 
     @classmethod
     def pure(cls, level: int, dim: int) -> "DensityOperator":
-        p = np.zeros(dim)
-        p[level] = 1.0
-        return cls.diagonal(p)
+        return cls.diagonal(np.eye(dim)[level])
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityOperator":
@@ -128,31 +145,14 @@ class DensityOperator:
 
 
 @dataclass(frozen=True)
-class HamiltonianMatrix:
+class HamiltonianMatrix(_ValidatedMatrix):
     """A dim x dim Hermitian matrix in energy units."""
 
     dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = _as_complex_matrix(self.matrix)
-        if m.shape[0] != self.dim:
-            raise ValidationError(f"dim {self.dim} does not match matrix shape {m.shape}")
-        dev = np.abs(m - m.conj().T).max()
-        if dev > HERMITICITY_TOL:
-            raise ValidationError(f"Hamiltonian is not Hermitian: max deviation {dev:.3e}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @classmethod
-    def from_matrix(cls, matrix) -> "HamiltonianMatrix":
-        m = _as_complex_matrix(matrix)
-        return cls(dim=m.shape[0], matrix=m)
-
-    @classmethod
-    def diagonal(cls, energies) -> "HamiltonianMatrix":
-        e = np.asarray(energies, dtype=float)
-        return cls(dim=len(e), matrix=np.diag(e.astype(complex)))
+        self._freeze(_check_hermitian)
 
     @classmethod
     def qubit(cls, gap: float) -> "HamiltonianMatrix":
@@ -160,9 +160,9 @@ class HamiltonianMatrix:
         return cls.diagonal([0.0, gap])
 
 
-def _require_same_dim(a, b) -> None:
-    if a.dim != b.dim:
-        raise ValidationError(f"dimension mismatch: {a.dim} vs {b.dim}")
+def _require_same_dim(a: np.ndarray, b: np.ndarray) -> None:
+    if a.shape[-1] != b.shape[-1]:
+        raise ValidationError(f"dimension mismatch: {a.shape[-1]} vs {b.shape[-1]}")
 
 
 def gibbs_populations(energies, temp: Temperature) -> np.ndarray:
@@ -193,38 +193,50 @@ def gibbs_state(H: HamiltonianMatrix, temp: Temperature) -> DensityOperator:
     return DensityOperator(dim=H.dim, matrix=gibbs_matrices(H.matrix, temp))
 
 
-def _spectrum_for_entropy(rho: DensityOperator) -> np.ndarray:
-    lam = np.linalg.eigvalsh(rho.matrix)
-    if lam.min() < EIGENVALUE_FAILURE:
-        raise ValidationError(f"eigenvalue {lam.min():.3e} is negative beyond numerical dust")
-    return np.clip(lam, 0.0, 1.0)
+def _states(rho) -> tuple[np.ndarray, np.ndarray]:
+    """rho as a complex matrix or (B, d, d) stack, checked by one check_density_matrices call, and its eigenvalues."""
+    m = _as_complex_matrix(rho)
+    return m, check_density_matrices(m.reshape((-1,) + m.shape[-2:])).reshape(m.shape[:-1])
 
 
-def von_neumann_entropy(rho: DensityOperator) -> float:
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """-sum lam ln lam along the last axis of checked eigenvalues; those below SUPPORT_TOL contribute 0."""
+    lam = np.clip(lam, 0.0, 1.0)
+    return -(lam * np.log(np.where(lam > SUPPORT_TOL, lam, 1.0))).sum(axis=-1)
+
+
+def _per_matrix(values):
+    """A float for one matrix, the array of values for a stack."""
+    return float(values) if np.ndim(values) == 0 else values
+
+
+def von_neumann_entropy(rho):
     """S(rho) = -Tr[rho ln rho] in nats; eigenvalues below 1e-15 contribute 0."""
-    lam = _spectrum_for_entropy(rho)
-    lam = lam[lam > SUPPORT_TOL]
-    return float(-np.sum(lam * np.log(lam)))
+    return _per_matrix(_entropies(_states(rho)[1]))
 
 
-def free_energy(rho: DensityOperator, H: HamiltonianMatrix, temp: Temperature) -> float:
-    """Non-equilibrium free energy F(rho, H) = Tr(rho H) - T S(rho)."""
-    _require_same_dim(rho, H)
-    energy = np.trace(rho.matrix @ H.matrix).real
-    return float(energy - temp.T * von_neumann_entropy(rho))
+def free_energy(rho, H, temp: Temperature):
+    """Non-equilibrium free energy F(rho, H) = Tr(rho H) - T S(rho); H is one Hamiltonian or one per state."""
+    m, lam = _states(rho)
+    H = _as_complex_matrix(H)
+    _check_hermitian(H)
+    _require_same_dim(m, H)
+    energy = (m @ H).trace(axis1=-2, axis2=-1).real
+    return _per_matrix(energy - temp.T * _entropies(lam))
 
 
-def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Quantum relative entropy S(rho || sigma) in nats.
+def relative_entropy(rho, sigma) -> float:
+    """Quantum relative entropy S(rho || sigma) in nats of one pair of (d, d) states.
 
     Support violations (rho with weight where sigma has none, beyond
     tolerance) return the +inf sentinel with a diagnostic warning.
     """
+    (rho, lam_r), (sigma, _) = _states(rho), _states(sigma)
     _require_same_dim(rho, sigma)
-    lam_s, vecs_s = np.linalg.eigh(sigma.matrix)
+    lam_s, vecs_s = np.linalg.eigh(sigma)
     lam_s = np.clip(lam_s, 0.0, 1.0)
     # Population of rho on each sigma eigenvector.
-    pops = np.einsum("ij,jk,ki->i", vecs_s.conj().T, rho.matrix, vecs_s).real
+    pops = np.einsum("ij,jk,ki->i", vecs_s.conj().T, rho, vecs_s).real
     outside = lam_s <= SUPPORT_TOL
     leaked = pops[outside].sum() if outside.any() else 0.0
     if leaked > 1e-12:
@@ -234,19 +246,17 @@ def relative_entropy(rho: DensityOperator, sigma: DensityOperator) -> float:
             stacklevel=2,
         )
         return float("inf")
-    lam_r = _spectrum_for_entropy(rho)
-    lam_r = lam_r[lam_r > SUPPORT_TOL]
-    tr_rho_ln_rho = float(np.sum(lam_r * np.log(lam_r)))
+    tr_rho_ln_rho = -float(_entropies(lam_r))
     inside = ~outside
     tr_rho_ln_sigma = float(np.sum(pops[inside] * np.log(lam_s[inside])))
     return max(tr_rho_ln_rho - tr_rho_ln_sigma, 0.0)
 
 
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """Trace norm ||rho - sigma||_1 (sum of singular values), in [0, 2]."""
+def trace_distance(rho, sigma):
+    """Trace norm ||rho - sigma||_1 (sum of singular values), in [0, 2]; stacks pair up row by row or broadcast."""
+    rho, sigma = _states(rho)[0], _states(sigma)[0]
     _require_same_dim(rho, sigma)
-    lam = np.linalg.eigvalsh(rho.matrix - sigma.matrix)
-    return float(np.sum(np.abs(lam)))
+    return _per_matrix(np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1))
 
 
 def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -257,6 +267,11 @@ def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     idx = np.arange(vecs.shape[-1])
     diagonal[..., idx, idx] = in_basis[..., idx, idx]
     return vecs @ diagonal @ vecs_h
+
+
+def _check_contraction_factor(lam: float) -> None:
+    if not 0.0 <= lam <= 1.0:
+        raise ValidationError(f"contraction factor must lie in [0, 1], got {lam}")
 
 
 @dataclass(frozen=True)
@@ -275,8 +290,7 @@ class ThermalizingChannel:
     pull: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.lam <= 1.0:
-            raise ValidationError(f"contraction factor must lie in [0, 1], got {self.lam}")
+        _check_contraction_factor(self.lam)
         object.__setattr__(self, "pull", (1.0 - self.lam) * self.targets)
 
     def apply(self, rho: np.ndarray, i=slice(None)) -> np.ndarray:
@@ -292,7 +306,7 @@ def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float)
 
     Contracts the trace distance to tau by exactly alpha.
     """
-    _require_same_dim(rho, tau)
+    _require_same_dim(rho.matrix, tau.matrix)
     return DensityOperator(dim=rho.dim, matrix=ThermalizingChannel(alpha, tau.matrix).apply(rho.matrix))
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .core import HamiltonianMatrix, Temperature, free_energy
+from .core import Temperature, free_energy
 from .collision import (
     FixedAlpha,
     QubitProtocolConfig,
@@ -302,8 +302,7 @@ def _run_qudit_point(p, n):
     path = linear_endpoint_path(*endpoints, temp) if endpoints else path_preset(p["preset"], temp)
     cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=n, alpha=p["alpha"])
     result = asymptotic_dissipation(cfg)
-    H_S = HamiltonianMatrix(dim=path.dim, matrix=cfg.H_system)
-    delta_f = free_energy(cfg.rho0, H_S, temp) - free_energy(path.gibbs(1.0), H_S, temp)
+    delta_f = free_energy(cfg.rho0, cfg.H_system, temp) - free_energy(path.gibbs_matrix(1.0), cfg.H_system, temp)
     return [n, p["alpha"], delta_f - result.exact, result.exact, result.prediction]
 
 

@@ -25,11 +25,13 @@ from .core import (
     Temperature,
     ThermalizingChannel,
     ValidationError,
+    _check_contraction_factor,
     check_density_matrices,
     contact_chain,
     free_energy,
     gibbs_matrices,
     gibbs_state,
+    trace_distance,
 )
 from .collision import WorkLedger
 from .qudit import HamiltonianPath
@@ -65,6 +67,11 @@ def _check_evolution_mode(mode: str) -> None:
         raise ValidationError(f"evolution_mode must be 'unitary' or 'quench', got {mode!r}")
 
 
+def _check_channel_kind(kind: str) -> None:
+    if kind not in CHANNEL_KINDS:
+        raise ValidationError(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+
+
 def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> ThermalizingChannel:
     """The kind's channel toward the Gibbs targets taus of hams (one matrix or a stack).
 
@@ -73,8 +80,7 @@ def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> Therm
     as fast as lam.  The channel must map each target onto itself to 1e-12 in
     trace norm.
     """
-    if kind not in CHANNEL_KINDS:
-        raise ValidationError(f"unknown channel kind {kind!r}; choose from {CHANNEL_KINDS}")
+    _check_channel_kind(kind)
     channel = ThermalizingChannel(lam, taus, np.linalg.eigh(hams)[1] if kind == "pinch" else None)
     drift = np.atleast_1d(np.abs(np.linalg.eigvalsh(channel.apply(taus) - taus)).sum(axis=-1))
     bad = ~(drift <= 1e-12)
@@ -111,9 +117,7 @@ def estimate_contraction(channel: ThermalizingChannel, probes: int = 200, seed: 
         else:
             pops = rng.random(dim) + 1e-3
             rhos[i] = np.diag(pops / pops.sum())
-    images = channel.apply(rhos)
-    check_density_matrices(np.concatenate((rhos, images)))
-    gap, moved = (np.abs(np.linalg.eigvalsh(x - tau)).sum(axis=-1) for x in (rhos, images))
+    gap, moved = trace_distance(rhos, tau), trace_distance(channel.apply(rhos), tau)
     kept = gap >= 1e-12
     return float((moved[kept] / gap[kept]).max(initial=0.0))
 
@@ -177,10 +181,8 @@ class CyclicProtocol:
         if self.N < 1:
             raise ValidationError(f"N must be >= 1, got {self.N}")
         _check_evolution_mode(self.evolution_mode)
-        if self.channel_kind not in CHANNEL_KINDS:
-            raise ValidationError(f"channel_kind must be one of {CHANNEL_KINDS}")
-        if not 0.0 <= self.channel_alpha <= 1.0:
-            raise ValidationError("channel_alpha must lie in [0, 1]")
+        _check_channel_kind(self.channel_kind)
+        _check_contraction_factor(self.channel_alpha)
         if self.substeps < 1:
             raise ValidationError("substeps must be >= 1")
         loop_gap = np.abs(self.path.hamiltonian(0.0) - self.path.hamiltonian(1.0)).max()
@@ -261,10 +263,6 @@ class ProtocolRun:
     def work(self) -> float:
         return float(self.work_steps.sum())
 
-    def ledger(self) -> WorkLedger:
-        total = self.work
-        return WorkLedger(per_step_work=self.work_steps, cumulative_work=total, mean=total, variance=0.0)
-
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(a_i b_i) for each pair of matrices of two (B, d, d) stacks."""
@@ -308,10 +306,6 @@ def _execute(
     return ProtocolRun(hamiltonians=hams, taus=taus, sigmas=sigmas, unitaries=unitaries, work_steps=work_steps)
 
 
-def _free_energy(rho: np.ndarray, H: np.ndarray, temp: Temperature) -> float:
-    return free_energy(DensityOperator(dim=len(H), matrix=rho), HamiltonianMatrix(dim=len(H), matrix=H), temp)
-
-
 def _run(protocol: CyclicProtocol, rho0: DensityOperator) -> ProtocolRun:
     """_execute with the protocol's own settings."""
     p = protocol
@@ -333,23 +327,23 @@ def run_protocol_segment(
     staircase, where the Hamiltonian ramps between two distinct endpoints.
     """
     run = _execute(path, N, rho0, channel_kind, channel_alpha, evolution_mode, substeps)
-    return run.ledger(), DensityOperator(dim=path.dim, matrix=run.sigmas[-1])
+    return WorkLedger.exact(run.work_steps), DensityOperator(dim=path.dim, matrix=run.sigmas[-1])
 
 
 def run_cyclic_protocol(protocol: CyclicProtocol, rho0: DensityOperator) -> tuple[WorkLedger, DensityOperator]:
     """Run a cyclic protocol and enforce the free-energy work bound."""
     run = _run(protocol, rho0)
     H0, temp = run.hamiltonians[0], protocol.path.temp
-    bound = _free_energy(rho0.matrix, H0, temp) - _free_energy(run.taus[0], H0, temp)
+    bound = free_energy(rho0, H0, temp) - free_energy(run.taus[0], H0, temp)
     if not run.work <= bound + 1e-9:
         raise ValidationError(f"second-law violation: W = {run.work!r} exceeds DeltaF = {bound!r}")
-    return run.ledger(), DensityOperator(dim=protocol.path.dim, matrix=run.sigmas[-1])
+    return WorkLedger.exact(run.work_steps), DensityOperator(dim=protocol.path.dim, matrix=run.sigmas[-1])
 
 
 def protocol_state_lag(protocol: CyclicProtocol, rho0: DensityOperator) -> float:
     """Max over contacts of ||sigma_i - tau_i||_1; shrinks as 1/N."""
     run = _run(protocol, rho0)
-    return float(np.abs(np.linalg.eigvalsh(run.sigmas[1:] - run.taus[1:])).sum(axis=-1).max())
+    return float(trace_distance(run.sigmas[1:], run.taus[1:]).max())
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +377,7 @@ def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> Di
     run = _run(protocol, rho0)
     hams, taus, sigmas, U = run.hamiltonians, run.taus, run.sigmas[:-1], run.unitaries[1:]
     temp = protocol.path.temp
-    delta_f_iso = _free_energy(taus[0], hams[0], temp) - _free_energy(taus[-1], hams[-1], temp)
+    delta_f_iso = free_energy(taus[0], hams[0], temp) - free_energy(taus[-1], hams[-1], temp)
 
     dH = hams[:-1] - hams[1:]
     evolved = U @ sigmas @ U.conj().swapaxes(1, 2)

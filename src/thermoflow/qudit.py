@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import (
     DensityOperator,
-    HamiltonianMatrix,
     Temperature,
     ThermalizingChannel,
     ValidationError,
@@ -153,8 +152,7 @@ def _diagonal_stack(entries: np.ndarray) -> np.ndarray:
 
 def linear_endpoint_path(H0, H1, temp: Temperature, derivative_step: float = DEFAULT_DERIVATIVE_STEP) -> HamiltonianPath:
     """Straight-line interpolation H(s) = (1-s) H0 + s H1."""
-    m0 = H0.matrix if isinstance(H0, HamiltonianMatrix) else np.asarray(H0, dtype=complex)
-    m1 = H1.matrix if isinstance(H1, HamiltonianMatrix) else np.asarray(H1, dtype=complex)
+    m0, m1 = np.asarray(H0, dtype=complex), np.asarray(H1, dtype=complex)
     if m0.shape != m1.shape:
         raise ValidationError("endpoint Hamiltonians must share a dimension")
 
@@ -248,7 +246,7 @@ class QuditProtocolConfig:
         if not np.abs(H_S - H_S.conj().T).max() <= 1e-12:
             raise ValidationError("H_system must be Hermitian")
         object.__setattr__(self, "H_system", H_S)
-        delta = trace_distance(self.rho0, self.path.gibbs(0.0))
+        delta = trace_distance(self.rho0, self.path.gibbs_matrix(0.0))
         if self.is_full_rank and not delta <= 1e-10:
             raise ValidationError(
                 f"full-rank protocols require rho0 = tau(0); mismatch {delta:.3e}"
@@ -278,9 +276,7 @@ def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, WorkLed
     Returns the checked states rho_0..rho_N as one (N+1, dim, dim) array.
     """
     states, steps = _staircase(config, config.N)
-    total = float(steps.sum())
-    ledger = WorkLedger(per_step_work=steps, cumulative_work=total, mean=total, variance=0.0)
-    return states, ledger
+    return states, WorkLedger.exact(steps)
 
 
 def lag_deviation(config: QuditProtocolConfig, k: int) -> float:
@@ -362,20 +358,16 @@ def relative_entropy_curvature(path: HamiltonianPath, lam: float, x: float = 1e-
     """T * d^2/dx^2 S(tau(lambda+x) || tau(lambda)) at x = 0, by central differences."""
     if not x <= lam <= 1.0 - x:
         raise ValidationError(f"lambda = {lam} too close to the boundary for step {x}")
-    base = path.gibbs(lam)
-    plus = relative_entropy(path.gibbs(lam + x), base)
-    minus = relative_entropy(path.gibbs(lam - x), base)
+    base = path.gibbs_matrix(lam)
+    plus = relative_entropy(path.gibbs_matrix(lam + x), base)
+    minus = relative_entropy(path.gibbs_matrix(lam - x), base)
     return path.temp.T * (plus + minus) / (x * x)
 
 
 def _fdot(config: QuditProtocolConfig, s: float) -> float:
     """d/ds F(tau(s), H_system) by the O(h^2) stencil of HamiltonianPath._fd."""
-    path, H_S = config.path, HamiltonianMatrix(dim=config.path.dim, matrix=config.H_system)
-
-    def free_energies(u):
-        return np.array([free_energy(DensityOperator(path.dim, tau), H_S, path.temp) for tau in path.gibbs_matrices(u)])
-
-    return float(path._fd(free_energies, (s,))[0])
+    path = config.path
+    return float(path._fd(lambda u: free_energy(path.gibbs_matrices(u), config.H_system, path.temp), (s,))[0])
 
 
 @dataclass(frozen=True)
@@ -437,11 +429,9 @@ def asymptotic_dissipation(config: QuditProtocolConfig) -> AsymptoticDissipation
 
 
 def _exact_dissipation(config: QuditProtocolConfig) -> float:
-    H_S = HamiltonianMatrix(dim=config.path.dim, matrix=config.H_system)
     _, ledger = run_qudit_protocol(config)
-    delta_F = free_energy(config.rho0, H_S, config.path.temp) - free_energy(
-        config.path.gibbs(1.0), H_S, config.path.temp
-    )
+    H_S, temp = config.H_system, config.path.temp
+    delta_F = free_energy(config.rho0, H_S, temp) - free_energy(config.path.gibbs_matrix(1.0), H_S, temp)
     return delta_F - ledger.cumulative_work
 
 
@@ -501,7 +491,7 @@ def rank_deficient_scaling(config: QuditProtocolConfig, delta_schedule) -> list[
     if np.abs(config.rho0.matrix - np.diag(rho0_pops)).max() > 1e-12:
         raise ValidationError("rank-deficient scaling is defined for diagonal initial states")
     temp = config.path.temp
-    end_pops = config.path.gibbs(1.0).populations
+    end_pops = config.path.gibbs_matrix(1.0).diagonal().real
     H_S = config.H_system
 
     rows = []

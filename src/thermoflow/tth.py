@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import ValidationError
+from .core import ValidationError, free_energy
 from .maps import run_protocol_segment
 from .qudit import HamiltonianPath, gamma_coefficient
 
@@ -255,13 +255,11 @@ def validate_against_simulation(
     are flagged as outside the asymptotic regime; the 10% agreement gate
     applies from N >= 100.
     """
-    from .core import HamiltonianMatrix, free_energy
-
     gamma = gamma_coefficient(path)
     rho0 = path.gibbs(0.0)
-    H0 = HamiltonianMatrix(dim=path.dim, matrix=path.hamiltonian(0.0))
-    H1 = HamiltonianMatrix(dim=path.dim, matrix=path.hamiltonian(1.0))
-    delta_f_iso = free_energy(path.gibbs(0.0), H0, path.temp) - free_energy(path.gibbs(1.0), H1, path.temp)
+    delta_f_iso = free_energy(rho0, path.hamiltonian(0.0), path.temp) - free_energy(
+        path.gibbs_matrix(1.0), path.hamiltonian(1.0), path.temp
+    )
 
     rows = []
     for t in np.asarray(t_grid, dtype=float):

@@ -443,6 +443,17 @@ def test_cli_tth_wide_search_window_terminates(tmp_path):
     assert (tmp_path / "o" / "tth_optimum.json").exists()
 
 
+def test_cli_import_loads_neither_scipy_nor_the_process_pool():
+    # scipy is a test-only dependency; the pool machinery is imported only by runs that start a pool
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    modules = ("scipy", "concurrent.futures.process")
+    probe = f"import sys, thermoflow.cli; print([m for m in {modules!r} if m in sys.modules])"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, timeout=15)
+    assert done.returncode == 0, done.stderr.decode()
+    assert done.stdout.decode().strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "experiment,expected",
     [

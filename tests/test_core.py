@@ -314,3 +314,56 @@ def test_partial_thermalize_rejects_bad_alpha():
         partial_thermalize(rho, rho, 1.5)
     with pytest.raises(ValidationError):
         partial_thermalize(rho, rho, -0.1)
+
+
+# ---------------------------------------------------------------------------
+# Stacks and raw arrays
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 7])
+def test_measures_on_a_stack_equal_their_row_by_row_calls(dim):
+    rng = np.random.default_rng(dim)
+    states = [random_density(rng, dim) for _ in range(30)]
+    pops = rng.random(dim - 1)
+    states += [DensityOperator.pure(1, dim), DensityOperator.diagonal(np.append(pops / pops.sum(), 0.0))]  # rank-deficient
+    rhos = np.array([rho.matrix for rho in states])
+    sigmas = np.array([random_density(rng, dim).matrix for _ in rhos])
+    hams = np.array([random_hermitian(rng, dim) for _ in rhos])
+    temp = Temperature(0.9)
+    assert (von_neumann_entropy(rhos) == [von_neumann_entropy(rho) for rho in states]).all()
+    assert (free_energy(rhos, hams[0], temp) == [free_energy(rho, hams[0], temp) for rho in states]).all()
+    assert (free_energy(rhos, hams, temp) == [free_energy(r, h, temp) for r, h in zip(states, hams)]).all()
+    assert (trace_distance(rhos, sigmas) == [trace_distance(r, s) for r, s in zip(states, sigmas)]).all()
+    assert (trace_distance(rhos, sigmas[0]) == [trace_distance(rho, sigmas[0]) for rho in states]).all()
+
+
+@pytest.mark.parametrize("kind", ["hermiticity", "trace", "eigenvalue", "non-finite"])
+def test_measures_reject_raw_arrays_with_density_operator_messages(kind):
+    bad = np.full((3, 3), np.nan) if kind == "non-finite" else _breach(kind)
+    with pytest.raises(ValidationError) as expected:
+        DensityOperator.from_matrix(bad)
+    good = DensityOperator.maximally_mixed(3).matrix
+    H, temp = np.diag([0.0, 0.4, 1.1]), Temperature(1.0)
+    calls = [
+        von_neumann_entropy,
+        lambda m: free_energy(m, H, temp),
+        lambda m: trace_distance(m, good),
+        lambda m: trace_distance(good, m),
+    ]
+    for call in calls:
+        for arg in (bad, np.array([good, bad, good])):
+            with pytest.raises(ValidationError) as raised:
+                call(arg)
+            assert str(raised.value) == str(expected.value)
+    for pair in ((bad, good), (good, bad)):
+        with pytest.raises(ValidationError) as raised:
+            relative_entropy(*pair)
+        assert str(raised.value) == str(expected.value)
+
+
+def test_free_energy_rejects_a_raw_non_hermitian_hamiltonian():
+    H = np.array([[0.0, 1.0], [0.0, 0.0]])
+    rho = DensityOperator.maximally_mixed(2)
+    for states, hams in ((rho, H), (np.array([rho.matrix] * 3), H), (rho, np.array([np.eye(2), H]))):
+        with pytest.raises(ValidationError, match="Hamiltonian is not Hermitian"):
+            free_energy(states, hams, Temperature(1.0))

@@ -259,6 +259,14 @@ def test_unknown_channel_kind_is_rejected():
         run_protocol_segment(segment, 4, segment.gibbs(0.0), channel_alpha=0.5, channel_kind="bogus")
 
 
+def test_cyclic_protocol_rejects_a_bad_channel_with_the_engine_messages():
+    loop = cyclic_qubit_gap_path(FIG_TEMP)
+    with pytest.raises(ValidationError, match="unknown channel kind"):
+        CyclicProtocol(path=loop, N=4, channel_alpha=0.5, channel_kind="bogus")
+    with pytest.raises(ValidationError, match="contraction factor"):
+        CyclicProtocol(path=loop, N=4, channel_alpha=1.5)
+
+
 def test_misspelled_evolution_mode_is_rejected():
     # "unitry" used to run silently as a quench
     loop = cyclic_qubit_zx_path(FIG_TEMP)

@@ -297,9 +297,7 @@ def average_work(config: QubitProtocolConfig) -> WorkLedger:
 
 def loss_epsilon(config: QubitProtocolConfig) -> float:
     """Work lost to noise in the canonical scenario: (1/2N) sum_k E_k alpha^k."""
-    alpha = config._fixed_alpha("loss_epsilon")
-    if alpha >= 1.0:
-        raise ValidationError("loss is defined for alpha < 1")
+    alpha = config._fixed_alpha("loss_epsilon")  # FixedAlpha holds alpha < 1
     config.require_canonical()
     sched = config.schedule
     N = sched.N

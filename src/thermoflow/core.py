@@ -52,8 +52,10 @@ def _as_complex_matrix(matrix) -> np.ndarray:
 
 
 def _check_hermitian(H: np.ndarray) -> None:
+    if not np.isfinite(H).all():
+        raise ValidationError("Hamiltonian has non-finite entries")
     dev = np.abs(H - H.conj().swapaxes(-1, -2)).max()
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:
         raise ValidationError(f"Hamiltonian is not Hermitian: max deviation {dev:.3e}")
 
 

@@ -269,7 +269,6 @@ def _assemble_fig4(p, results):
         stderr = sigma_exact / math.sqrt(count)
         summary = _ldexp([mean, sigma, moments.mean, sigma_exact, stderr], e)
         summary_rows.append([n, count, *summary])
-        failures += _finite_gate(f"collision-qubit/sample_work at N={n}", [edges, summary], p["temperature"])
         hist_rows = [[edges[i], edges[i + 1], int(hist[i])] for i in range(len(hist))]
         artifacts.append(OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows))
         if not abs(mean - moments.mean) <= 4.0 * stderr:
@@ -323,13 +322,9 @@ def _run_breakdown_point(p, n):
 
 
 def _assemble_breakdown(p, rows):
+    # DissipationBreakdown already refuses a split that does not close
     header = ["N", "alpha", "gamma", "epsilon", "kappa", "total", "W_iso"]
-    failures = []
-    for n, _, gamma, epsilon, kappa, total, _ in rows:
-        residual = abs(gamma + epsilon + kappa - total)
-        if not residual <= 1e-9:
-            failures.append(f"thermal-maps/dissipation_breakdown: split residual {residual:.2e} at N={n}")
-    return [OutputTable("breakdown_scaling.csv", header, rows)], failures
+    return [OutputTable("breakdown_scaling.csv", header, rows)], []
 
 
 def _run_tth(p, _item):
@@ -372,15 +367,9 @@ def _assemble_tth(p, results):
 
 
 def _ldexp(x, e: int):
-    """x * 2^e as Python floats; a result beyond the float range is inf, which _finite_gate fails."""
+    """x * 2^e as Python floats; a result beyond the float range is inf, which the finite-output gate fails."""
     with np.errstate(over="ignore"):
         return np.ldexp(x, e).tolist()
-
-
-def _finite_gate(name: str, values, temperature: float) -> list[str]:
-    """No failure when every number of values (scalars and lists) is finite, else one."""
-    finite = np.isfinite(np.hstack(values)).all()
-    return [] if finite else [f"{name}: result beyond the float range at T = {temperature!r}"]
 
 
 def _run_custom(p, _item):
@@ -407,7 +396,7 @@ def _assemble_custom(p, results):
     artifacts = [OutputTable("custom.csv", ["op", "value"], [[r["op"], r["value"]]])]
     if "ledger" in r:
         artifacts.append(OutputDocument("custom_ledger.json", r["ledger"]))
-    return artifacts, _finite_gate(f"custom/{p['op']}", [r["value"], *r.get("ledger", {}).values()], p["temperature"])
+    return artifacts, []
 
 
 @dataclass(frozen=True)
@@ -538,6 +527,16 @@ def resolve_config(raw: dict) -> dict:
     Every parameter, and every sweep value in place of its axis parameter,
     is checked here, so a run that passes starts no task it must abandon.
     """
+    return _resolve(raw)[0]
+
+
+def _resolve(raw: dict) -> tuple[dict, list]:
+    """resolve_config's result and the run's groups, (name, config) pairs.
+
+    A plain run is the one group (None, config).  A sweep has one group per
+    value, named by _group_name; its config is the one resolve_config gives
+    for that value alone, with output_dir its sweep-<axis>/<name> directory.
+    """
     if not isinstance(raw, dict):
         raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
     for key in raw:
@@ -569,22 +568,28 @@ def resolve_config(raw: dict) -> dict:
         "workers": workers,
         "output_dir": output_dir,
     }
-    if "sweep" in raw:
-        sweep_spec = raw["sweep"]
-        if not isinstance(sweep_spec, dict) or set(sweep_spec) != {"axis", "values"}:
-            raise ConfigError("sweep: expected an object with exactly the keys 'axis' and 'values'")
-        axis, values = sweep_spec["axis"], sweep_spec["values"]
-        if not isinstance(axis, str) or axis not in _REGISTRY[experiment].parameters:
-            raise ConfigError(f"sweep.axis: {axis!r} is not a parameter of experiment {experiment!r}")
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ConfigError("sweep.values: expected a non-empty list")
-        for i, value in enumerate(values):
-            try:
-                _resolve_parameters(experiment, {**params_in, axis: value})
-            except ConfigError as exc:
-                raise ConfigError(f"sweep.values[{i}]: {exc}") from None
-        resolved["sweep"] = {"axis": axis, "values": list(values)}
-    return resolved
+    if "sweep" not in raw:
+        return resolved, [(None, resolved)]
+    sweep_spec = raw["sweep"]
+    if not isinstance(sweep_spec, dict) or set(sweep_spec) != {"axis", "values"}:
+        raise ConfigError("sweep: expected an object with exactly the keys 'axis' and 'values'")
+    axis, values = sweep_spec["axis"], sweep_spec["values"]
+    if not isinstance(axis, str) or axis not in _REGISTRY[experiment].parameters:
+        raise ConfigError(f"sweep.axis: {axis!r} is not a parameter of experiment {experiment!r}")
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError("sweep.values: expected a non-empty list")
+    groups = {}
+    for i, value in enumerate(values):
+        try:
+            group_params = _resolve_parameters(experiment, {**params_in, axis: value})
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.values[{i}]: {exc}") from None
+        name = _group_name(axis, value)
+        if name in groups:
+            raise ConfigError(f"sweep.values[{i}]: {value!r} repeats the group directory {name!r} of an earlier value")
+        groups[name] = dict(resolved, parameters=group_params, output_dir=str(Path(output_dir) / f"sweep-{axis}" / name))
+    resolved["sweep"] = {"axis": axis, "values": list(values)}
+    return resolved, list(groups.items())
 
 
 def canonical_config_hash(config: dict) -> str:
@@ -599,7 +604,7 @@ def _execute_task(task: tuple[str, dict, object]) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Rendering and manifest
+# Rendering, the finite-output gate and the writer
 # ---------------------------------------------------------------------------
 
 def _format_cell(value) -> str:
@@ -610,17 +615,29 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render_table(table: OutputTable, fmt: str) -> bytes:
-    if fmt == "csv":
-        lines = [",".join(str(h) for h in table.header)]
-        lines.extend(",".join(_format_cell(c) for c in row) for row in table.rows)
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    payload = [dict(zip(table.header, row)) for row in table.rows]
+def _json_bytes(payload) -> bytes:
     return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _render_document(doc: OutputDocument) -> bytes:
-    return (json.dumps(doc.payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _render(artifact, fmt: str) -> tuple[str, int, bytes]:
+    """The file name, row count and bytes of a document, or of a table as CSV or as JSON rows."""
+    if isinstance(artifact, OutputDocument):
+        return artifact.filename, 1, _json_bytes(artifact.payload)
+    if fmt == "json":
+        name = artifact.filename[:-4] + ".json" if artifact.filename.endswith(".csv") else artifact.filename
+        return name, len(artifact.rows), _json_bytes([dict(zip(artifact.header, row)) for row in artifact.rows])
+    lines = [",".join(str(h) for h in artifact.header)]
+    lines.extend(",".join(_format_cell(c) for c in row) for row in artifact.rows)
+    return artifact.filename, len(artifact.rows), ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _finite_gate(filename: str, data) -> list[str]:
+    """No failure when every number in data, at any depth, is finite, else one naming the file."""
+    try:
+        json.dumps(data, allow_nan=False)
+    except ValueError:  # NaN or +-inf
+        return [f"{filename}: result beyond the float range"]
+    return []
 
 
 @dataclass(frozen=True)
@@ -639,6 +656,17 @@ class RunManifest:
         }
 
 
+def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
+    """Write files, (name, rows, bytes) triples, and a manifest of them and of the listed outputs."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, _, blob in files:
+        (out_dir / name).write_bytes(blob)
+    outputs = [(name, rows, hashlib.sha256(blob).hexdigest()) for name, rows, blob in files] + list(listed)
+    manifest = RunManifest(canonical_config_hash(config), __version__, outputs)
+    (out_dir / "manifest.json").write_bytes(_json_bytes(manifest.as_dict()))
+    return manifest
+
+
 def _resolve_workers(config: dict) -> int:
     workers = config["workers"]
     if workers == "auto":
@@ -655,48 +683,35 @@ def _run_tasks(tasks, workers: int) -> list[dict]:
         return list(pool.map(_execute_task, tasks, chunksize=1))
 
 
-
 def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
-    """Execute one experiment config; write outputs and manifest; gate results.
+    """Execute one experiment config, or every group of its sweep; write outputs and manifests; gate results.
 
-    Raises ConfigError for schema violations and NumericError when a preset's
-    numeric gate fails (outputs are still written for inspection).
+    The tasks of all groups run through one pool and are assembled in task
+    order, so outputs are independent of the worker count.  Each group's
+    files and manifest go into its own directory; a sweep's top-level
+    manifest lists the files of the groups that passed.  Raises ConfigError
+    for schema violations and NumericError when a preset's numeric gate or
+    the finite-output gate of any file fails (outputs are still written for
+    inspection), each failing group's message prefixed with its name.
     """
-    config = resolve_config(raw_config)
+    config, groups = _resolve(raw_config)
+    entry = _REGISTRY[config["experiment"]]
+    plans = [[(c["experiment"], c["parameters"], item) for item in entry.plan(c["parameters"], c["master_seed"])]
+             for _, c in groups]
+    results = iter(_run_tasks([task for plan in plans for task in plan], _resolve_workers(config)))
+    listed, failures = [], []
+    for (name, group), plan in zip(groups, plans):
+        artifacts, found = entry.assemble(group["parameters"], [next(results) for _ in plan])
+        files = [_render(artifact, output_format) for artifact in artifacts]
+        for (filename, _, _), artifact in zip(files, artifacts):
+            found += _finite_gate(filename, vars(artifact))
+        manifest = _write(Path(group["output_dir"]), group, files)
+        if found:
+            failures.append("; ".join(found) if name is None else f"{name}: " + "; ".join(found))
+        elif name is not None:
+            listed += [(f"sweep-{config['sweep']['axis']}/{name}/{f}", n, h) for f, n, h in manifest.outputs]
     if "sweep" in config:
-        return sweep(raw_config, config["sweep"]["axis"], config["sweep"]["values"], output_format)
-    out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    experiment, params = config["experiment"], config["parameters"]
-    entry = _REGISTRY[experiment]
-    tasks = [(experiment, params, item) for item in entry.plan(params, config["master_seed"])]
-    results = _run_tasks(tasks, _resolve_workers(config))
-    artifacts, failures = entry.assemble(params, results)
-
-    outputs = []
-    for artifact in artifacts:
-        if isinstance(artifact, OutputTable):
-            blob = _render_table(artifact, output_format)
-            name = artifact.filename
-            if output_format == "json" and name.endswith(".csv"):
-                name = name[:-4] + ".json"
-            rows = len(artifact.rows)
-        else:
-            blob = _render_document(artifact)
-            name = artifact.filename
-            rows = 1
-        (out_dir / name).write_bytes(blob)
-        outputs.append((name, rows, hashlib.sha256(blob).hexdigest()))
-
-    manifest = RunManifest(
-        config_hash=canonical_config_hash(config),
-        artifact_version=__version__,
-        outputs=outputs,
-    )
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+        manifest = _write(Path(config["output_dir"]), config, listed=listed)
     if failures:
         raise NumericError("; ".join(failures))
     return manifest
@@ -716,42 +731,5 @@ def _group_name(axis: str, value) -> str:
 
 
 def sweep(raw_config: dict, axis: str, values, output_format: str = "csv") -> RunManifest:
-    """Run one experiment per axis value, each into its own row-group directory.
-
-    A single-value sweep writes byte-identical data files to the plain run.
-    Sub-runs execute sequentially; each parallelizes internally over its own
-    task list, so outputs are independent of the worker count either way.
-    """
-    base = dict(raw_config)
-    base.pop("sweep", None)
-    config = resolve_config(dict(base, sweep={"axis": axis, "values": values}))
-
-    root = Path(config["output_dir"])
-    all_outputs = []
-    failures = []
-    for value in values:
-        sub_raw = dict(base)
-        sub_raw["parameters"] = dict(base.get("parameters", {}))
-        sub_raw["parameters"][axis] = value
-        group = _group_name(axis, value)
-        sub_raw["output_dir"] = str(root / f"sweep-{axis}" / group)
-        try:
-            sub_manifest = run_experiment(sub_raw, output_format)
-        except NumericError as exc:
-            failures.append(f"{group}: {exc}")
-            continue
-        for name, rows, digest in sub_manifest.outputs:
-            all_outputs.append((f"sweep-{axis}/{group}/{name}", rows, digest))
-
-    manifest = RunManifest(
-        config_hash=canonical_config_hash(config),
-        artifact_version=__version__,
-        outputs=all_outputs,
-    )
-    root.mkdir(parents=True, exist_ok=True)
-    (root / "manifest.json").write_text(
-        json.dumps(manifest.as_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    if failures:
-        raise NumericError("; ".join(failures))
-    return manifest
+    """run_experiment with raw_config swept over the axis values, each into sweep-<axis>/<axis>=<value>."""
+    return run_experiment(dict(raw_config, sweep={"axis": axis, "values": values}), output_format)

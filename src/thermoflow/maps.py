@@ -97,9 +97,9 @@ def make_channel(kind: str, lam: float, H: HamiltonianMatrix, temp: Temperature)
 def estimate_contraction(channel: ThermalizingChannel, probes: int = 200, seed: int = 7) -> float:
     """Worst measured ||G(rho) - tau||_1 / ||rho - tau||_1 over random probes of a one-target channel.
 
-    Half the probes are Haar-random pure states (far from tau), half random
-    diagonal states (the commuting sector).  Probes that coincide with tau
-    are skipped.  The probes go through the channel as one stack.
+    The probes are drawn from one stream as a stack: the even rows are
+    Haar-random pure states (far from tau), the odd rows random diagonal
+    states (the commuting sector).  Probes that coincide with tau are skipped.
     """
     if probes < 1:
         raise ValidationError(f"probes must be >= 1, got {probes}")
@@ -107,16 +107,14 @@ def estimate_contraction(channel: ThermalizingChannel, probes: int = 200, seed: 
     if tau.ndim != 2:
         raise ValidationError(f"expected a one-target channel, got targets of shape {tau.shape}")
     dim = len(tau)
+    rng = rng_for(seed, "contraction-probe", 0)
+    pure, diagonal = (probes + 1) // 2, probes // 2
+    vecs = rng.normal(size=(pure, dim)) + 1j * rng.normal(size=(pure, dim))
+    vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+    pops = rng.random((diagonal, dim)) + 1e-3
     rhos = np.empty((probes, dim, dim), dtype=complex)
-    for i in range(probes):
-        rng = rng_for(seed, "contraction-probe", i)
-        if i % 2 == 0:
-            vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            vec /= np.linalg.norm(vec)
-            rhos[i] = np.outer(vec, vec.conj())
-        else:
-            pops = rng.random(dim) + 1e-3
-            rhos[i] = np.diag(pops / pops.sum())
+    rhos[0::2] = vecs[:, :, None] * vecs[:, None, :].conj()
+    rhos[1::2] = (pops / pops.sum(axis=1, keepdims=True))[:, :, None] * np.eye(dim)
     gap, moved = trace_distance(rhos, tau), trace_distance(channel.apply(rhos), tau)
     kept = gap >= 1e-12
     return float((moved[kept] / gap[kept]).max(initial=0.0))

@@ -1,3 +1,5 @@
+import concurrent.futures
+import dataclasses
 import hashlib
 import json
 import math
@@ -13,11 +15,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermoflow
+from thermoflow import experiments
 from thermoflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from thermoflow.experiments import (
     ConfigError,
     DEFAULT_MASTER_SEED,
     NumericError,
+    OutputDocument,
+    OutputTable,
     _group_name,
     canonical_config_hash,
     resolve_config,
@@ -116,6 +121,17 @@ def test_resolve_applies_documented_defaults():
 def test_resolve_rejects_invalid_configs(raw):
     with pytest.raises(ConfigError):
         resolve_config(raw)
+
+
+@pytest.mark.parametrize("axis,values", [("alpha", [0.5, 0.25, 0.5]), ("N_grid", [[10, 100], [250], [250]])])
+def test_sweep_rejects_values_sharing_a_group_directory(axis, values, tmp_path):
+    # such values overwrote each other's files, and the manifest listed them twice
+    cfg = {"experiment": "fig3-loss", "sweep": {"axis": axis, "values": values}, "output_dir": str(tmp_path / "s")}
+    with pytest.raises(ConfigError, match=r"^sweep\.values\[2\]: "):
+        resolve_config(cfg)
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    assert main(["--config", str(tmp_path / "cfg.json")]) == EXIT_CONFIG
+    assert not (tmp_path / "s").exists()
 
 
 def test_canonical_hash_is_key_order_invariant():
@@ -267,7 +283,7 @@ def test_cli_fig4_edges_beyond_the_float_range_exit_3(tmp_path, capsys):
         argv += ["--set", setting]
     assert main(argv) == EXIT_NUMERIC
     err = capsys.readouterr().err
-    assert "collision-qubit/sample_work at N=10: result beyond the float range at T = 1.7e+308" in err
+    assert "fig4_hist_N10.csv: result beyond the float range" in err
     assert "Traceback" not in err
 
 
@@ -366,6 +382,49 @@ def test_sweep_key_inside_config_delegates(tmp_path):
     manifest = run_experiment(cfg)
     groups = {name.split("/")[1] for name, _, _ in manifest.outputs}
     assert groups == {"alpha=0.25", "alpha=0.5"}
+
+
+def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
+    # each value used to start a pool of its own
+    built = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    sweep(dict(fig3_config(tmp_path / "pooled"), workers=2), "alpha", [0.25, 0.5, 0.75])
+    assert built == [2]
+    sweep(fig3_config(tmp_path / "serial"), "alpha", [0.25, 0.5, 0.75])
+    for value in (0.25, 0.5, 0.75):
+        files = [tmp_path / side / "sweep-alpha" / f"alpha={value}" / "fig3_loss.csv" for side in ("pooled", "serial")]
+        assert files[0].read_bytes() == files[1].read_bytes()
+
+
+def test_finite_output_gate_names_each_file_holding_a_non_finite_number(tmp_path, monkeypatch):
+    def assemble(p, results):
+        return [
+            OutputTable("finite.csv", ["op", "value", "flag"], [["loss", 1.5, True]]),
+            OutputTable("nan.csv", ["op", "value"], [["loss", 1.0], ["loss", math.nan]]),
+            OutputDocument("inf.json", {"ledger": {"per_step_work": [0.5, -math.inf]}}),
+        ], []
+
+    custom = experiments._REGISTRY["custom"]
+    monkeypatch.setitem(experiments._REGISTRY, "custom", dataclasses.replace(custom, assemble=assemble))
+    cfg = {"experiment": "custom", "parameters": {"op": "loss", "N": 10}, "output_dir": str(tmp_path / "o")}
+    with pytest.raises(NumericError) as raised:
+        run_experiment(cfg)
+    assert str(raised.value) == "nan.csv: result beyond the float range; inf.json: result beyond the float range"
+    assert {f.name for f in (tmp_path / "o").iterdir()} == {"finite.csv", "nan.csv", "inf.json", "manifest.json"}
 
 
 # ---------------------------------------------------------------------------

@@ -367,3 +367,13 @@ def test_free_energy_rejects_a_raw_non_hermitian_hamiltonian():
     for states, hams in ((rho, H), (np.array([rho.matrix] * 3), H), (rho, np.array([np.eye(2), H]))):
         with pytest.raises(ValidationError, match="Hamiltonian is not Hermitian"):
             free_energy(states, hams, Temperature(1.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_hamiltonian_rejects_non_finite_entries(bad):
+    # a NaN deviation passed the Hermiticity tolerance, and free_energy returned nan
+    H = np.full((2, 2), bad)
+    with pytest.raises(ValidationError, match="Hamiltonian has non-finite entries"):
+        HamiltonianMatrix.from_matrix(H)
+    with pytest.raises(ValidationError, match="Hamiltonian has non-finite entries"):
+        free_energy(DensityOperator.maximally_mixed(2), H, Temperature(1.0))

@@ -15,7 +15,7 @@ sampler covers the fluctuation statistics at scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -60,21 +60,20 @@ ALPHA_TAG = "collision-alpha"
 class BathSchedule:
     """Excitation probabilities q_0..q_N of the bath qubits and their gaps.
 
-    E_k = T * ln((1-q_k)/q_k); q_0 = 0 yields the +inf sentinel in E[0],
-    which is never a work term (all work sums run k = 1..N).
+    E_k = T * ln((1-q_k)/q_k) is computed from q; q_0 = 0 yields the +inf
+    sentinel in E[0], which is never a work term (all work sums run k = 1..N).
     """
 
     q: np.ndarray
-    E: np.ndarray
     temp: Temperature
+    E: np.ndarray = field(init=False)
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=float)
-        E = np.asarray(self.E, dtype=float)
         if q.ndim != 1 or len(q) < 2:
             raise ValidationError("schedule needs at least q_0 and q_1")
-        if len(E) != len(q):
-            raise ValidationError("q and E must have equal length")
+        if not np.isfinite(q).all():
+            raise ValidationError("excitation probabilities must be finite")
         if np.any(np.diff(q) <= 0):
             raise ValidationError("excitation probabilities must increase strictly")
         if not (0.0 <= q[0] < 1.0):
@@ -82,6 +81,9 @@ class BathSchedule:
         if np.any(q[1:] <= 0.0) or np.any(q[1:] >= 1.0):
             raise ValidationError("q_1..q_N must lie strictly inside (0, 1)")
         interior = q > 0.0
+        E = np.full(len(q), np.inf)
+        E[interior] = self.temp.T * np.log((1.0 - q[interior]) / q[interior])
+        # The round trip catches an E that overflowed or lost its digits at an extreme temperature.
         expected = 1.0 / (1.0 + np.exp(self.temp.beta * E[interior]))
         if not np.abs(q[interior] - expected).max() <= 1e-12:
             raise ValidationError("E_k inconsistent with q_k at the bath temperature")
@@ -94,23 +96,10 @@ class BathSchedule:
     def N(self) -> int:
         return len(self.q) - 1
 
-    @property
-    def delta_q(self) -> np.ndarray:
-        return np.diff(self.q)
-
-
-def _energies_from_probabilities(q: np.ndarray, temp: Temperature) -> np.ndarray:
-    E = np.full(len(q), np.inf)
-    pos = q > 0.0
-    with np.errstate(divide="ignore"):  # q = 1 is rejected downstream
-        E[pos] = temp.T * np.log((1.0 - q[pos]) / q[pos])
-    return E
-
 
 def make_schedule(q, temp: Temperature) -> BathSchedule:
     """Schedule from an explicit strictly increasing probability ladder."""
-    q = np.asarray(q, dtype=float)
-    return BathSchedule(q=q, E=_energies_from_probabilities(q, temp), temp=temp)
+    return BathSchedule(q=q, temp=temp)
 
 
 def make_linear_schedule(N: int, temp: Temperature) -> BathSchedule:
@@ -230,7 +219,6 @@ class WorkLedger:
     """Per-step work increments plus summary statistics of the total."""
 
     per_step_work: np.ndarray
-    cumulative_work: float
     mean: float
     variance: float
     histogram: Optional[tuple] = None  # (bin_edges, counts)
@@ -240,18 +228,19 @@ class WorkLedger:
         steps = np.asarray(self.per_step_work, dtype=float)
         if not np.all(np.isfinite(steps)):
             raise ValidationError("non-finite per-step work: infinity sentinel dereferenced")
-        if not abs(steps.sum() - self.cumulative_work) <= 1e-10 * max(len(steps), 1):
-            raise ValidationError("cumulative work does not match the per-step sum")
         if not self.variance >= 0.0:
             raise ValidationError(f"variance must be non-negative, got {self.variance}")
         steps.flags.writeable = False
         object.__setattr__(self, "per_step_work", steps)
 
+    @property
+    def cumulative_work(self) -> float:
+        return float(self.per_step_work.sum())
+
     @classmethod
     def exact(cls, steps: np.ndarray) -> "WorkLedger":
         """The ledger of a deterministic work sequence: its total is the mean, with zero variance."""
-        total = float(steps.sum())
-        return cls(per_step_work=steps, cumulative_work=total, mean=total, variance=0.0)
+        return cls(per_step_work=steps, mean=float(steps.sum()), variance=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +307,7 @@ def work_moments(config: QubitProtocolConfig) -> WorkLedger:
     """Mean and variance of the work distribution by an O(N) recursion (see _moment_recursion)."""
     _, steps, mean, second = _moment_recursion(config, config._fixed_alpha("work_moments"))
     variance = max(second - mean * mean, 0.0)
-    return WorkLedger(per_step_work=steps, cumulative_work=float(steps.sum()), mean=mean, variance=variance)
+    return WorkLedger(per_step_work=steps, mean=mean, variance=variance)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +454,6 @@ def _ledger_from_samples(works, mean_steps, bin_edges) -> WorkLedger:
     counts, edges = np.histogram(works, bins=bin_edges)
     return WorkLedger(
         per_step_work=mean_steps,
-        cumulative_work=float(mean_steps.sum()),
         mean=mean,
         variance=variance,
         histogram=(edges, counts),

@@ -98,36 +98,31 @@ def check_density_matrices(stack: np.ndarray) -> np.ndarray:
 
 
 class _ValidatedMatrix:
-    """A dim x dim matrix, checked and frozen on construction; numpy reads it as its read-only matrix."""
+    """One square matrix, checked and frozen on construction, its dim read off; numpy reads it as the read-only matrix."""
 
     def _freeze(self, check) -> None:
         m = _as_complex_matrix(self.matrix)
-        if m.shape != (self.dim, self.dim):
-            raise ValidationError(f"dim {self.dim} does not match matrix shape {m.shape}")
+        if m.ndim != 2:
+            raise ValidationError(f"expected one square matrix, not a stack, got shape {m.shape}")
         check(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "dim", m.shape[0])
 
     def __array__(self, dtype=None, copy=None):
         return np.array(self.matrix, dtype=dtype, copy=copy)
 
     @classmethod
-    def from_matrix(cls, matrix):
-        m = _as_complex_matrix(matrix)
-        return cls(dim=m.shape[0], matrix=m)
-
-    @classmethod
     def diagonal(cls, entries):
-        e = np.asarray(entries, dtype=float)
-        return cls(dim=len(e), matrix=np.diag(e.astype(complex)))
+        return cls(np.diag(np.asarray(entries, dtype=float).astype(complex)))
 
 
 @dataclass(frozen=True)
 class DensityOperator(_ValidatedMatrix):
     """A dim x dim Hermitian, unit-trace, PSD matrix."""
 
-    dim: int
     matrix: np.ndarray
+    dim: int = field(init=False)
 
     def __post_init__(self):
         self._freeze(lambda m: check_density_matrices(m[None]))
@@ -150,8 +145,8 @@ class DensityOperator(_ValidatedMatrix):
 class HamiltonianMatrix(_ValidatedMatrix):
     """A dim x dim Hermitian matrix in energy units."""
 
-    dim: int
     matrix: np.ndarray
+    dim: int = field(init=False)
 
     def __post_init__(self):
         self._freeze(_check_hermitian)
@@ -192,7 +187,7 @@ def gibbs_matrices(H: np.ndarray, temp: Temperature) -> np.ndarray:
 
 def gibbs_state(H: HamiltonianMatrix, temp: Temperature) -> DensityOperator:
     """Gibbs state exp(-beta H)/Z of a Hermitian Hamiltonian."""
-    return DensityOperator(dim=H.dim, matrix=gibbs_matrices(H.matrix, temp))
+    return DensityOperator(gibbs_matrices(H.matrix, temp))
 
 
 def _states(rho) -> tuple[np.ndarray, np.ndarray]:
@@ -309,7 +304,7 @@ def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float)
     Contracts the trace distance to tau by exactly alpha.
     """
     _require_same_dim(rho.matrix, tau.matrix)
-    return DensityOperator(dim=rho.dim, matrix=ThermalizingChannel(alpha, tau.matrix).apply(rho.matrix))
+    return DensityOperator(ThermalizingChannel(alpha, tau.matrix).apply(rho.matrix))
 
 
 def contact_chain(rho0, channel: ThermalizingChannel, move=None) -> np.ndarray:

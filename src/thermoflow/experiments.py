@@ -157,10 +157,6 @@ def _matrix_from_json(rows: list, path: str) -> np.ndarray:
     return m
 
 
-def _canonical_qubit_config(N: int, alpha: float, T: float) -> QubitProtocolConfig:
-    return QubitProtocolConfig.canonical_erasure(N, Temperature(T), FixedAlpha(alpha))
-
-
 # ---------------------------------------------------------------------------
 # Experiments: plan(params, master_seed) -> task items, run(params, item) ->
 # result, assemble(params, results in item order) -> (artifacts, failures)
@@ -189,8 +185,8 @@ def _single_task(p, seed):
 
 
 def _run_fig3_point(p, n):
-    cfg = _canonical_qubit_config(n, p["alpha"], p["temperature"])
-    return [n, loss_epsilon(cfg), epsilon_upper_bound(n, p["alpha"], Temperature(p["temperature"]))]
+    cfg, e = _scaled_qubit_config(p, n)
+    return [n, *_ldexp([loss_epsilon(cfg), epsilon_upper_bound(n, p["alpha"], cfg.schedule.temp)], e)]
 
 
 def _assemble_fig3(p, rows):
@@ -213,13 +209,20 @@ def _scaled_qubit_config(p, n: int) -> tuple[QubitProtocolConfig, int]:
     """The canonical qubit config at T / 2^e, with 2^e the power of two nearest T, and e.
 
     Works scale with T and their variance with T^2, which underflows or
-    overflows at extreme T; fig4 and custom report 2^e times their works and
-    4^e times variances at T / 2^e.  The scaling is exact, so wherever nothing
+    overflows at extreme T; fig3, fig4 and custom report 2^e times their works
+    and 4^e times variances at T / 2^e.  The scaling is exact, so wherever nothing
     underflows or overflows the bytes are those of a run at T.
     """
     m, e = math.frexp(p["temperature"])  # T = m 2^e with 0.5 <= m < 1
     e = e - 1 if m < 0.75 else e
-    return _canonical_qubit_config(n, p["alpha"], math.ldexp(p["temperature"], -e)), e
+    temp = Temperature(math.ldexp(p["temperature"], -e))
+    return QubitProtocolConfig.canonical_erasure(n, temp, FixedAlpha(p["alpha"])), e
+
+
+def _ldexp(x, e: int):
+    """x * 2^e as Python floats; a result beyond the float range is inf, which the finite-output gate fails."""
+    with np.errstate(over="ignore"):
+        return np.ldexp(x, e).tolist()
 
 
 def _plan_fig4(p, seed):
@@ -327,6 +330,13 @@ def _assemble_breakdown(p, rows):
     return [OutputTable("breakdown_scaling.csv", header, rows)], []
 
 
+def _check_tth(p):
+    """The search windows pi/g and 5 tau_th must be finite."""
+    for key, window, end in (("g", "pi/g", math.pi / p["g"]), ("tau_th", "5*tau_th", 5.0 * p["tau_th"])):
+        if not math.isfinite(end):
+            raise ConfigError(f"parameters.{key}: expected {window} to be finite, got {key} = {p[key]!r}")
+
+
 def _run_tth(p, _item):
     cosine = CosineSqAlpha(p["g"])
     expo = ExponentialAlpha(p["tau_th"])
@@ -364,12 +374,6 @@ def _assemble_tth(p, results):
     if not r["exponential_optimum"]["monotone_flag"]:
         failures.append("tth-optimizer/minimize_g: exponential model not flagged monotone")
     return artifacts, failures
-
-
-def _ldexp(x, e: int):
-    """x * 2^e as Python floats; a result beyond the float range is inf, which the finite-output gate fails."""
-    with np.errstate(over="ignore"):
-        return np.ldexp(x, e).tolist()
 
 
 def _run_custom(p, _item):
@@ -474,12 +478,13 @@ _REGISTRY = {
             "g": (_POSITIVE, 1.0),
             "tau_th": (_POSITIVE, 1.0),
             "t_points": (_COUNT, 400),
-            "Gamma": (_REAL, 1.0),
+            "Gamma": (_number(float, ">= 0", lambda v: v >= 0), 1.0),
             "total_time": (_POSITIVE, 100.0),
         },
         plan=_single_task,
         run=_run_tth,
         assemble=_assemble_tth,
+        check_all=_check_tth,
     ),
     "custom": Experiment(
         parameters={

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -128,29 +127,20 @@ _SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def cyclic_qubit_gap_path(temp: Temperature, base: float = 1.0, amplitude: float = 0.8) -> HamiltonianPath:
-    """Commuting loop: splitting modulated by sin^2(pi t) around a base value."""
-
-    def sampler(t: np.ndarray) -> np.ndarray:
-        return (base + amplitude * np.array([x**2 for x in np.sin(math.pi * t).tolist()]))[:, None, None] * _SIGMA_Z
-
-    return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
-
-
-def cyclic_qubit_zx_path(
-    temp: Temperature,
-    base: float = 1.0,
-    z_amplitude: float = 0.5,
-    x_amplitude: float = 0.7,
-) -> HamiltonianPath:
-    """Non-commuting loop mixing z and x components; H(0) = H(1) = base * Z."""
+def cyclic_qubit_zx_path(temp: Temperature, z_amplitude: float = 0.5, x_amplitude: float = 0.7) -> HamiltonianPath:
+    """Loop (1 + z_amplitude sin^2(pi t)) Z + x_amplitude sin(pi t) X with H(0) = H(1) = Z; commuting at x_amplitude = 0."""
 
     def sampler(t: np.ndarray) -> np.ndarray:
         sines = np.sin(math.pi * t)
-        z = base + z_amplitude * np.array([x**2 for x in sines.tolist()])  # libm pow, as the scalar formula
+        z = 1.0 + z_amplitude * np.array([x**2 for x in sines.tolist()])  # libm pow, as the scalar formula
         return z[:, None, None] * _SIGMA_Z + (x_amplitude * sines)[:, None, None] * _SIGMA_X
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
+
+
+def cyclic_qubit_gap_path(temp: Temperature) -> HamiltonianPath:
+    """Commuting loop: the splitting 1 + 0.8 sin^2(pi t) of Z alone."""
+    return cyclic_qubit_zx_path(temp, z_amplitude=0.8, x_amplitude=0.0)
 
 
 CYCLIC_PATH_PRESETS = {
@@ -161,11 +151,7 @@ CYCLIC_PATH_PRESETS = {
 
 @dataclass(frozen=True)
 class CyclicProtocol:
-    """Closed-loop protocol: N bath contacts at t_i = i/N along a cyclic path.
-
-    contact_duration is bookkeeping for total-time analyses: the wall-clock
-    length of the protocol is N * contact_duration.
-    """
+    """Closed-loop protocol: N bath contacts at t_i = i/N along a cyclic path."""
 
     path: HamiltonianPath
     N: int
@@ -173,7 +159,6 @@ class CyclicProtocol:
     channel_kind: str = "partial"
     evolution_mode: str = "unitary"
     substeps: int = DEFAULT_SUBSTEPS
-    contact_duration: Optional[float] = None
 
     def __post_init__(self):
         if self.N < 1:
@@ -186,10 +171,6 @@ class CyclicProtocol:
         loop_gap = np.abs(self.path.hamiltonian(0.0) - self.path.hamiltonian(1.0)).max()
         if not loop_gap <= 1e-12:
             raise ValidationError(f"path is not cyclic: ||H(0) - H(1)|| = {loop_gap:.3e}")
-
-    @property
-    def total_time(self) -> Optional[float]:
-        return None if self.contact_duration is None else self.N * self.contact_duration
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +306,7 @@ def run_protocol_segment(
     staircase, where the Hamiltonian ramps between two distinct endpoints.
     """
     run = _execute(path, N, rho0, channel_kind, channel_alpha, evolution_mode, substeps)
-    return WorkLedger.exact(run.work_steps), DensityOperator(dim=path.dim, matrix=run.sigmas[-1])
+    return WorkLedger.exact(run.work_steps), DensityOperator(run.sigmas[-1])
 
 
 def run_cyclic_protocol(protocol: CyclicProtocol, rho0: DensityOperator) -> tuple[WorkLedger, DensityOperator]:
@@ -335,7 +316,7 @@ def run_cyclic_protocol(protocol: CyclicProtocol, rho0: DensityOperator) -> tupl
     bound = free_energy(rho0, H0, temp) - free_energy(run.taus[0], H0, temp)
     if not run.work <= bound + 1e-9:
         raise ValidationError(f"second-law violation: W = {run.work!r} exceeds DeltaF = {bound!r}")
-    return WorkLedger.exact(run.work_steps), DensityOperator(dim=protocol.path.dim, matrix=run.sigmas[-1])
+    return WorkLedger.exact(run.work_steps), DensityOperator(run.sigmas[-1])
 
 
 def protocol_state_lag(protocol: CyclicProtocol, rho0: DensityOperator) -> float:

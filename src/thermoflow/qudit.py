@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -54,7 +54,6 @@ __all__ = [
 ]
 
 FULL_RANK_THRESHOLD = 1e-8
-DEFAULT_DERIVATIVE_STEP = 1e-5
 SMOOTHNESS_CURVATURE_CAP = 1e6
 
 
@@ -74,7 +73,7 @@ class HamiltonianPath:
     dim: int
     sampler: Callable[[np.ndarray], np.ndarray]
     temp: Temperature
-    derivative_step: float = DEFAULT_DERIVATIVE_STEP
+    derivative_step: ClassVar[float] = 1e-5
 
     def hamiltonians(self, s) -> np.ndarray:
         """H(s) for each entry of the 1-D array s, stacked as (len(s), dim, dim), from one sampler call."""
@@ -101,7 +100,7 @@ class HamiltonianPath:
         return self.gibbs_matrices((s,))[0]
 
     def gibbs(self, s: float) -> DensityOperator:
-        return DensityOperator(dim=self.dim, matrix=self.gibbs_matrix(s))
+        return DensityOperator(self.gibbs_matrix(s))
 
     def _fd(self, fun: Callable[[np.ndarray], np.ndarray], s) -> np.ndarray:
         """O(h^2) derivatives of the stacked family fun at each entry of s, stencils inside [0, 1].
@@ -127,10 +126,10 @@ class HamiltonianPath:
     def gibbs_derivative(self, s: float) -> np.ndarray:
         return self._fd(self.gibbs_matrices, (s,))[0]
 
-    def probe_smoothness(self, points: int = 17) -> float:
-        """Max second-difference curvature of H over a probe grid."""
+    def probe_smoothness(self) -> float:
+        """Max second-difference curvature of H over 17 probe points."""
         h = self.derivative_step
-        grid = np.linspace(h, 1.0 - h, points)
+        grid = np.linspace(h, 1.0 - h, 17)
         second = self.hamiltonians(grid + h) - 2.0 * self.hamiltonians(grid) + self.hamiltonians(grid - h)
         return max([0.0, *(np.abs(second).max(axis=(1, 2)) / (h * h)).tolist()])
 
@@ -150,7 +149,7 @@ def _diagonal_stack(entries: np.ndarray) -> np.ndarray:
     return np.where(np.eye(entries.shape[1], dtype=bool), entries[:, None, :], 0.0).astype(complex)
 
 
-def linear_endpoint_path(H0, H1, temp: Temperature, derivative_step: float = DEFAULT_DERIVATIVE_STEP) -> HamiltonianPath:
+def linear_endpoint_path(H0, H1, temp: Temperature) -> HamiltonianPath:
     """Straight-line interpolation H(s) = (1-s) H0 + s H1."""
     m0, m1 = np.asarray(H0, dtype=complex), np.asarray(H1, dtype=complex)
     if m0.shape != m1.shape:
@@ -159,7 +158,7 @@ def linear_endpoint_path(H0, H1, temp: Temperature, derivative_step: float = DEF
     def sampler(s: np.ndarray) -> np.ndarray:
         return (1.0 - s)[:, None, None] * m0 + s[:, None, None] * m1
 
-    return HamiltonianPath(dim=m0.shape[0], sampler=sampler, temp=temp, derivative_step=derivative_step)
+    return HamiltonianPath(dim=m0.shape[0], sampler=sampler, temp=temp)
 
 
 def qubit_excitation_path(q_start: float, q_end: float, temp: Temperature, smooth: bool = True) -> HamiltonianPath:
@@ -189,23 +188,23 @@ def qubit_gap_ramp_path(gap_start: float, gap_end: float, temp: Temperature, smo
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
 
 
-def random_diagonal_path(temp: Temperature, dim: int = 4, seed: int = 11, smooth: bool = True) -> HamiltonianPath:
-    """Diagonal qudit path between two seeded random spectra."""
-    rng = np.random.default_rng(seed)
-    d0 = np.sort(rng.uniform(-1.0, 1.0, size=dim))
-    d1 = np.sort(rng.uniform(-1.0, 1.0, size=dim))
+def random_diagonal_path(temp: Temperature) -> HamiltonianPath:
+    """Diagonal d = 4 path, smoothstep-ramped between two random spectra drawn at seed 11."""
+    rng = np.random.default_rng(11)
+    d0 = np.sort(rng.uniform(-1.0, 1.0, size=4))
+    d1 = np.sort(rng.uniform(-1.0, 1.0, size=4))
 
     def sampler(s: np.ndarray) -> np.ndarray:
-        w = (smoothstep(s) if smooth else s)[:, None]
+        w = smoothstep(s)[:, None]
         return _diagonal_stack((1.0 - w) * d0 + w * d1)
 
-    return HamiltonianPath(dim=dim, sampler=sampler, temp=temp)
+    return HamiltonianPath(dim=4, sampler=sampler, temp=temp)
 
 
 PATH_PRESETS = {
     "qubit-linear-q": lambda temp: qubit_excitation_path(0.2, 0.5, temp),
     "qubit-gap-ramp": lambda temp: qubit_gap_ramp_path(1.6, 0.3, temp),
-    "random-diagonal-d4": lambda temp: random_diagonal_path(temp),
+    "random-diagonal-d4": random_diagonal_path,
 }
 
 
@@ -504,15 +503,15 @@ def rank_deficient_scaling(config: QuditProtocolConfig, delta_schedule) -> list[
     return rows
 
 
-def make_rank_deficient_erasure(alpha: float, temp: Temperature, delta: float, dim: int = 2) -> QuditProtocolConfig:
-    """Pure-state erasure start with tau(0) clamped at mismatch delta.
+def make_rank_deficient_erasure(alpha: float, temp: Temperature, delta: float) -> QuditProtocolConfig:
+    """Pure-state qubit erasure start with tau(0) clamped at mismatch delta.
 
-    The path ends at the maximally mixed Gibbs state of a zero-gap target,
-    the qudit generalization of one-bit-to-work conversion.
+    The path ends at the maximally mixed Gibbs state of a zero-gap target:
+    one-bit-to-work conversion.
     """
-    rho0 = DensityOperator.pure(0, dim)
+    rho0 = DensityOperator.pure(0, 2)
     start = _clamped_start(rho0.populations, delta)
-    end = np.full(dim, 1.0 / dim)
+    end = np.full(2, 0.5)
     path = _diagonal_population_path(start, end, temp)
     return QuditProtocolConfig(path=path, rho0=rho0, N=max(int(round(1.0 / delta)), 2), alpha=alpha)
 

@@ -22,7 +22,7 @@ def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> 
 def random_density(rng: np.random.Generator, dim: int) -> DensityOperator:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
-    return DensityOperator.from_matrix(m / np.trace(m).real)
+    return DensityOperator(m / np.trace(m).real)
 
 
 def random_diagonal_density(rng: np.random.Generator, dim: int) -> DensityOperator:

@@ -29,6 +29,8 @@ from thermoflow.experiments import (
     run_experiment,
     sweep,
 )
+from thermoflow.collision import FixedAlpha, QubitProtocolConfig, epsilon_upper_bound, loss_epsilon
+from thermoflow.core import Temperature
 from thermoflow.seeding import derive_seed, rng_for, splitmix64
 
 
@@ -274,6 +276,38 @@ def test_cli_custom_runs_at_extreme_temperatures(settings, expected, tmp_path, c
     else:
         value = float((tmp_path / "o" / "custom.csv").read_text().splitlines()[1].split(",")[1])
         assert math.isfinite(value) and value != 0.0
+
+
+@pytest.mark.parametrize("temperature", ["1e308", "1.7e308", "1e-310"])
+def test_cli_fig3_runs_at_extreme_temperatures(temperature, tmp_path, capsys):
+    # fig3 runs at T / 2^e like fig4; E_k overflowed or lost its digits at T and exited 2 as a config error
+    argv = ["--experiment", "fig3-loss", "--set", f"temperature={temperature}", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK, capsys.readouterr().err
+    rows = [line.split(",") for line in (tmp_path / "o" / "fig3_loss.csv").read_text().splitlines()[1:]]
+    assert rows and all(math.isfinite(float(x)) and float(x) > 0.0 for row in rows for x in row)
+
+
+@pytest.mark.parametrize("temperature", [0.3, 1.0 / math.log(2.0), 3.7, 1e5, 1e-5, 7e-200, 2e200])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+def test_fig3_rows_equal_the_direct_computation(temperature, alpha):
+    # the run at T / 2^e scaled back by 2^e is exact wherever nothing under- or overflows
+    params = {"alpha": alpha, "temperature": temperature}
+    for n in (1, 10, 1000):
+        cfg = QubitProtocolConfig.canonical_erasure(n, Temperature(temperature), FixedAlpha(alpha))
+        direct = [n, loss_epsilon(cfg), epsilon_upper_bound(n, alpha, Temperature(temperature))]
+        assert experiments._run_fig3_point(params, n) == direct
+
+
+@pytest.mark.parametrize(
+    "setting,name",
+    [("Gamma=-1", "Gamma"), ("g=1e-308", "g"), ("tau_th=1e308", "tau_th")],
+)
+def test_cli_tth_rejects_bad_parameters_before_any_task(setting, name, tmp_path, capsys, monkeypatch):
+    # Gamma = -1 wrote negative W_dis with exit 0; the two windows overflowed to a NaN grid inside the task
+    monkeypatch.setattr(experiments, "_execute_task", lambda task: pytest.fail("a task ran"))
+    argv = ["--experiment", "fig5-fig6-tth", "--set", setting, "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: parameters.{name}:" in capsys.readouterr().err
 
 
 def test_cli_fig4_edges_beyond_the_float_range_exit_3(tmp_path, capsys):

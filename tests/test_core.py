@@ -40,19 +40,20 @@ def test_temperature_rejects_nonpositive(bad):
 
 def test_density_operator_validation():
     with pytest.raises(ValidationError):  # not Hermitian
-        DensityOperator.from_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+        DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]))
     with pytest.raises(ValidationError):  # trace != 1
-        DensityOperator.from_matrix(np.eye(2))
+        DensityOperator(np.eye(2))
     with pytest.raises(ValidationError):  # negative eigenvalue
-        DensityOperator.from_matrix(np.diag([1.5, -0.5]))
-    with pytest.raises(ValidationError):  # dim mismatch
-        DensityOperator(dim=3, matrix=np.eye(2) / 2)
+        DensityOperator(np.diag([1.5, -0.5]))
+    with pytest.raises(ValidationError, match="not a stack"):  # dim is read from one matrix
+        DensityOperator(np.array([np.eye(2) / 2] * 3))
+    assert DensityOperator(np.eye(3) / 3).dim == 3
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_density_operator_rejects_non_finite_entries(bad):
     with pytest.raises(ValidationError, match="non-finite"):
-        DensityOperator.from_matrix(np.full((2, 2), bad))
+        DensityOperator(np.full((2, 2), bad))
     stack = np.array([np.eye(2) / 2] * 5, dtype=complex)
     stack[3, 0, 1] = stack[3, 1, 0] = bad
     with pytest.raises(ValidationError, match="non-finite"):
@@ -87,17 +88,17 @@ def test_stacked_validator_rejects_one_bad_state(kind, tolerance, monkeypatch):
     with pytest.raises(ValidationError) as stacked:
         check_density_matrices(stack)
     with pytest.raises(ValidationError) as single:
-        DensityOperator.from_matrix(_breach(kind))
+        DensityOperator(_breach(kind))
     assert str(stacked.value) == str(single.value)
     # the verdict follows core's tolerance: widened past the breach, the stack passes
     monkeypatch.setattr(core, tolerance, -1e-10 if tolerance == "PSD_FLOOR" else 1e-10)
     check_density_matrices(stack)
-    DensityOperator.from_matrix(_breach(kind))
+    DensityOperator(_breach(kind))
 
 
 def test_hamiltonian_requires_hermitian():
     with pytest.raises(ValidationError):
-        HamiltonianMatrix.from_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        HamiltonianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +120,7 @@ def test_gibbs_qubit_parametrization(q, fig_temp):
 
 def test_gibbs_matches_independent_eigensolve():
     rng = np.random.default_rng(42)
-    H = HamiltonianMatrix.from_matrix(random_hermitian(rng, 4))
+    H = HamiltonianMatrix(random_hermitian(rng, 4))
     temp = Temperature(1.0)
     tau = gibbs_state(H, temp)
     # independent oracle: plain Boltzmann weights from the eigenvalues
@@ -132,7 +133,7 @@ def test_gibbs_matches_independent_eigensolve():
 def test_gibbs_commutes_with_hamiltonian():
     rng = np.random.default_rng(7)
     for dim in (2, 3, 4, 8):
-        H = HamiltonianMatrix.from_matrix(random_hermitian(rng, dim))
+        H = HamiltonianMatrix(random_hermitian(rng, dim))
         tau = gibbs_state(H, Temperature(0.7))
         comm = tau.matrix @ H.matrix - H.matrix @ tau.matrix
         assert np.abs(comm).max() < 1e-10
@@ -173,7 +174,7 @@ def test_entropy_bounds_random_states():
 
 def test_free_energy_of_gibbs_is_minus_t_log_z():
     rng = np.random.default_rng(3)
-    H = HamiltonianMatrix.from_matrix(random_hermitian(rng, 3))
+    H = HamiltonianMatrix(random_hermitian(rng, 3))
     temp = Temperature(0.9)
     lam = np.linalg.eigvalsh(H.matrix)
     expected = -temp.T * math.log(np.exp(-temp.beta * lam).sum())
@@ -198,7 +199,7 @@ def test_gibbs_minimizes_free_energy():
     rng = np.random.default_rng(19)
     temp = Temperature(0.8)
     for dim in (2, 3, 4, 8):
-        H = HamiltonianMatrix.from_matrix(random_hermitian(rng, dim))
+        H = HamiltonianMatrix(random_hermitian(rng, dim))
         f_gibbs = free_energy(gibbs_state(H, temp), H, temp)
         for _ in range(100):
             rho = random_density(rng, dim)
@@ -233,7 +234,7 @@ def test_relative_entropy_free_energy_identity():
     rng = np.random.default_rng(31)
     temp = Temperature(1.3)
     for dim in (2, 4):
-        H = HamiltonianMatrix.from_matrix(random_hermitian(rng, dim))
+        H = HamiltonianMatrix(random_hermitian(rng, dim))
         tau = gibbs_state(H, temp)
         for _ in range(10):
             rho = random_density(rng, dim)
@@ -341,7 +342,7 @@ def test_measures_on_a_stack_equal_their_row_by_row_calls(dim):
 def test_measures_reject_raw_arrays_with_density_operator_messages(kind):
     bad = np.full((3, 3), np.nan) if kind == "non-finite" else _breach(kind)
     with pytest.raises(ValidationError) as expected:
-        DensityOperator.from_matrix(bad)
+        DensityOperator(bad)
     good = DensityOperator.maximally_mixed(3).matrix
     H, temp = np.diag([0.0, 0.4, 1.1]), Temperature(1.0)
     calls = [
@@ -374,6 +375,6 @@ def test_hamiltonian_rejects_non_finite_entries(bad):
     # a NaN deviation passed the Hermiticity tolerance, and free_energy returned nan
     H = np.full((2, 2), bad)
     with pytest.raises(ValidationError, match="Hamiltonian has non-finite entries"):
-        HamiltonianMatrix.from_matrix(H)
+        HamiltonianMatrix(H)
     with pytest.raises(ValidationError, match="Hamiltonian has non-finite entries"):
         free_energy(DensityOperator.maximally_mixed(2), H, Temperature(1.0))

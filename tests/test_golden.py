@@ -65,11 +65,20 @@ CONFIGS = {
     "custom-loss": ({"experiment": "custom", "parameters": {"op": "loss", "N": 50}}, "csv"),
     "custom-work-moments": ({"experiment": "custom", "parameters": {"op": "work-moments", "N": 50}}, "csv"),
     "fig3-json": ({"experiment": "fig3-loss", "parameters": {"N_grid": [10, 100, 1000]}}, "json"),
+    # T = 3.7 runs at T / 2^2
+    "fig3-scaled": ({"experiment": "fig3-loss", "parameters": {"temperature": 3.7, "N_grid": [10, 100, 1000]}}, "csv"),
+    "breakdown-unitary-gap": (
+        {"experiment": "breakdown-scaling", "parameters": {"preset": "qubit-cyclic-gap", "N_values": [16, 32], "substeps": 4}},
+        "csv",
+    ),
 }
 
 GOLDEN = {
     "breakdown-quench-pinch": {
         "breakdown_scaling.csv": "c32765dfe221988e774a783e80368e5ebbe50ddd88e50b95e7623324f33954a5",
+    },
+    "breakdown-unitary-gap": {
+        "breakdown_scaling.csv": "ed60cd7aa138589168e04e3ba12da6f02423819c247200145dcbb8e73505d25d",
     },
     "breakdown-unitary-partial": {
         "breakdown_scaling.csv": "791b91c64cec062bc9e04525079e488f65eb1db31f61d827ab31cfe6f95e713e",
@@ -90,6 +99,9 @@ GOLDEN = {
     },
     "fig3-json": {
         "fig3_loss.json": "54de3feb008cf6844ed5cbb5f2ff5c01ac957a74674d0f960afaa6e01d2fcc9a",
+    },
+    "fig3-scaled": {
+        "fig3_loss.csv": "fcbd6c03069ce35aaddc81d2a9a7f1daa1ea8ba6c96f8cd84fede2c8f85ad76b",
     },
     "fig4-three-blocks": {
         "fig4_hist_N12.csv": "f4e805f6f73e91f9e57e19adb45b4d57a621d017c258cadfa181c2387e666421",

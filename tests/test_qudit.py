@@ -475,7 +475,7 @@ def _reference_hamiltonian(name, s):
 
 def _reference_gibbs(name, s):
     H = _reference_hamiltonian(name, s)
-    return gibbs_state(HamiltonianMatrix(dim=len(H), matrix=H), FIG_TEMP).matrix
+    return gibbs_state(HamiltonianMatrix(H), FIG_TEMP).matrix
 
 
 def _reference_fd(path, fun, s):
@@ -497,7 +497,7 @@ def _reference_staircase(config, name):
         H = _reference_hamiltonian(name, k / N)
         steps[k - 1] = (1.0 - alpha) * np.trace((H - H_S) @ (tau - rho)).real
         rho = alpha * rho + (1.0 - alpha) * tau
-        states.append(DensityOperator(dim=config.path.dim, matrix=rho).matrix)
+        states.append(DensityOperator(rho).matrix)
     return np.array(states), steps
 
 

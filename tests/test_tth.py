@@ -154,7 +154,7 @@ def test_minimize_rejects_bad_ranges():
 # ---------------------------------------------------------------------------
 
 def test_w_dis_linear_when_alpha_zero():
-    query = DissipationQuery(model=constant_alpha_model(0.0), Gamma=0.7, total_time=100.0, t_range=(0.01, 5.0))
+    query = DissipationQuery(model=constant_alpha_model(0.0), Gamma=0.7, total_time=100.0)
     for t in (0.5, 1.0, 2.0):
         assert abs(w_dis_of_tth(query, t) - 0.7 * t / 100.0) < 1e-15
         assert query.is_asymptotic(t)
@@ -164,7 +164,7 @@ def test_w_dis_linear_when_alpha_zero():
 def test_w_dis_exponential_short_time_floor():
     # G -> tau_th, so the dissipation floor is 2 Gamma tau_th / total_time
     tau, gamma, total = 0.8, 0.5, 200.0
-    query = DissipationQuery(model=ExponentialAlpha(tau), Gamma=gamma, total_time=total, t_range=(1e-6, 5.0))
+    query = DissipationQuery(model=ExponentialAlpha(tau), Gamma=gamma, total_time=total)
     floor = 2.0 * gamma * tau / total
     assert abs(w_dis_of_tth(query, 1e-5 * tau) - floor) <= 0.01 * floor
 
@@ -172,21 +172,19 @@ def test_w_dis_exponential_short_time_floor():
 def test_w_dis_at_cosine_optimum_composes():
     model = CosineSqAlpha(1.0)
     result = minimize_g(model, (1e-6, math.pi - 1e-9))
-    query = DissipationQuery(model=model, Gamma=1.3, total_time=500.0, t_range=(0.1, 3.0))
+    query = DissipationQuery(model=model, Gamma=1.3, total_time=500.0)
     assert abs(w_dis_of_tth(query, result.t_opt) - 2.0 * 1.3 * result.G_opt / 500.0) < 1e-12
 
 
 def test_w_dis_rejects_t_beyond_total_time():
-    query = DissipationQuery(model=constant_alpha_model(0.0), Gamma=1.0, total_time=10.0, t_range=(0.1, 5.0))
+    query = DissipationQuery(model=constant_alpha_model(0.0), Gamma=1.0, total_time=10.0)
     with pytest.raises(ValidationError):
         w_dis_of_tth(query, 10.0)
 
 
 def test_query_validation():
     with pytest.raises(ValidationError):
-        DissipationQuery(model=constant_alpha_model(0.0), Gamma=-1.0, total_time=10.0, t_range=(0.1, 1.0))
-    with pytest.raises(ValidationError):
-        DissipationQuery(model=constant_alpha_model(0.0), Gamma=1.0, total_time=10.0, t_range=(1.0, 0.1))
+        DissipationQuery(model=constant_alpha_model(0.0), Gamma=-1.0, total_time=10.0)
 
 
 # ---------------------------------------------------------------------------

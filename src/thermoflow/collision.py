@@ -69,7 +69,7 @@ class BathSchedule:
     E: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=float)
+        q = np.array(self.q, dtype=float)  # a copy: the frozen q must not be the caller's array
         if q.ndim != 1 or len(q) < 2:
             raise ValidationError("schedule needs at least q_0 and q_1")
         if not np.isfinite(q).all():
@@ -82,11 +82,12 @@ class BathSchedule:
             raise ValidationError("q_1..q_N must lie strictly inside (0, 1)")
         interior = q > 0.0
         E = np.full(len(q), np.inf)
-        E[interior] = self.temp.T * np.log((1.0 - q[interior]) / q[interior])
-        # The round trip catches an E that overflowed or lost its digits at an extreme temperature.
+        with np.errstate(over="ignore"):  # an overflow (a subnormal q_k, an extreme T) leaves an inf, refused below
+            E[interior] = self.temp.T * np.log((1.0 - q[interior]) / q[interior])
+        # E_1..E_N must be finite; the round trip catches an E that lost its digits at an extreme temperature.
         expected = 1.0 / (1.0 + np.exp(self.temp.beta * E[interior]))
-        if not np.abs(q[interior] - expected).max() <= 1e-12:
-            raise ValidationError("E_k inconsistent with q_k at the bath temperature")
+        if not (np.isfinite(E[1:]).all() and np.abs(q[interior] - expected).max() <= 1e-12):
+            raise ValidationError("E_k not finite, or inconsistent with q_k at the bath temperature")
         for arr in (q, E):
             arr.flags.writeable = False
         object.__setattr__(self, "q", q)

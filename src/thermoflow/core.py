@@ -101,7 +101,7 @@ class _ValidatedMatrix:
     """One square matrix, checked and frozen on construction, its dim read off; numpy reads it as the read-only matrix."""
 
     def _freeze(self, check) -> None:
-        m = _as_complex_matrix(self.matrix)
+        m = _as_complex_matrix(self.matrix).copy()  # freeze a copy, never the caller's array
         if m.ndim != 2:
             raise ValidationError(f"expected one square matrix, not a stack, got shape {m.shape}")
         check(m)

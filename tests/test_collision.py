@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermoflow.core import HamiltonianMatrix, ValidationError, free_energy, gibbs_state
+from thermoflow.core import HamiltonianMatrix, Temperature, ValidationError, free_energy, gibbs_state
 from thermoflow.collision import (
     ALPHA_TAG,
     TRIAL_TAG,
@@ -99,6 +99,20 @@ def test_schedule_rejects_nan_energy(q):
     # q is the only input: a NaN in it was accepted with E = [inf, 2, inf], or failed on an empty max
     with pytest.raises(ValidationError, match="finite"):
         make_schedule(q, FIG_TEMP)
+
+
+def test_schedule_rejects_a_subnormal_q():
+    # (1 - q)/q overflows for q = 1e-320, and the round trip maps E = inf back to 0, within 1e-12 of q
+    with pytest.raises(ValidationError, match="finite"):
+        make_schedule([0.0, 1e-320], Temperature(1.0))
+
+
+def test_schedule_leaves_the_callers_q_writable():
+    q = np.array([0.0, 0.25, 0.5])
+    sched = make_schedule(q, FIG_TEMP)
+    q[1] = 0.3
+    assert sched.q[1] == 0.25
+    assert not sched.q.flags.writeable
 
 
 def test_noise_model_validation():

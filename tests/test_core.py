@@ -66,6 +66,15 @@ def test_density_operator_is_immutable():
         rho.matrix[0, 0] = 0.7
 
 
+@pytest.mark.parametrize("cls", [DensityOperator, HamiltonianMatrix])
+def test_validated_matrix_freezes_a_copy(cls):
+    m = np.diag([1.0, 0.0]).astype(complex)
+    wrapped = cls(m)
+    m[0, 0] = 0.5
+    assert wrapped.matrix[0, 0] == 1.0
+    assert not wrapped.matrix.flags.writeable
+
+
 def _breach(kind: str) -> np.ndarray:
     """A 3x3 state that fails exactly one check, by 1e-11 or more."""
     if kind == "trace":

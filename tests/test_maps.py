@@ -185,6 +185,15 @@ def test_evolve_unitary_guards():
         evolve_unitary(path, 0.5, 0.5, 4)
     with pytest.raises(ValidationError):
         evolve_unitary(path, 0.0, 0.5, 0)
+    t_start = np.arange(5) / 5
+    for bad in (t_start[2], t_start[2] - 0.1, math.nan):  # one stacked row with t_start >= t_end, or NaN
+        t_end = np.arange(1, 6) / 5
+        t_end[2] = bad
+        with pytest.raises(ValidationError, match="t_start < t_end"):
+            evolve_unitary(path, t_start, t_end, 4)
+    for t_end in (np.arange(1, 5) / 5, np.arange(1, 6)[None] / 5, 1.0):
+        with pytest.raises(ValidationError, match="equal-length"):
+            evolve_unitary(path, t_start, t_end, 4)
 
 
 def test_nan_propagator_fails_unitarity_check(monkeypatch):
@@ -192,6 +201,19 @@ def test_nan_propagator_fails_unitarity_check(monkeypatch):
     monkeypatch.setattr(maps, "_slice_exponential", lambda H, dt: np.full(H.shape, np.nan, dtype=complex))
     with pytest.raises(ValidationError, match="lost unitarity"):
         evolve_unitary(cyclic_qubit_zx_path(FIG_TEMP), 0.0, 1.0, 2)
+
+
+def test_nan_slice_in_a_middle_row_fails_unitarity_check(monkeypatch):
+    exponential = maps._slice_exponential
+
+    def nan_slice(H, dt):
+        E = exponential(H, dt)
+        E[3, 2] = math.nan  # row 3 of 7, substep 2 of 4
+        return E
+
+    monkeypatch.setattr(maps, "_slice_exponential", nan_slice)
+    with pytest.raises(ValidationError, match="lost unitarity .deviation nan"):
+        evolve_unitary(cyclic_qubit_zx_path(FIG_TEMP), np.arange(7) / 7, np.arange(1, 8) / 7, 4)
 
 
 def test_propagator_takes_one_stacked_eigh(monkeypatch):
@@ -520,24 +542,51 @@ def test_stacked_engine_is_bit_identical_to_the_per_step_loop(preset, kind, mode
     assert dataclasses.asdict(dissipation_breakdown(proto, rho0)) == _reference_breakdown(path, *ref)
 
 
+@pytest.mark.parametrize("substeps", [1, 5, 16])
+@pytest.mark.parametrize("N", [1, 7, 128, 257])
+@pytest.mark.parametrize("preset", sorted(CYCLIC_PATH_PRESETS))
+def test_stacked_propagators_equal_the_per_step_reference(preset, N, substeps):
+    path = CYCLIC_PATH_PRESETS[preset](FIG_TEMP)
+    stack = evolve_unitary(path, np.arange(N) / N, np.arange(1, N + 1) / N, substeps)
+    assert stack.shape == (N, 2, 2)
+    for i, U in enumerate(stack):
+        assert np.array_equal(U, _reference_propagator(path, i / N, (i + 1) / N, substeps)), i
+
+
+def _breakdown_calls(monkeypatch, loop, N, kind, mode):
+    """Linear-algebra, validation, Gibbs-state and sampler calls of one dissipation_breakdown."""
+    calls = Counter()
+    path = dataclasses.replace(loop, sampler=counting(calls, "sampler", loop.sampler))
+    proto = CyclicProtocol(path=path, N=N, channel_alpha=0.5, channel_kind=kind, evolution_mode=mode)
+    rho0 = loop.gibbs(0.0)
+    calls.clear()
+    with monkeypatch.context() as m:
+        for name in ("eigh", "eigvalsh"):
+            m.setattr(np.linalg, name, counting(calls, name, getattr(np.linalg, name)))
+        for cls in (DensityOperator, HamiltonianMatrix, ThermalizingChannel):
+            m.setattr(cls, "__post_init__", counting(calls, cls.__name__, cls.__post_init__))
+        m.setattr(maps, "gibbs_state", counting(calls, "gibbs_state", gibbs_state))
+        m.setattr(np, "trace", counting(calls, "trace", np.trace))
+        dissipation_breakdown(proto, rho0)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["partial", "pinch"])
 def test_quench_breakdown_does_no_per_step_linear_algebra(monkeypatch, kind):
     loop = cyclic_qubit_gap_path(FIG_TEMP)
-    rho0 = loop.gibbs(0.0)
-    counts = {}
-    for N in (64, 512):
-        proto = CyclicProtocol(path=loop, N=N, channel_alpha=0.5, channel_kind=kind, evolution_mode="quench")
-        calls = Counter()
-        with monkeypatch.context() as m:
-            for name in ("eigh", "eigvalsh"):
-                m.setattr(np.linalg, name, counting(calls, name, getattr(np.linalg, name)))
-            for cls in (DensityOperator, HamiltonianMatrix, ThermalizingChannel):
-                m.setattr(cls, "__post_init__", counting(calls, cls.__name__, cls.__post_init__))
-            m.setattr(maps, "gibbs_state", counting(calls, "gibbs_state", gibbs_state))
-            m.setattr(np, "trace", counting(calls, "trace", np.trace))
-            dissipation_breakdown(proto, rho0)
-        counts[N] = calls
+    counts = {N: _breakdown_calls(monkeypatch, loop, N, kind, "quench") for N in (64, 512)}
     assert counts[64] == counts[512]
+    assert counts[64]["ThermalizingChannel"] == 1
+    assert counts[64]["gibbs_state"] == 0
+
+
+@pytest.mark.parametrize("kind", ["partial", "pinch"])
+def test_unitary_breakdown_does_no_per_step_linear_algebra(monkeypatch, kind):
+    # the propagators of all N steps take one sampler call, one eigh and one unitarity eigvalsh
+    loop = cyclic_qubit_zx_path(FIG_TEMP)
+    counts = {N: _breakdown_calls(monkeypatch, loop, N, kind, "unitary") for N in (64, 512)}
+    assert counts[64] == counts[512]
+    assert counts[64]["sampler"] == 2
     assert counts[64]["ThermalizingChannel"] == 1
     assert counts[64]["gibbs_state"] == 0
 
@@ -556,8 +605,10 @@ def test_off_trace_contact_is_rejected(monkeypatch, what, contact):
         monkeypatch.setattr(maps, "gibbs_matrices", skewed)
     else:
         def skewed(path, t_start, t_end, substeps):
+            # all 16 propagators come from one stacked call; skew the contact's row
             U = evolve_unitary(path, t_start, t_end, substeps)
-            return U * math.sqrt(1.0 + 2e-9) if t_end == contact / 16 else U
+            U[contact - 1] *= math.sqrt(1.0 + 2e-9)
+            return U
 
         monkeypatch.setattr(maps, "evolve_unitary", skewed)
     with pytest.raises(ValidationError, match=r"trace must be 1, got .*1\.00000000"):

@@ -600,7 +600,7 @@ def test_staircase_work_is_stacked(monkeypatch):
 
 
 def test_paths_are_sampled_once_per_stacked_call():
-    # one sampler call for all contacts of a staircase, and one for all midpoints of a propagator
+    # one sampler call for all contacts of a staircase, and one for all midpoints of a propagator or a stack of them
     calls = []
 
     def counted(path):
@@ -614,6 +614,9 @@ def test_paths_are_sampled_once_per_stacked_call():
     calls.clear()
     evolve_unitary(counted(cyclic_qubit_zx_path(FIG_TEMP)), 0.0, 1.0, 64)
     assert calls == [64]
+    calls.clear()
+    evolve_unitary(counted(cyclic_qubit_zx_path(FIG_TEMP)), np.arange(100) / 100, np.arange(1, 101) / 100, 16)
+    assert calls == [1600]
 
 
 @pytest.mark.parametrize("contact", [1, 200])

@@ -1,7 +1,7 @@
 """Batch command-line front-end.
 
 Loads a JSON experiment config, applies flag overrides, runs the experiment
-(or its sweep) on a deterministic worker pool, and writes CSV/JSON outputs
+(or its sweep) deterministically, and writes CSV/JSON outputs
 plus a manifest.  Exit codes: 0 success, 2 config error, 3 numeric-gate
 failure.
 """
@@ -43,7 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a parameter (JSON-parsed value); repeatable",
     )
-    parser.add_argument("--workers", help="worker count or 'auto' (default: env %s, else 1)" % WORKERS_ENV)
+    parser.add_argument("--workers", help="processes, counting this one, or 'auto' (one per core); helpers start only "
+                        "when the first tasks' pace says the rest outweighs pool start-up (default: env %s, else 1)"
+                        % WORKERS_ENV)
     parser.add_argument("--seed", type=int, help="64-bit master seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")

@@ -1,10 +1,10 @@
 """Experiment presets, deterministic parallel execution, and output schemas.
 
 A run is described by a strict JSON config (unknown keys rejected), expands
-into an ordered list of independent tasks, executes them on a worker pool,
-and reduces the results in task order.  Every stochastic trial derives its
-stream from the documented seed mix, so outputs are identical for any
-worker count.
+into an ordered list of independent tasks, executes them, on helper processes
+too once the work pays for them, and reduces the results in task order.
+Every stochastic trial derives its stream from the documented seed mix, so
+outputs are identical for any worker count.
 
 Each experiment is one registry entry declaring its typed parameters, its
 planner, task runner and assembler, so ``resolve_config`` rejects every bad
@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
@@ -38,6 +39,7 @@ from .collision import (
 )
 from .maps import CHANNEL_KINDS, CYCLIC_PATH_PRESETS, CyclicProtocol, dissipation_breakdown
 from .qudit import (
+    FULL_RANK_THRESHOLD,
     PATH_PRESETS,
     QuditProtocolConfig,
     asymptotic_dissipation,
@@ -282,12 +284,13 @@ def _assemble_fig4(p, results):
     return [OutputTable("fig4_summary.csv", summary_header, summary_rows)] + artifacts, failures
 
 
-def _endpoint_matrices(p):
-    """The parsed (H0, H1) pair, or None when the path preset is used."""
+def _qudit_path(p):
+    """The preset path, or the straight line between the parsed endpoint pair H0, H1."""
+    temp = Temperature(p["temperature"])
     if bool(p["H0"]) != bool(p["H1"]):
         raise ConfigError("parameters.H0/H1: endpoint matrices must be given together")
     if not p["H0"]:
-        return None
+        return path_preset(p["preset"], temp)
     m0, m1 = _matrix_from_json(p["H0"], "parameters.H0"), _matrix_from_json(p["H1"], "parameters.H1")
     if m0.shape != m1.shape:
         raise ConfigError(f"parameters.H0/H1: endpoint matrices must share a dimension, got {m0.shape}, {m1.shape}")
@@ -295,16 +298,20 @@ def _endpoint_matrices(p):
     if np.abs(drive - drive[0, 0] * np.eye(len(drive))).max() <= 1e-12:
         # the Gibbs state never changes, so there is no dissipation to predict
         raise ConfigError("parameters.H0/H1: H1 - H0 must not be a multiple of the identity")
-    return m0, m1
+    return linear_endpoint_path(m0, m1, temp)
+
+
+def _check_qudit(p):
+    """Check the endpoint pair, and that the Gibbs start is full rank, as the asymptotic prediction needs."""
+    if not np.linalg.eigvalsh(_qudit_path(p).gibbs_matrix(0.0))[0] >= FULL_RANK_THRESHOLD:
+        raise ConfigError(f"parameters.temperature: the Gibbs start is not full rank at T = {p['temperature']!r}")
 
 
 def _run_qudit_point(p, n):
-    temp = Temperature(p["temperature"])
-    endpoints = _endpoint_matrices(p)
-    path = linear_endpoint_path(*endpoints, temp) if endpoints else path_preset(p["preset"], temp)
+    path = _qudit_path(p)
     cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=n, alpha=p["alpha"])
     result = asymptotic_dissipation(cfg)
-    delta_f = free_energy(cfg.rho0, cfg.H_system, temp) - free_energy(path.gibbs_matrix(1.0), cfg.H_system, temp)
+    delta_f = free_energy(cfg.rho0, cfg.H_system, path.temp) - free_energy(path.gibbs_matrix(1.0), cfg.H_system, path.temp)
     return [n, p["alpha"], delta_f - result.exact, result.exact, result.prediction]
 
 
@@ -457,7 +464,7 @@ _REGISTRY = {
         plan=_sizes_of("N_values"),
         run=_run_qudit_point,
         assemble=_assemble_qudit,
-        check_all=_endpoint_matrices,
+        check_all=_check_qudit,
     ),
     "breakdown-scaling": Experiment(
         parameters={
@@ -672,27 +679,47 @@ def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
     return manifest
 
 
-def _resolve_workers(config: dict) -> int:
-    workers = config["workers"]
-    if workers == "auto":
-        return max(os.cpu_count() or 1, 1)
-    return int(workers)
+# Pool start-up in seconds, weighed against the work a pool would save.  Measured on a 2-core host (fork):
+# creating the pool and forking 2 helpers takes 9-11 ms, shutdown about 3 ms, and a fresh helper's first fig4
+# block 10-15 ms of wall time against 2.4-3 ms in-process, with about 1,000 copy-on-write minor faults.
+POOL_STARTUP_S = 0.025
 
 
 def _run_tasks(tasks, workers: int) -> list[dict]:
-    if workers <= 1 or len(tasks) <= 1:
+    """The tasks' results in order.  workers counts the caller, which runs tasks in order until its pace
+    says a pool would save more than POOL_STARTUP_S on the rest; then up to workers - 1 helpers join it."""
+    if workers <= 1:
         return [_execute_task(t) for t in tasks]
+    results, start = [], time.perf_counter()
+    while len(results) < len(tasks):
+        results.append(_execute_task(tasks[len(results)]))
+        left = len(tasks) - len(results)
+        if left >= 2 and (time.perf_counter() - start) / len(results) * left * (1 - 1 / workers) > POOL_STARTUP_S:
+            return results + _share(tasks[len(results):], min(workers - 1, left))
+    return results
+
+
+def _share(tasks, helpers: int) -> list[dict]:
+    """The tasks' results in order, helper processes taking tasks from the head and the caller from the tail."""
     from concurrent.futures import ProcessPoolExecutor  # only runs with a pool pay for this import
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(_execute_task, tasks, chunksize=1))
+    pool = ProcessPoolExecutor(max_workers=helpers)
+    try:
+        futures, own = [pool.submit(_execute_task, t) for t in tasks], {}
+        for i in reversed(range(len(tasks))):
+            if not futures[i].cancel():  # dispatch is FIFO, so every earlier task is a helper's too
+                break
+            own[i] = _execute_task(tasks[i])
+        return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     """Execute one experiment config, or every group of its sweep; write outputs and manifests; gate results.
 
-    The tasks of all groups run through one pool and are assembled in task
-    order, so outputs are independent of the worker count.  Each group's
+    The tasks of all groups run through at most one pool and are assembled in
+    task order, so outputs are independent of the worker count.  Each group's
     files and manifest go into its own directory; a sweep's top-level
     manifest lists the files of the groups that passed.  Raises ConfigError
     for schema violations and NumericError when a preset's numeric gate or
@@ -703,7 +730,8 @@ def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     entry = _REGISTRY[config["experiment"]]
     plans = [[(c["experiment"], c["parameters"], item) for item in entry.plan(c["parameters"], c["master_seed"])]
              for _, c in groups]
-    results = iter(_run_tasks([task for plan in plans for task in plan], _resolve_workers(config)))
+    workers = (os.cpu_count() or 1) if config["workers"] == "auto" else config["workers"]
+    results = iter(_run_tasks([task for plan in plans for task in plan], workers))
     listed, failures = [], []
     for (name, group), plan in zip(groups, plans):
         artifacts, found = entry.assemble(group["parameters"], [next(results) for _ in plan])

@@ -117,10 +117,10 @@ def g_function(model: AlphaModel, t: float) -> float:
     """
     if not t > 0:
         raise ValidationError(f"need t > 0, got {t}")
-    a = alpha_of(model, t)
+    a = float(alpha_of(model, t))
     if a >= 1.0:
         return math.inf
-    return (0.5 + a / (1.0 - a)) * t
+    return (0.5 + a / (1.0 - a)) * float(t)  # Python floats overflow to inf without a warning
 
 
 @dataclass(frozen=True)

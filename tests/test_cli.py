@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -30,7 +31,7 @@ from thermoflow.experiments import (
     sweep,
 )
 from thermoflow.collision import FixedAlpha, QubitProtocolConfig, epsilon_upper_bound, loss_epsilon
-from thermoflow.core import Temperature
+from thermoflow.core import Temperature, ValidationError
 from thermoflow.seeding import derive_seed, rng_for, splitmix64
 
 
@@ -310,6 +311,22 @@ def test_cli_tth_rejects_bad_parameters_before_any_task(setting, name, tmp_path,
     assert f"config error: parameters.{name}:" in capsys.readouterr().err
 
 
+def test_cli_tth_overflowing_g_exits_3_without_a_warning(tmp_path, capsys):
+    # G(t) = (1/2 + a/(1 - a)) t overflowed in a numpy scalar multiply, warning on stderr before the exit
+    argv = ["--experiment", "fig5-fig6-tth", "--set", "g=1e-300", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err.splitlines() == ["numeric failure: tth_cosine.csv: result beyond the float range"]
+
+
+def test_cli_qudit_rank_deficient_gibbs_start_is_a_config_error(tmp_path, capsys, monkeypatch):
+    # the first task used to fail with "use rank_deficient_scaling", naming no parameter
+    monkeypatch.setattr(experiments, "_execute_task", lambda task: pytest.fail("a task ran"))
+    argv = ["--experiment", "qudit-convergence", "--set", "temperature=1e-300", "--set", "N_values=[4]",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert "config error: parameters.temperature: the Gibbs start is not full rank" in capsys.readouterr().err
+
+
 def test_cli_fig4_edges_beyond_the_float_range_exit_3(tmp_path, capsys):
     # the histogram edges at 2^e times those at T / 2^e overflow; they were written as +-inf with exit 0
     argv = ["--experiment", "fig4-histograms", "--out", str(tmp_path / "o")]
@@ -418,30 +435,114 @@ def test_sweep_key_inside_config_delegates(tmp_path):
     assert groups == {"alpha=0.25", "alpha=0.5"}
 
 
+class PendingTask(concurrent.futures.Future):
+    """A submitted task no helper has taken yet; reading its result runs it, as a helper eventually would."""
+
+    def __init__(self, fn, arg):
+        super().__init__()
+        self.run = lambda: fn(arg)
+
+    def result(self, timeout=None):
+        if not self.done() and self.set_running_or_notify_cancel():
+            self.set_result(self.run())
+        return super().result(timeout)
+
+
+class InProcessPool:
+    """A pool stand-in: the first max_workers + 1 submissions run at once, as a pool dispatches
+    them, and the rest stay pending for the caller to cancel and run itself."""
+
+    def __init__(self, built, max_workers):
+        built.append(max_workers)
+        self.max_workers, self.futures = max_workers, []
+
+    def submit(self, fn, arg):
+        future = PendingTask(fn, arg)
+        if len(self.futures) <= self.max_workers:
+            future.result()
+        self.futures.append(future)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        assert cancel_futures
+        for future in self.futures:
+            future.cancel()
+
+
 def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
-    # each value used to start a pool of its own
-    built = []
+    # each value used to start a pool of its own; workers counts the caller, so 3 workers are 2 helpers
+    built, ran = [], []
+    execute = experiments._execute_task
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            built.append(max_workers)
+    def counted(task):
+        ran.append((task[1]["alpha"], task[2]))
+        return execute(task)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    sweep(dict(fig3_config(tmp_path / "pooled"), workers=2), "alpha", [0.25, 0.5, 0.75])
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
+    monkeypatch.setattr(experiments, "_execute_task", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: InProcessPool(built, max_workers))
+    grid = (10, 20, 50, 100, 1000)
+    sweep(dict(fig3_config(tmp_path / "pooled", grid), workers=3), "alpha", [0.25, 0.5, 0.75])
     assert built == [2]
-    sweep(fig3_config(tmp_path / "serial"), "alpha", [0.25, 0.5, 0.75])
+    # every task ran once: the first in the caller, the next 3 dispatched to the pool, the pending rest
+    # in the caller from the tail
+    plan = [(alpha, n) for alpha in (0.25, 0.5, 0.75) for n in grid]
+    assert ran == plan[:4] + plan[4:][::-1]
+    sweep(fig3_config(tmp_path / "serial", grid), "alpha", [0.25, 0.5, 0.75])
     for value in (0.25, 0.5, 0.75):
         files = [tmp_path / side / "sweep-alpha" / f"alpha={value}" / "fig3_loss.csv" for side in ("pooled", "serial")]
         assert files[0].read_bytes() == files[1].read_bytes()
+
+
+class CountedPool(concurrent.futures.ProcessPoolExecutor):
+    built = []
+
+    def __init__(self, max_workers):
+        CountedPool.built.append(max_workers)
+        super().__init__(max_workers=max_workers)
+
+
+@pytest.mark.parametrize(
+    "experiment,parameters",
+    [
+        ("fig4-histograms", {"N_values": [20, 50], "runs": 1300}),  # 3 blocks per N
+        ("fig3-loss", {}),
+        ("breakdown-scaling", {}),
+    ],
+)
+def test_forced_pool_writes_the_bytes_of_an_in_process_run(experiment, parameters, tmp_path, monkeypatch):
+    # the default presets' small plans stay in-process, so this keeps the pooled path under a byte-identity oracle
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(CountedPool, "built", [])
+    digests = {}
+    for workers in (1, 2, 4):
+        cfg = {"experiment": experiment, "parameters": parameters, "workers": workers,
+               "output_dir": str(tmp_path / f"w{workers}")}
+        digests[workers] = run_experiment(cfg).outputs
+    assert digests[1] == digests[2] == digests[4]
+    assert CountedPool.built == [1, 3]  # the pool starts after the first task, with workers - 1 helpers
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("failing", [1, -1])  # the head of the pooled tasks, usually a helper's; the tail, the caller's
+def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, monkeypatch):
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
+    params = resolve_config({"experiment": "breakdown-scaling"})["parameters"]
+    tasks = [("breakdown-scaling", params, n) for n in (16, 256, 256, 256, 256, 256)]
+    tasks[failing] = ("breakdown-scaling", dict(params, substeps=0), 256)
+    with pytest.raises(ValidationError, match="substeps"):
+        experiments._run_tasks(tasks, 3)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("experiment", ["fig3-loss", "breakdown-scaling"])
+def test_default_short_plans_start_no_pool(experiment, tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    run_experiment({"experiment": experiment, "workers": 2, "output_dir": str(tmp_path / "o")})
 
 
 def test_finite_output_gate_names_each_file_holding_a_non_finite_number(tmp_path, monkeypatch):

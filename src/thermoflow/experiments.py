@@ -679,22 +679,22 @@ def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
     return manifest
 
 
-# Pool start-up in seconds, weighed against the work a pool would save.  Measured on a 2-core host (fork):
-# creating the pool and forking 2 helpers takes 9-11 ms, shutdown about 3 ms, and a fresh helper's first fig4
-# block 10-15 ms of wall time against 2.4-3 ms in-process, with about 1,000 copy-on-write minor faults.
+# Pool start-up in seconds.  The caller runs tasks in order until, from the second on, the least CPU time of a task,
+# times the tasks left, times 1 - 1/workers, exceeds it: waiting for a busy CPU is no work a helper could take, and one
+# stalled task must not start a pool.  Measured on a 2-core host (fork): creating the pool and forking 2 helpers takes
+# 9-11 ms, shutdown about 3 ms, and a fresh helper's first fig4 block 10-15 ms of wall time against 2.4-3 ms in-process.
 POOL_STARTUP_S = 0.025
 
 
 def _run_tasks(tasks, workers: int) -> list[dict]:
-    """The tasks' results in order.  workers counts the caller, which runs tasks in order until its pace
-    says a pool would save more than POOL_STARTUP_S on the rest; then up to workers - 1 helpers join it."""
+    """The tasks' results in order; workers counts the caller, which up to workers - 1 helpers join (POOL_STARTUP_S)."""
     if workers <= 1:
         return [_execute_task(t) for t in tasks]
-    results, start = [], time.perf_counter()
+    results, pace, start = [], math.inf, time.thread_time()
     while len(results) < len(tasks):
         results.append(_execute_task(tasks[len(results)]))
-        left = len(tasks) - len(results)
-        if left >= 2 and (time.perf_counter() - start) / len(results) * left * (1 - 1 / workers) > POOL_STARTUP_S:
+        pace, start, left = min(pace, time.thread_time() - start), time.thread_time(), len(tasks) - len(results)
+        if len(results) >= 2 and left >= 2 and pace * left * (1 - 1 / workers) > POOL_STARTUP_S:
             return results + _share(tasks[len(results):], min(workers - 1, left))
     return results
 

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -484,10 +485,10 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
     grid = (10, 20, 50, 100, 1000)
     sweep(dict(fig3_config(tmp_path / "pooled", grid), workers=3), "alpha", [0.25, 0.5, 0.75])
     assert built == [2]
-    # every task ran once: the first in the caller, the next 3 dispatched to the pool, the pending rest
+    # every task ran once: the first two in the caller, the next 3 dispatched to the pool, the pending rest
     # in the caller from the tail
     plan = [(alpha, n) for alpha in (0.25, 0.5, 0.75) for n in grid]
-    assert ran == plan[:4] + plan[4:][::-1]
+    assert ran == plan[:5] + plan[5:][::-1]
     sweep(fig3_config(tmp_path / "serial", grid), "alpha", [0.25, 0.5, 0.75])
     for value in (0.25, 0.5, 0.75):
         files = [tmp_path / side / "sweep-alpha" / f"alpha={value}" / "fig3_loss.csv" for side in ("pooled", "serial")]
@@ -503,14 +504,14 @@ class CountedPool(concurrent.futures.ProcessPoolExecutor):
 
 
 @pytest.mark.parametrize(
-    "experiment,parameters",
+    "experiment,parameters,helpers",
     [
-        ("fig4-histograms", {"N_values": [20, 50], "runs": 1300}),  # 3 blocks per N
-        ("fig3-loss", {}),
-        ("breakdown-scaling", {}),
+        ("fig4-histograms", {"N_values": [20, 50], "runs": 1300}, 3),  # 3 blocks per N
+        ("fig3-loss", {}, 3),
+        ("breakdown-scaling", {}, 2),  # 4 tasks, so 2 are left for helpers
     ],
 )
-def test_forced_pool_writes_the_bytes_of_an_in_process_run(experiment, parameters, tmp_path, monkeypatch):
+def test_forced_pool_writes_the_bytes_of_an_in_process_run(experiment, parameters, helpers, tmp_path, monkeypatch):
     # the default presets' small plans stay in-process, so this keeps the pooled path under a byte-identity oracle
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
@@ -521,11 +522,11 @@ def test_forced_pool_writes_the_bytes_of_an_in_process_run(experiment, parameter
                "output_dir": str(tmp_path / f"w{workers}")}
         digests[workers] = run_experiment(cfg).outputs
     assert digests[1] == digests[2] == digests[4]
-    assert CountedPool.built == [1, 3]  # the pool starts after the first task, with workers - 1 helpers
+    assert CountedPool.built == [1, helpers]  # the pool starts after the second task, with up to workers - 1 helpers
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("failing", [1, -1])  # the head of the pooled tasks, usually a helper's; the tail, the caller's
+@pytest.mark.parametrize("failing", [2, -1])  # the head of the pooled tasks, usually a helper's; the tail, the caller's
 def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, monkeypatch):
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
     params = resolve_config({"experiment": "breakdown-scaling"})["parameters"]
@@ -538,11 +539,36 @@ def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, 
 
 @pytest.mark.parametrize("experiment", ["fig3-loss", "breakdown-scaling"])
 def test_default_short_plans_start_no_pool(experiment, tmp_path, monkeypatch):
-    def no_pool(*args, **kwargs):
-        pytest.fail("a pool was started")
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     run_experiment({"experiment": experiment, "workers": 2, "output_dir": str(tmp_path / "o")})
+
+
+def no_pool(*args, **kwargs):
+    pytest.fail("a pool was started")
+
+
+def test_time_spent_waiting_does_not_count_toward_the_pace(monkeypatch):
+    # each task waits as long as the pool's start-up but does almost no work, as on a host whose CPUs are busy
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments, "_execute_task", lambda t: time.sleep(experiments.POOL_STARTUP_S) or t)
+    assert experiments._run_tasks([1, 2, 3, 4, 5], 2) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("stalled", [0, 2])
+def test_one_stalled_task_does_not_start_a_pool(stalled, monkeypatch):
+    # a task's CPU time, read off a fake clock, is its item; one stall is 40 pool start-ups, the rest 1/40 of one
+    clock = [0.0]
+
+    def execute(cost):
+        clock[0] += cost
+        return cost
+
+    costs = [experiments.POOL_STARTUP_S / 40] * 6
+    costs[stalled] = 40 * experiments.POOL_STARTUP_S
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(experiments.time, "thread_time", lambda: clock[0])
+    monkeypatch.setattr(experiments, "_execute_task", execute)
+    assert experiments._run_tasks(costs, 2) == costs
 
 
 def test_finite_output_gate_names_each_file_holding_a_non_finite_number(tmp_path, monkeypatch):

@@ -474,7 +474,11 @@ def default_bin_edges(config: QubitProtocolConfig, bins: int = 60) -> np.ndarray
             noise=FixedAlpha(config.noise.mean_alpha),
         )
     )
-    moments = work_moments(fixed)
+    return moment_bin_edges(work_moments(fixed), bins)
+
+
+def moment_bin_edges(moments: WorkLedger, bins: int = 60) -> np.ndarray:
+    """Histogram edges over mean +- 6 sigma of the given moments (at least +- 1e-9)."""
     spread = max(6.0 * math.sqrt(moments.variance), 1e-9)
     return np.linspace(moments.mean - spread, moments.mean + spread, bins + 1)
 

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,6 +35,7 @@ from .collision import (
     epsilon_upper_bound,
     loss_epsilon,
     average_work,
+    moment_bin_edges,
     work_moments,
     sample_work_values,
 )
@@ -139,6 +141,10 @@ _ALPHA = (_number(float, "in [0, 1)", lambda v: 0 <= v < 1), 0.5)
 _TEMPERATURE = (_POSITIVE, 1.0 / LN2)
 
 CUSTOM_OPS = ("average-work", "loss", "work-moments")
+# custom's N bound: each op is one O(N) pass, and the ledger ops write their per-step arrays.  Through the CLI on a
+# 2-core host, work-moments (the slowest op) took 0.85 s at N = 1e5 (54 MB peak, 2.7 MB ledger), 1.9 s at 3e5 and
+# 5.7 s at 1e6.
+CUSTOM_N_MAX = 100_000
 
 TOP_LEVEL_KEYS = ("experiment", "parameters", "master_seed", "workers", "output_dir", "sweep")
 
@@ -268,8 +274,8 @@ def _assemble_fig4(p, results):
         variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
         sigma = math.sqrt(variance)
         cfg, e = _scaled_qubit_config(p, n)
-        edges = _ldexp(default_bin_edges(cfg, bins=p["bins"]), e)
         moments = work_moments(cfg)
+        edges = _ldexp(moment_bin_edges(moments, p["bins"]), e)
         sigma_exact = math.sqrt(moments.variance)
         stderr = sigma_exact / math.sqrt(count)
         summary = _ldexp([mean, sigma, moments.mean, sigma_exact, stderr], e)
@@ -496,7 +502,7 @@ _REGISTRY = {
     "custom": Experiment(
         parameters={
             "op": (_choice(CUSTOM_OPS), _REQUIRED),
-            "N": (_COUNT, 1000),
+            "N": (_number(int, f"in [1, {CUSTOM_N_MAX}]", lambda v: 1 <= v <= CUSTOM_N_MAX), 1000),
             "alpha": _ALPHA,
             "temperature": _TEMPERATURE,
         },
@@ -703,7 +709,7 @@ def _share(tasks, helpers: int) -> list[dict]:
     """The tasks' results in order, helper processes taking tasks from the head and the caller from the tail."""
     from concurrent.futures import ProcessPoolExecutor  # only runs with a pool pay for this import
 
-    pool = ProcessPoolExecutor(max_workers=helpers)
+    pool = ProcessPoolExecutor(max_workers=helpers, initializer=_exit_with_parent, initargs=(os.getpid(),))
     try:
         futures, own = [pool.submit(_execute_task, t) for t in tasks], {}
         for i in reversed(range(len(tasks))):
@@ -713,6 +719,17 @@ def _share(tasks, helpers: int) -> list[dict]:
         return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Pool initializer: end the helper once its parent is gone, as a caller killed by a signal runs no shutdown."""
+
+    def watch():
+        while os.getppid() == parent:
+            time.sleep(0.1)
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:

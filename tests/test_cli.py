@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermoflow
-from thermoflow import experiments
+from thermoflow import collision, experiments
 from thermoflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from thermoflow.experiments import (
     ConfigError,
@@ -127,6 +127,15 @@ def test_resolve_rejects_invalid_configs(raw):
         resolve_config(raw)
 
 
+@pytest.mark.parametrize("op", ["average-work", "loss", "work-moments"])
+def test_custom_N_is_bounded_before_any_task_runs(op):
+    # N = 1e7 ran for 55 s at 1.7 GB and wrote a 274 MB ledger; only resolve_config runs here
+    bound = experiments.CUSTOM_N_MAX
+    assert resolve_config({"experiment": "custom", "parameters": {"op": op, "N": bound}})["parameters"]["N"] == bound
+    with pytest.raises(ConfigError, match=rf"^parameters\.N: expected int in \[1, {bound}\], got 10000000$"):
+        resolve_config({"experiment": "custom", "parameters": {"op": op, "N": 10**7}})
+
+
 @pytest.mark.parametrize("axis,values", [("alpha", [0.5, 0.25, 0.5]), ("N_grid", [[10, 100], [250], [250]])])
 def test_sweep_rejects_values_sharing_a_group_directory(axis, values, tmp_path):
     # such values overwrote each other's files, and the manifest listed them twice
@@ -205,6 +214,23 @@ def test_fig4_summary_contents(tmp_path):
     assert hist[0] == "bin_left,bin_right,count"
     counts = sum(int(line.split(",")[2]) for line in hist[1:])
     assert counts <= 1500
+
+
+def test_fig4_runs_the_exact_moment_recursion_twice_per_size(tmp_path, monkeypatch):
+    # once for the planned histogram edges, once for the summary and its edges (it was 3 per size)
+    calls = []
+    moments = collision.work_moments
+
+    def counted(cfg):
+        calls.append(cfg.schedule.N)
+        return moments(cfg)
+
+    monkeypatch.setattr(collision, "work_moments", counted)
+    monkeypatch.setattr(experiments, "work_moments", counted)
+    cfg = {"experiment": "fig4-histograms", "parameters": {"N_values": [12, 16, 20], "runs": 600},
+           "output_dir": str(tmp_path / "o")}
+    run_experiment(cfg)
+    assert sorted(calls) == [12, 12, 16, 16, 20, 20]
 
 
 def test_fig4_single_step_passes_sigma_gate(tmp_path):
@@ -453,7 +479,7 @@ class InProcessPool:
     """A pool stand-in: the first max_workers + 1 submissions run at once, as a pool dispatches
     them, and the rest stay pending for the caller to cancel and run itself."""
 
-    def __init__(self, built, max_workers):
+    def __init__(self, built, max_workers, **kwargs):
         built.append(max_workers)
         self.max_workers, self.futures = max_workers, []
 
@@ -481,7 +507,7 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
     monkeypatch.setattr(experiments, "_execute_task", counted)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: InProcessPool(built, max_workers))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: InProcessPool(built, **kw))
     grid = (10, 20, 50, 100, 1000)
     sweep(dict(fig3_config(tmp_path / "pooled", grid), workers=3), "alpha", [0.25, 0.5, 0.75])
     assert built == [2]
@@ -498,9 +524,9 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
 class CountedPool(concurrent.futures.ProcessPoolExecutor):
     built = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, **kwargs):
         CountedPool.built.append(max_workers)
-        super().__init__(max_workers=max_workers)
+        super().__init__(max_workers=max_workers, **kwargs)
 
 
 @pytest.mark.parametrize(
@@ -535,6 +561,64 @@ def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, 
     with pytest.raises(ValidationError, match="substeps"):
         experiments._run_tasks(tasks, 3)
     assert multiprocessing.active_children() == []
+
+
+HELPER_ORPHAN_SCRIPT = """
+import time
+from thermoflow import experiments
+
+def slow(seconds):
+    time.sleep(seconds)
+    return seconds
+
+if __name__ == "__main__":
+    experiments._execute_task = slow
+    print("pooled", flush=True)
+    experiments._share([60.0] * 4, 1)
+"""
+
+
+def _children(pid: int) -> list[int]:
+    found = []
+    for task in Path(f"/proc/{pid}/task").iterdir():
+        found += [int(c) for c in (task / "children").read_text().split()]
+    return found
+
+
+def _running(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"  # an exited child no one has reaped yet is a zombie
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids from /proc")
+def test_helpers_exit_when_a_signal_kills_the_caller(tmp_path):
+    # SIGTERM ends the caller without running its finally, so no pool shutdown reaches the helper
+    script = tmp_path / "orphan.py"
+    script.write_text(HELPER_ORPHAN_SCRIPT)
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    helpers = []
+    with subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE) as caller:
+        try:
+            assert caller.stdout.readline() == b"pooled\n"
+            deadline = time.monotonic() + 10
+            while not helpers and time.monotonic() < deadline:
+                helpers = _children(caller.pid)
+                time.sleep(0.05)
+            assert len(helpers) == 1
+            caller.terminate()
+            caller.wait(timeout=10)
+            deadline = time.monotonic() + 3
+            while any(map(_running, helpers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, helpers))
+        finally:
+            caller.kill()
+            for pid in filter(_running, helpers):
+                os.kill(pid, 9)
 
 
 @pytest.mark.parametrize("experiment", ["fig3-loss", "breakdown-scaling"])

@@ -2,14 +2,18 @@
 
 Each lane function is checked against the scalar code or the numpy routine it
 reproduces: SplitMix64 against `splitmix64`/`derive_seed`, the SeedSequence
-port against `np.random.SeedSequence(s).generate_state(4, np.uint64)`, and
-whole rows against `rng_for(...).random(n)`.
+port against `np.random.SeedSequence(s).generate_state(4, np.uint64)`, the
+lane jump-ahead against `np.random.PCG64.advance`, and whole rows, on both
+sides of `LANE_DRAWS`, against `rng_for(...).random(n)`.
 """
 
 import numpy as np
 import pytest
 
 from thermoflow.seeding import (
+    LANE_DRAWS,
+    _lane_states,
+    _pcg64_states,
     derive_seed,
     rng_for,
     seed_sequence_state,
@@ -47,7 +51,7 @@ def test_seed_sequence_state_matches_numpy():
     np.testing.assert_array_equal(seed_sequence_state(seeds), expected)
 
 
-@pytest.mark.parametrize("n", [1, 25, 4001])
+@pytest.mark.parametrize("n", [0, 1, 25, LANE_DRAWS, LANE_DRAWS + 1, 4001])
 @pytest.mark.parametrize(
     "indices",
     [
@@ -63,6 +67,22 @@ def test_trial_uniforms_rows_match_rng_for(indices, n):
     assert got.shape == (len(indices), n)
     for row, index in zip(got, indices):
         np.testing.assert_array_equal(row, rng_for(master, tag, index).random(n))
+
+
+def test_lane_states_match_pcg64_advance():
+    # the jump constants A_k, S_k against numpy's own jump-ahead: one step off in either fails every k
+    words = seed_sequence_state(np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_u64(3, 3)]))
+    lanes = _pcg64_states(words)
+    hi, lo = _lane_states(*lanes, LANE_DRAWS)
+    steps = [1, 2, 3, 17, LANE_DRAWS - 1, LANE_DRAWS]
+    for row, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*(x.tolist() for x in lanes))):
+        bitgen = np.random.PCG64()
+        state = {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo}
+        for k in steps:
+            bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+            advanced = bitgen.advance(k).state["state"]
+            assert advanced["inc"] == state["inc"]
+            assert (int(hi[row, k - 1]) << 64) | int(lo[row, k - 1]) == advanced["state"], (row, k)
 
 
 def test_trial_uniforms_wraps_master_and_index_like_derive_seed():

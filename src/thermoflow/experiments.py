@@ -709,7 +709,7 @@ def _share(tasks, helpers: int) -> list[dict]:
     """The tasks' results in order, helper processes taking tasks from the head and the caller from the tail."""
     from concurrent.futures import ProcessPoolExecutor  # only runs with a pool pay for this import
 
-    pool = ProcessPoolExecutor(max_workers=helpers, initializer=_exit_with_parent, initargs=(os.getpid(),))
+    pool = ProcessPoolExecutor(max_workers=helpers, initializer=_exit_with_parent)
     try:
         futures, own = [pool.submit(_execute_task, t) for t in tasks], {}
         for i in reversed(range(len(tasks))):
@@ -721,12 +721,19 @@ def _share(tasks, helpers: int) -> list[dict]:
         pool.shutdown(cancel_futures=True)
 
 
-def _exit_with_parent(parent: int) -> None:
-    """Pool initializer: end the helper once its parent is gone, as a caller killed by a signal runs no shutdown."""
+def _exit_with_parent() -> None:
+    """Pool initializer: end the helper once its parent is gone, as a caller killed by a signal runs no shutdown.
+
+    The sentinel is a pipe whose write end only the caller holds, under every
+    start method; the forkserver, which stays up while its children hold its
+    alive pipe, is no sign of the caller.
+    """
+    from multiprocessing import connection, parent_process
+
+    sentinel = parent_process().sentinel
 
     def watch():
-        while os.getppid() == parent:
-            time.sleep(0.1)
+        connection.wait([sentinel])
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()

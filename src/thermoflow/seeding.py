@@ -131,24 +131,16 @@ def _mul64(a, b) -> tuple[np.ndarray, np.ndarray]:
     """Full 128-bit products of the broadcast uint64 lanes a and b, as (high, low) words."""
     a0, a1 = a & _LO32, a >> _SHIFT32
     b0, b1 = b & _LO32, b >> _SHIFT32
-    cross0, cross1 = a0 * b1, a1 * b0
-    mid = a0 * b0
-    mid >>= _SHIFT32
-    mid += cross0 & _LO32
-    mid += cross1 & _LO32
-    high = a1 * b1
-    high += cross0 >> _SHIFT32
-    high += cross1 >> _SHIFT32
-    high += mid >> _SHIFT32
+    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
+    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
+    high = p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
     return high, a * b
 
 
 def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
     """(a * b) mod 2^128 of broadcast 128-bit lanes given as (high, low) uint64 words."""
     high, low = _mul64(a_lo, b_lo)
-    high += a_lo * b_hi
-    high += a_hi * b_lo
-    return high, low
+    return high + a_lo * b_hi + a_hi * b_lo, low
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -217,15 +209,8 @@ def _lane_uniforms(state_hi, state_lo, inc_hi, inc_lo, n: int) -> np.ndarray:
     for start in range(0, len(out), rows):
         part = slice(start, start + rows)
         hi, lo = _lane_states(state_hi[part], state_lo[part], inc_hi[part], inc_lo[part], n)
-        rot = hi >> np.uint64(58)
-        hi ^= lo
-        np.right_shift(hi, rot, out=lo)
-        np.subtract(np.uint64(64), rot, out=rot)
-        rot &= np.uint64(63)
-        hi <<= rot
-        hi |= lo
-        hi >>= np.uint64(11)
-        np.multiply(hi, 2.0**-53, out=out[part])
+        x, r = hi ^ lo, hi >> np.uint64(58)
+        out[part] = (((x >> r) | (x << (-r & np.uint64(63)))) >> np.uint64(11)) * 2.0**-53
     return out
 
 

@@ -564,24 +564,29 @@ def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, 
 
 
 HELPER_ORPHAN_SCRIPT = """
+import multiprocessing
+import os
+import sys
 import time
 from thermoflow import experiments
 
 def slow(seconds):
+    print(os.getpid(), flush=True)
     time.sleep(seconds)
     return seconds
 
 if __name__ == "__main__":
+    multiprocessing.set_start_method(sys.argv[1])
     experiments._execute_task = slow
-    print("pooled", flush=True)
-    experiments._share([60.0] * 4, 1)
+    experiments._share([30.0] * 4, 1)
 """
 
 
-def _children(pid: int) -> list[int]:
+def _descendants(pid: int) -> list[int]:
     found = []
     for task in Path(f"/proc/{pid}/task").iterdir():
-        found += [int(c) for c in (task / "children").read_text().split()]
+        for child in map(int, (task / "children").read_text().split()):
+            found += [child] + _descendants(child)
     return found
 
 
@@ -594,30 +599,32 @@ def _running(pid: int) -> bool:
 
 
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="reads child pids from /proc")
-def test_helpers_exit_when_a_signal_kills_the_caller(tmp_path):
+@pytest.mark.parametrize("method", ["fork", "forkserver"])  # the Linux default before and from Python 3.14
+def test_helpers_exit_when_a_signal_kills_the_caller(method, tmp_path):
     # SIGTERM ends the caller without running its finally, so no pool shutdown reaches the helper
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method")
     script = tmp_path / "orphan.py"
     script.write_text(HELPER_ORPHAN_SCRIPT)
     src = str(Path(thermoflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    helpers = []
-    with subprocess.Popen([sys.executable, str(script)], env=env, stdout=subprocess.PIPE) as caller:
+    descendants = []
+    with subprocess.Popen([sys.executable, str(script), method], env=env, stdout=subprocess.PIPE) as caller:
         try:
-            assert caller.stdout.readline() == b"pooled\n"
-            deadline = time.monotonic() + 10
-            while not helpers and time.monotonic() < deadline:
-                helpers = _children(caller.pid)
-                time.sleep(0.05)
-            assert len(helpers) == 1
+            # the caller and the helper each print their pid as they start a task
+            pids = {caller.stdout.readline().strip(), caller.stdout.readline().strip()}
+            helpers = {int(pid) for pid in pids - {str(caller.pid).encode()}}
+            descendants = _descendants(caller.pid)  # under forkserver also the forkserver and its resource tracker
+            assert len(helpers) == 1 and helpers <= set(descendants)
             caller.terminate()
             caller.wait(timeout=10)
             deadline = time.monotonic() + 3
-            while any(map(_running, helpers)) and time.monotonic() < deadline:
+            while any(map(_running, descendants)) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert not any(map(_running, helpers))
+            assert not any(map(_running, descendants))
         finally:
             caller.kill()
-            for pid in filter(_running, helpers):
+            for pid in filter(_running, descendants):
                 os.kill(pid, 9)
 
 

@@ -13,6 +13,7 @@ input before a task starts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -193,7 +194,7 @@ def _single_task(p, seed):
 
 
 def _run_fig3_point(p, n):
-    cfg, e = _scaled_qubit_config(p, n)
+    cfg, e = _scaled_qubit_config(n, p["temperature"], p["alpha"])
     return [n, *_ldexp([loss_epsilon(cfg), epsilon_upper_bound(n, p["alpha"], cfg.schedule.temp)], e)]
 
 
@@ -213,7 +214,8 @@ def _assemble_fig3(p, rows):
     return [OutputTable("fig3_loss.csv", ["N", "epsilon_exact", "epsilon_bound"], rows)], failures
 
 
-def _scaled_qubit_config(p, n: int) -> tuple[QubitProtocolConfig, int]:
+@functools.lru_cache(maxsize=32)  # fig4 asks for each N's config in its plan, in every block and in its assembly
+def _scaled_qubit_config(n: int, temperature: float, alpha: float) -> tuple[QubitProtocolConfig, int]:
     """The canonical qubit config at T / 2^e, with 2^e the power of two nearest T, and e.
 
     Works scale with T and their variance with T^2, which underflows or
@@ -221,10 +223,9 @@ def _scaled_qubit_config(p, n: int) -> tuple[QubitProtocolConfig, int]:
     and 4^e times variances at T / 2^e.  The scaling is exact, so wherever nothing
     underflows or overflows the bytes are those of a run at T.
     """
-    m, e = math.frexp(p["temperature"])  # T = m 2^e with 0.5 <= m < 1
+    m, e = math.frexp(temperature)  # T = m 2^e with 0.5 <= m < 1
     e = e - 1 if m < 0.75 else e
-    temp = Temperature(math.ldexp(p["temperature"], -e))
-    return QubitProtocolConfig.canonical_erasure(n, temp, FixedAlpha(p["alpha"])), e
+    return QubitProtocolConfig.canonical_erasure(n, Temperature(math.ldexp(temperature, -e)), FixedAlpha(alpha)), e
 
 
 def _ldexp(x, e: int):
@@ -238,7 +239,7 @@ def _plan_fig4(p, seed):
     items = []
     for n in p["N_values"]:
         n = int(n)
-        edges = default_bin_edges(_scaled_qubit_config(p, n)[0], bins=p["bins"])
+        edges = default_bin_edges(_scaled_qubit_config(n, p["temperature"], p["alpha"])[0], bins=p["bins"])
         task_seed = derive_seed(seed, f"fig4:N={n}", 0)
         for start in range(0, p["runs"], TRIAL_BLOCK):
             items.append((n, edges, task_seed, start, min(TRIAL_BLOCK, p["runs"] - start)))
@@ -247,7 +248,7 @@ def _plan_fig4(p, seed):
 
 def _run_fig4_block(p, item):
     n, edges, seed, start, count = item
-    cfg, _ = _scaled_qubit_config(p, n)
+    cfg, _ = _scaled_qubit_config(n, p["temperature"], p["alpha"])
     works, _, _ = sample_work_values(cfg, count, seed, trial_offset=start)
     counts, _ = np.histogram(works, bins=edges)
     return {
@@ -273,7 +274,7 @@ def _assemble_fig4(p, results):
         mean = total / count
         variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
         sigma = math.sqrt(variance)
-        cfg, e = _scaled_qubit_config(p, n)
+        cfg, e = _scaled_qubit_config(n, p["temperature"], p["alpha"])
         moments = work_moments(cfg)
         edges = _ldexp(moment_bin_edges(moments, p["bins"]), e)
         sigma_exact = math.sqrt(moments.variance)
@@ -390,7 +391,7 @@ def _assemble_tth(p, results):
 
 
 def _run_custom(p, _item):
-    cfg, e = _scaled_qubit_config(p, p["N"])
+    cfg, e = _scaled_qubit_config(p["N"], p["temperature"], p["alpha"])
     if p["op"] == "loss":
         return {"op": p["op"], "value": _ldexp(loss_epsilon(cfg), e)}
     ledger = _ledger_dict(average_work(cfg) if p["op"] == "average-work" else work_moments(cfg), e)
@@ -685,10 +686,10 @@ def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
     return manifest
 
 
-# Pool start-up in seconds.  The caller runs tasks in order until, from the second on, the least CPU time of a task,
+# Helper start-up in seconds.  The caller runs tasks in order until, from the second on, the least CPU time of a task,
 # times the tasks left, times 1 - 1/workers, exceeds it: waiting for a busy CPU is no work a helper could take, and one
-# stalled task must not start a pool.  Measured on a 2-core host (fork): creating the pool and forking 2 helpers takes
-# 9-11 ms, shutdown about 3 ms, and a fresh helper's first fig4 block 10-15 ms of wall time against 2.4-3 ms in-process.
+# stalled task must not start helpers.  Measured on a 2-core host (fork, fig4 blocks of 2.4 ms): starting 1-2 helpers
+# costs the caller 2-4 ms, a helper claims its first task 5-8 ms in and runs it in 3-8 ms, and ending them takes 1-3 ms.
 POOL_STARTUP_S = 0.025
 
 
@@ -706,34 +707,61 @@ def _run_tasks(tasks, workers: int) -> list[dict]:
 
 
 def _share(tasks, helpers: int) -> list[dict]:
-    """The tasks' results in order, helper processes taking tasks from the head and the caller from the tail."""
-    from concurrent.futures import ProcessPoolExecutor  # only runs with a pool pay for this import
+    """The tasks' results in order; helpers claim tasks from the head, the caller from the tail, so none is reserved."""
+    import multiprocessing.connection
 
-    pool = ProcessPoolExecutor(max_workers=helpers, initializer=_exit_with_parent)
+    bounds, started, results = multiprocessing.Array("q", [0, len(tasks)]), [], {}
     try:
-        futures, own = [pool.submit(_execute_task, t) for t in tasks], {}
-        for i in reversed(range(len(tasks))):
-            if not futures[i].cancel():  # dispatch is FIFO, so every earlier task is a helper's too
-                break
-            own[i] = _execute_task(tasks[i])
-        return [own[i] if i in own else f.result() for i, f in enumerate(futures)]
+        for _ in range(helpers):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            helper = multiprocessing.Process(target=_help, args=(_execute_task, tasks, bounds, sender))
+            helper.start()
+            started.append((helper, receiver, sender))  # with the sender kept open, a helper's end is no EOF
+        while (i := _claim(bounds, at_tail=True)) is not None:
+            results[i] = _execute_task(tasks[i])
+        for helper, receiver, _ in started:
+            multiprocessing.connection.wait([receiver, helper.sentinel])
+            done = receiver.recv() if receiver.poll() else None  # None: the helper ended without sending
+            if not isinstance(done, dict):
+                helper.join()
+                raise done or RuntimeError(f"a helper ended with exit code {helper.exitcode} and sent no results")
+            results.update(done)
+        return [results[i] for i in range(len(tasks))]
     finally:
-        pool.shutdown(cancel_futures=True)
+        for helper, *_ in started:
+            helper.kill()
+            helper.join()
+
+
+def _claim(bounds, at_tail: bool) -> Optional[int]:
+    """The index of a task claimed from the tail or the head of the unclaimed tasks, bounds[0] to bounds[1] - 1."""
+    with bounds.get_lock():
+        head, tail = bounds[:]
+        if head < tail:
+            bounds[:] = (head, tail - 1) if at_tail else (head + 1, tail)
+            return tail - 1 if at_tail else head
+    return None
+
+
+def _help(run, tasks, bounds, sender) -> None:
+    """A helper process: run claimed tasks until none is left, then send {index: result} or the exception hit."""
+    _exit_with_parent()
+    done = {}
+    try:
+        while (i := _claim(bounds, at_tail=False)) is not None:
+            done[i] = run(tasks[i])
+    except Exception as exc:
+        done, bounds[0] = exc, len(tasks)  # leave nothing more to claim: the run fails anyway
+    sender.send(done)
 
 
 def _exit_with_parent() -> None:
-    """Pool initializer: end the helper once its parent is gone, as a caller killed by a signal runs no shutdown.
-
-    The sentinel is a pipe whose write end only the caller holds, under every
-    start method; the forkserver, which stays up while its children hold its
-    alive pipe, is no sign of the caller.
-    """
+    """End the helper once the caller is gone, as a caller killed by a signal runs no finally.  The caller's sentinel
+    is a pipe whose write end only it holds under every start method; the forkserver is no sign of the caller."""
     from multiprocessing import connection, parent_process
 
-    sentinel = parent_process().sentinel
-
     def watch():
-        connection.wait([sentinel])
+        connection.wait([parent_process().sentinel])
         os._exit(1)
 
     threading.Thread(target=watch, daemon=True).start()

@@ -1,4 +1,4 @@
-import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -6,6 +6,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import tempfile
@@ -231,6 +232,23 @@ def test_fig4_runs_the_exact_moment_recursion_twice_per_size(tmp_path, monkeypat
            "output_dir": str(tmp_path / "o")}
     run_experiment(cfg)
     assert sorted(calls) == [12, 12, 16, 16, 20, 20]
+
+
+def test_fig4_builds_each_scaled_config_once(tmp_path, monkeypatch):
+    # the plan, each block and the assembly used to build it again: 12 configs for 3 sizes of 2 blocks
+    built = []
+    canonical = QubitProtocolConfig.canonical_erasure
+
+    def counted(n, temp, noise):
+        built.append(n)
+        return canonical(n, temp, noise)
+
+    monkeypatch.setattr(QubitProtocolConfig, "canonical_erasure", counted)
+    experiments._scaled_qubit_config.cache_clear()
+    cfg = {"experiment": "fig4-histograms", "parameters": {"N_values": [12, 16, 20], "runs": 600},
+           "output_dir": str(tmp_path / "o")}
+    run_experiment(cfg)
+    assert sorted(built) == [12, 16, 20]
 
 
 def test_fig4_single_step_passes_sigma_gate(tmp_path):
@@ -462,43 +480,47 @@ def test_sweep_key_inside_config_delegates(tmp_path):
     assert groups == {"alpha=0.25", "alpha=0.5"}
 
 
-class PendingTask(concurrent.futures.Future):
-    """A submitted task no helper has taken yet; reading its result runs it, as a helper eventually would."""
+def count_helpers(monkeypatch, process=multiprocessing.Process):
+    """Route every helper start through `process`; the list returned gets, per pool (_share call), its helpers."""
+    built, share = [], experiments._share
 
-    def __init__(self, fn, arg):
-        super().__init__()
-        self.run = lambda: fn(arg)
+    def counted_share(tasks, helpers):
+        built.append(0)
+        return share(tasks, helpers)
 
-    def result(self, timeout=None):
-        if not self.done() and self.set_running_or_notify_cancel():
-            self.set_result(self.run())
-        return super().result(timeout)
+    def start(*args, **kwargs):
+        built[-1] += 1
+        return process(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "_share", counted_share)
+    monkeypatch.setattr(multiprocessing, "Process", start)
+    return built
 
 
-class InProcessPool:
-    """A pool stand-in: the first max_workers + 1 submissions run at once, as a pool dispatches
-    them, and the rest stay pending for the caller to cancel and run itself."""
+class OneTaskHelper:
+    """A helper stand-in in the caller's process: its start claims one task from the head, runs it and sends
+    the result, as a helper does whose next claim finds nothing left; the caller claims the rest from the tail."""
 
-    def __init__(self, built, max_workers, **kwargs):
-        built.append(max_workers)
-        self.max_workers, self.futures = max_workers, []
+    def __init__(self, target, args):
+        self.args = args
 
-    def submit(self, fn, arg):
-        future = PendingTask(fn, arg)
-        if len(self.futures) <= self.max_workers:
-            future.result()
-        self.futures.append(future)
-        return future
+    def start(self):
+        run, tasks, bounds, sender = self.args
+        i = experiments._claim(bounds, at_tail=False)
+        sender.send({i: run(tasks[i])})
+        self.sentinel, end = os.pipe()  # the helper has ended, so its sentinel reads end of file
+        os.close(end)
 
-    def shutdown(self, wait=True, cancel_futures=False):
-        assert cancel_futures
-        for future in self.futures:
-            future.cancel()
+    def kill(self):
+        pass
+
+    def join(self):
+        os.close(self.sentinel)
 
 
 def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
     # each value used to start a pool of its own; workers counts the caller, so 3 workers are 2 helpers
-    built, ran = [], []
+    ran = []
     execute = experiments._execute_task
 
     def counted(task):
@@ -507,26 +529,27 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
     monkeypatch.setattr(experiments, "_execute_task", counted)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: InProcessPool(built, **kw))
+    built = count_helpers(monkeypatch, OneTaskHelper)
     grid = (10, 20, 50, 100, 1000)
     sweep(dict(fig3_config(tmp_path / "pooled", grid), workers=3), "alpha", [0.25, 0.5, 0.75])
     assert built == [2]
-    # every task ran once: the first two in the caller, the next 3 dispatched to the pool, the pending rest
-    # in the caller from the tail
+    # every task ran once: the first two in the caller, the next two in the helpers, the rest in the caller
+    # from the tail
     plan = [(alpha, n) for alpha in (0.25, 0.5, 0.75) for n in grid]
-    assert ran == plan[:5] + plan[5:][::-1]
+    assert ran == plan[:4] + plan[4:][::-1]
     sweep(fig3_config(tmp_path / "serial", grid), "alpha", [0.25, 0.5, 0.75])
     for value in (0.25, 0.5, 0.75):
         files = [tmp_path / side / "sweep-alpha" / f"alpha={value}" / "fig3_loss.csv" for side in ("pooled", "serial")]
         assert files[0].read_bytes() == files[1].read_bytes()
 
 
-class CountedPool(concurrent.futures.ProcessPoolExecutor):
-    built = []
-
-    def __init__(self, max_workers, **kwargs):
-        CountedPool.built.append(max_workers)
-        super().__init__(max_workers=max_workers, **kwargs)
+@pytest.fixture(params=multiprocessing.get_all_start_methods())
+def start_method(request):
+    """Each start method this platform offers, as the default for the test, restored after it."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(previous, force=True)
 
 
 @pytest.mark.parametrize(
@@ -537,18 +560,20 @@ class CountedPool(concurrent.futures.ProcessPoolExecutor):
         ("breakdown-scaling", {}, 2),  # 4 tasks, so 2 are left for helpers
     ],
 )
-def test_forced_pool_writes_the_bytes_of_an_in_process_run(experiment, parameters, helpers, tmp_path, monkeypatch):
-    # the default presets' small plans stay in-process, so this keeps the pooled path under a byte-identity oracle
+def test_forced_pool_writes_the_bytes_of_an_in_process_run(
+    experiment, parameters, helpers, start_method, tmp_path, monkeypatch
+):
+    # the default presets' small plans stay in-process, so this keeps the pooled path under a byte-identity oracle;
+    # under forkserver and spawn the tasks reach the helpers pickled in their Process arguments
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
-    monkeypatch.setattr(CountedPool, "built", [])
+    built = count_helpers(monkeypatch)
     digests = {}
     for workers in (1, 2, 4):
         cfg = {"experiment": experiment, "parameters": parameters, "workers": workers,
                "output_dir": str(tmp_path / f"w{workers}")}
         digests[workers] = run_experiment(cfg).outputs
     assert digests[1] == digests[2] == digests[4]
-    assert CountedPool.built == [1, helpers]  # the pool starts after the second task, with up to workers - 1 helpers
+    assert built == [1, helpers]  # the pool starts after the second task, with up to workers - 1 helpers
     assert multiprocessing.active_children() == []
 
 
@@ -561,6 +586,71 @@ def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, 
     with pytest.raises(ValidationError, match="substeps"):
         experiments._run_tasks(tasks, 3)
     assert multiprocessing.active_children() == []
+
+
+def timed(seconds):
+    """A task that sleeps: where it ran, and when it started and ended."""
+    start = time.monotonic()
+    time.sleep(seconds)
+    return os.getpid(), start, time.monotonic()
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the main thread, instead of hanging, once the block has run `seconds`."""
+    def hung(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_no_task_waits_unclaimed_while_the_caller_is_idle(monkeypatch):
+    # the helper's first task outlasts all the caller's; a task reserved for the helper would wait behind it
+    monkeypatch.setattr(experiments, "_execute_task", timed)
+    with deadline(30):
+        runs = experiments._share([0.6] + [0.05] * 6, 1)
+    caller_done = max(end for pid, _, end in runs if pid == os.getpid())
+    unfinished = [(pid, start) for pid, start, end in runs if end > caller_done]
+    assert unfinished and all(pid != os.getpid() and start < caller_done for pid, start in unfinished)
+
+
+def exit_in_a_helper(caller: int) -> int:
+    """A task that ends any process but the caller, which it gives a short task."""
+    if os.getpid() != caller:
+        os._exit(3)
+    time.sleep(0.05)
+    return caller
+
+
+def test_a_helper_that_ends_without_sending_fails_the_run(monkeypatch):
+    monkeypatch.setattr(experiments, "_execute_task", exit_in_a_helper)
+    with deadline(10), pytest.raises(RuntimeError, match="exit code 3"):
+        experiments._share([os.getpid()] * 8, 2)
+    assert multiprocessing.active_children() == []
+
+
+def run_once(task):
+    """A task that counts its runs in a shared array."""
+    runs, i = task
+    with runs.get_lock():
+        runs[i] += 1
+    return i
+
+
+def test_every_task_runs_once_with_more_helpers_than_cores(monkeypatch):
+    # thousands of tiny tasks make the claims race; a lost update of the shared head or tail runs a task twice or never
+    runs = multiprocessing.Array("i", 20000)
+    monkeypatch.setattr(experiments, "_execute_task", run_once)
+    tasks = [(runs, i) for i in range(len(runs))]
+    with deadline(60):
+        assert experiments._share(tasks, (os.cpu_count() or 1) + 2) == list(range(len(runs)))
+    assert list(runs) == [1] * len(runs)
 
 
 HELPER_ORPHAN_SCRIPT = """
@@ -630,17 +720,17 @@ def test_helpers_exit_when_a_signal_kills_the_caller(method, tmp_path):
 
 @pytest.mark.parametrize("experiment", ["fig3-loss", "breakdown-scaling"])
 def test_default_short_plans_start_no_pool(experiment, tmp_path, monkeypatch):
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     run_experiment({"experiment": experiment, "workers": 2, "output_dir": str(tmp_path / "o")})
 
 
 def no_pool(*args, **kwargs):
-    pytest.fail("a pool was started")
+    pytest.fail("a helper was started")
 
 
 def test_time_spent_waiting_does_not_count_toward_the_pace(monkeypatch):
     # each task waits as long as the pool's start-up but does almost no work, as on a host whose CPUs are busy
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     monkeypatch.setattr(experiments, "_execute_task", lambda t: time.sleep(experiments.POOL_STARTUP_S) or t)
     assert experiments._run_tasks([1, 2, 3, 4, 5], 2) == [1, 2, 3, 4, 5]
 
@@ -656,7 +746,7 @@ def test_one_stalled_task_does_not_start_a_pool(stalled, monkeypatch):
 
     costs = [experiments.POOL_STARTUP_S / 40] * 6
     costs[stalled] = 40 * experiments.POOL_STARTUP_S
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
     monkeypatch.setattr(experiments.time, "thread_time", lambda: clock[0])
     monkeypatch.setattr(experiments, "_execute_task", execute)
     assert experiments._run_tasks(costs, 2) == costs
@@ -758,7 +848,7 @@ def test_cli_import_loads_neither_scipy_nor_the_process_pool():
     # scipy is a test-only dependency; the pool machinery is imported only by runs that start a pool
     src = str(Path(thermoflow.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    modules = ("scipy", "concurrent.futures.process")
+    modules = ("scipy", "concurrent.futures.process", "multiprocessing")
     probe = f"import sys, thermoflow.cli; print([m for m in {modules!r} if m in sys.modules])"
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, timeout=15)
     assert done.returncode == 0, done.stderr.decode()

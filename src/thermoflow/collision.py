@@ -47,7 +47,7 @@ __all__ = [
     "thermal_op_reduction_check",
 ]
 
-ENUMERATION_CAP = 20  # 2^N paths; ~1e6 at the cap
+ENUMERATION_CAP = 20  # 2^N paths; ~1e6 at the cap, held in two 2^21 float64 arrays (32 MB), ~66 MB at peak
 TRIAL_TAG = "collision-mc"
 ALPHA_TAG = "collision-alpha"
 
@@ -335,29 +335,14 @@ class WorkDistribution:
         return float(np.dot(np.exp(rate * self.values), self.probabilities))
 
 
-def _aggregate(values: np.ndarray, probs: np.ndarray, tol: float = 1e-11) -> WorkDistribution:
-    order = np.argsort(values)
-    v = values[order]
-    p = probs[order]
-    # Merge support points closer than tol (identical path sums agree bitwise;
-    # this also folds coincidences between different paths).
-    group = np.concatenate([[0], np.cumsum(np.diff(v) > tol)])
-    n_groups = group[-1] + 1
-    merged_p = np.zeros(n_groups)
-    np.add.at(merged_p, group, p)
-    merged_v = np.zeros(n_groups)
-    np.add.at(merged_v, group, v * p)
-    with np.errstate(invalid="ignore"):
-        merged_v = np.where(merged_p > 0, merged_v / np.where(merged_p > 0, merged_p, 1.0), 0.0)
-    keep = merged_p > 0
-    return WorkDistribution(values=merged_v[keep], probabilities=merged_p[keep])
-
-
 def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
     """Exact work distribution by enumerating all 2^N swap/no-swap paths.
 
-    Maintains path-probability and path-work vectors split by the current
-    system bit; each step doubles them (swap branch and identity branch).
+    Fills one row of path works and one of path probabilities per current
+    system bit, in place: step k writes the paths that swap into columns
+    [n:2n] from the first n, then scales the first n by the stay factors.
+    Support points closer than 1e-11 are merged (identical path sums agree
+    bitwise; this also folds coincidences between different paths).
     """
     alpha = config._fixed_alpha("enumerate_work_paths")
     N = config.schedule.N
@@ -368,24 +353,31 @@ def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
     q = config.schedule.q
     omega = config.swap_energies
 
-    p_end0 = np.array([1.0 - config.p0])
-    w_end0 = np.array([0.0])
-    p_end1 = np.array([config.p0])
-    w_end1 = np.array([0.0])
+    works = np.empty((2, 1 << N))  # row b: the paths that end with the system bit b
+    probs = np.empty((2, 1 << N))
+    works[:, 0] = 0.0
+    probs[:, 0] = 1.0 - config.p0, config.p0
     for k in range(1, N + 1):
-        qk = q[k]
-        w = omega[k - 1]
+        n, qk, w = 1 << (k - 1), q[k], omega[k - 1]
         stay0 = (1.0 - qk) + alpha * qk
         stay1 = qk + alpha * (1.0 - qk)
-        p_end0, p_end1, w_end0, w_end1 = (
-            np.concatenate([p_end0 * stay0, p_end1 * (1.0 - alpha) * (1.0 - qk)]),
-            np.concatenate([p_end1 * stay1, p_end0 * (1.0 - alpha) * qk]),
-            np.concatenate([w_end0, w_end1 - w]),
-            np.concatenate([w_end1, w_end0 + w]),
-        )
-    values = np.concatenate([w_end0, w_end1])
-    probs = np.concatenate([p_end0, p_end1])
-    return _aggregate(values, probs)
+        np.add(works[::-1, :n], [[-w], [w]], out=works[:, n : 2 * n])  # x + (-w) is x - w bit for bit
+        np.multiply(probs[::-1, :n], 1.0 - alpha, out=probs[:, n : 2 * n])
+        probs[:, n : 2 * n] *= [[1.0 - qk], [qk]]
+        probs[:, :n] *= [[stay0], [stay1]]
+
+    order = np.argsort(works, axis=None)  # each array is freed after its last use: the peak is ~4.1 path arrays
+    values = works.ravel()[order]
+    del works
+    probs = probs.ravel()[order]
+    del order
+    group = np.concatenate([[0], np.cumsum(np.diff(values) > 1e-11)])
+    merged_p = np.bincount(group, weights=probs)
+    values *= probs  # the weights of each group's mean work
+    merged_v = np.bincount(group, weights=values)
+    del values, probs, group
+    keep = merged_p > 0
+    return WorkDistribution(values=merged_v[keep] / merged_p[keep], probabilities=merged_p[keep])
 
 
 # ---------------------------------------------------------------------------

@@ -686,11 +686,13 @@ def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
     return manifest
 
 
-# Helper start-up in seconds.  The caller runs tasks in order until, from the second on, the least CPU time of a task,
-# times the tasks left, times 1 - 1/workers, exceeds it: waiting for a busy CPU is no work a helper could take, and one
-# stalled task must not start helpers.  Measured on a 2-core host (fork, fig4 blocks of 2.4 ms): starting 1-2 helpers
-# costs the caller 2-4 ms, a helper claims its first task 5-8 ms in and runs it in 3-8 ms, and ending them takes 1-3 ms.
-POOL_STARTUP_S = 0.025
+# Helper start-up in seconds, by start method.  The caller runs tasks in order until, from the second on, the least
+# CPU time of a task, times the tasks left, times 1 - 1/workers, exceeds the start-up of the method helpers will use:
+# waiting for a busy CPU is no work a helper could take, and one stalled task must not start helpers.  Measured on a
+# 2-core host (fig4 blocks of 2.4 ms): under fork, starting 1-2 helpers costs the caller 2-4 ms, a helper claims its
+# first task 5-8 ms in and runs it in 3-8 ms, and ending them takes 1-3 ms; under forkserver and spawn a helper
+# imports numpy and thermoflow afresh and claims its first task 0.17-0.36 s in.
+POOL_STARTUP_S = {"fork": 0.025, "forkserver": 0.3, "spawn": 0.3}
 
 
 def _run_tasks(tasks, workers: int) -> list[dict]:
@@ -701,9 +703,18 @@ def _run_tasks(tasks, workers: int) -> list[dict]:
     while len(results) < len(tasks):
         results.append(_execute_task(tasks[len(results)]))
         pace, start, left = min(pace, time.thread_time() - start), time.thread_time(), len(tasks) - len(results)
-        if len(results) >= 2 and left >= 2 and pace * left * (1 - 1 / workers) > POOL_STARTUP_S:
+        work = pace * left * (1 - 1 / workers)  # below the least start-up, no start method is read
+        if len(results) >= 2 and left >= 2 and work > min(POOL_STARTUP_S.values()) and work > _pool_startup_s():
             return results + _share(tasks[len(results):], min(workers - 1, left))
     return results
+
+
+def _pool_startup_s() -> float:
+    """POOL_STARTUP_S of the start method helpers will use, read without fixing it."""
+    import multiprocessing
+
+    method = multiprocessing.get_start_method(allow_none=True) or multiprocessing.get_all_start_methods()[0]
+    return POOL_STARTUP_S[method]
 
 
 def _share(tasks, helpers: int) -> list[dict]:

@@ -527,7 +527,7 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
         ran.append((task[1]["alpha"], task[2]))
         return execute(task)
 
-    monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", dict.fromkeys(experiments.POOL_STARTUP_S, 0.0))
     monkeypatch.setattr(experiments, "_execute_task", counted)
     built = count_helpers(monkeypatch, OneTaskHelper)
     grid = (10, 20, 50, 100, 1000)
@@ -565,7 +565,7 @@ def test_forced_pool_writes_the_bytes_of_an_in_process_run(
 ):
     # the default presets' small plans stay in-process, so this keeps the pooled path under a byte-identity oracle;
     # under forkserver and spawn the tasks reach the helpers pickled in their Process arguments
-    monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", dict.fromkeys(experiments.POOL_STARTUP_S, 0.0))
     built = count_helpers(monkeypatch)
     digests = {}
     for workers in (1, 2, 4):
@@ -579,7 +579,7 @@ def test_forced_pool_writes_the_bytes_of_an_in_process_run(
 
 @pytest.mark.parametrize("failing", [2, -1])  # the head of the pooled tasks, usually a helper's; the tail, the caller's
 def test_a_failing_task_reaches_the_caller_and_leaves_no_child_running(failing, monkeypatch):
-    monkeypatch.setattr(experiments, "POOL_STARTUP_S", 0.0)
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", dict.fromkeys(experiments.POOL_STARTUP_S, 0.0))
     params = resolve_config({"experiment": "breakdown-scaling"})["parameters"]
     tasks = [("breakdown-scaling", params, n) for n in (16, 256, 256, 256, 256, 256)]
     tasks[failing] = ("breakdown-scaling", dict(params, substeps=0), 256)
@@ -728,10 +728,25 @@ def no_pool(*args, **kwargs):
     pytest.fail("a helper was started")
 
 
+@pytest.mark.parametrize("faked", ["set", "platform default"])
+def test_a_spawned_pool_must_pay_for_its_import(faked, tmp_path, monkeypatch):
+    # a fig4 plan of mc-small-n's size pools under fork; a spawned helper imports numpy afresh, which takes longer
+    # than the whole plan runs
+    if faked == "set":
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
+    else:
+        monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: None)
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "fork"])
+    monkeypatch.setattr(multiprocessing, "Process", no_pool)
+    cfg = {"experiment": "fig4-histograms", "parameters": {"N_values": [12, 16, 20], "runs": 8000}, "workers": 2,
+           "output_dir": str(tmp_path / "o")}
+    run_experiment(cfg)
+
+
 def test_time_spent_waiting_does_not_count_toward_the_pace(monkeypatch):
     # each task waits as long as the pool's start-up but does almost no work, as on a host whose CPUs are busy
     monkeypatch.setattr(multiprocessing, "Process", no_pool)
-    monkeypatch.setattr(experiments, "_execute_task", lambda t: time.sleep(experiments.POOL_STARTUP_S) or t)
+    monkeypatch.setattr(experiments, "_execute_task", lambda t: time.sleep(experiments._pool_startup_s()) or t)
     assert experiments._run_tasks([1, 2, 3, 4, 5], 2) == [1, 2, 3, 4, 5]
 
 
@@ -744,8 +759,8 @@ def test_one_stalled_task_does_not_start_a_pool(stalled, monkeypatch):
         clock[0] += cost
         return cost
 
-    costs = [experiments.POOL_STARTUP_S / 40] * 6
-    costs[stalled] = 40 * experiments.POOL_STARTUP_S
+    costs = [experiments._pool_startup_s() / 40] * 6
+    costs[stalled] = 40 * experiments._pool_startup_s()
     monkeypatch.setattr(multiprocessing, "Process", no_pool)
     monkeypatch.setattr(experiments.time, "thread_time", lambda: clock[0])
     monkeypatch.setattr(experiments, "_execute_task", execute)

@@ -361,6 +361,67 @@ def test_enumeration_hand_unrolled_two_steps():
         assert abs(got[w] - p) < 1e-14
 
 
+def _reference_enumeration(config):
+    """The enumerator before the in-place fill: concatenated doublings and an np.add.at merge."""
+    alpha, N = config.noise.alpha, config.schedule.N
+    q, omega = config.schedule.q, config.swap_energies
+    p_end0, w_end0 = np.array([1.0 - config.p0]), np.array([0.0])
+    p_end1, w_end1 = np.array([config.p0]), np.array([0.0])
+    for k in range(1, N + 1):
+        qk, w = q[k], omega[k - 1]
+        stay0 = (1.0 - qk) + alpha * qk
+        stay1 = qk + alpha * (1.0 - qk)
+        p_end0, p_end1, w_end0, w_end1 = (
+            np.concatenate([p_end0 * stay0, p_end1 * (1.0 - alpha) * (1.0 - qk)]),
+            np.concatenate([p_end1 * stay1, p_end0 * (1.0 - alpha) * qk]),
+            np.concatenate([w_end0, w_end1 - w]),
+            np.concatenate([w_end1, w_end0 + w]),
+        )
+    values, probs = np.concatenate([w_end0, w_end1]), np.concatenate([p_end0, p_end1])
+    order = np.argsort(values)
+    v, p = values[order], probs[order]
+    group = np.concatenate([[0], np.cumsum(np.diff(v) > 1e-11)])
+    merged_p, merged_v = np.zeros(group[-1] + 1), np.zeros(group[-1] + 1)
+    np.add.at(merged_p, group, p)
+    np.add.at(merged_v, group, v * p)
+    with np.errstate(invalid="ignore"):
+        merged_v = np.where(merged_p > 0, merged_v / np.where(merged_p > 0, merged_p, 1.0), 0.0)
+    keep = merged_p > 0
+    return merged_v[keep], merged_p[keep]
+
+
+def _enumeration_cases():
+    for N in (1, 2, 7, 12, 16, 20):
+        for alpha in (0.0, 0.3, 0.93):
+            yield pytest.param(canonical(N, alpha), id=f"canonical-N{N}-a{alpha}")
+    q = np.linspace(0.05, 0.47, 13)
+    for eps_S in (0.8, -0.3):  # eps_S = 0.8 makes the late omega_k negative
+        cfg = QubitProtocolConfig(p0=0.4, eps_S=eps_S, schedule=make_schedule(q, FIG_TEMP), noise=FixedAlpha(0.3))
+        yield pytest.param(cfg, id=f"ladder-eps{eps_S}")
+    two_steps = make_schedule([0.0, 0.15, 0.35], FIG_TEMP)
+    yield pytest.param(QubitProtocolConfig(0.0, 0.0, two_steps, FixedAlpha(0.5)), id="two-steps")
+
+
+@pytest.mark.parametrize("config", list(_enumeration_cases()))
+def test_enumeration_is_bit_identical_to_the_concatenated_doublings(config):
+    dist = enumerate_work_paths(config)
+    values, probabilities = _reference_enumeration(config)
+    assert np.array_equal(dist.values, values)
+    assert np.array_equal(dist.probabilities, probabilities)
+
+
+def test_enumeration_memory_stays_under_five_path_arrays():
+    cfg = canonical(16, 0.5)
+    enumerate_work_paths(cfg)  # warm-up: caches and first-call allocations
+    tracemalloc.start()
+    try:
+        enumerate_work_paths(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**17 * 8  # one 2^(N+1) float64 array is 2^17 * 8 bytes
+
+
 def test_enumeration_jarzynski_telescoped_identity():
     # full-swap chains from a sharp start: <e^{beta W}> = Z(eps_S)/Z(E_1),
     # i.e. the exponential average reproduces the free-energy drop between

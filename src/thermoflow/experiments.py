@@ -686,13 +686,17 @@ def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
     return manifest
 
 
-# Helper start-up in seconds, by start method.  The caller runs tasks in order until, from the second on, the least
-# CPU time of a task, times the tasks left, times 1 - 1/workers, exceeds the start-up of the method helpers will use:
-# waiting for a busy CPU is no work a helper could take, and one stalled task must not start helpers.  Measured on a
-# 2-core host (fig4 blocks of 2.4 ms): under fork, starting 1-2 helpers costs the caller 2-4 ms, a helper claims its
-# first task 5-8 ms in and runs it in 3-8 ms, and ending them takes 1-3 ms; under forkserver and spawn a helper
-# imports numpy and thermoflow afresh and claims its first task 0.17-0.36 s in.
-POOL_STARTUP_S = {"fork": 0.025, "forkserver": 0.3, "spawn": 0.3}
+# Helper start-up in seconds, by start method: what starting helpers costs the caller, plus the time until a helper
+# works times 1 - 1/workers.  The caller runs tasks in order until, from the second on, the least CPU time of a task,
+# times the tasks left, times 1 - 1/workers, exceeds the start-up of the method helpers will use: waiting for a busy
+# CPU is no work a helper could take, and one stalled task must not start helpers.  Measured on a 2-core host with
+# fig4 blocks of 1.0-1.5 ms, under fork: starting a helper takes the caller 1.1-1.5 ms, its next task runs 5-9 ms
+# longer (copy-on-write faults), and the wait for the last result and the join take 1-4 ms; the helper claims its
+# first task 6-7 ms in and runs it 1-2 ms longer.  That is 8-15 + (7-9) / 2 ms.  Pools paid from 32-48 ms of
+# in-process work on; the 8000-run fig4 plan at N = 12, 16, 20 estimates 22-40 ms, where 25 ms left 1 pass in 6
+# in-process.  Under forkserver and spawn a helper imports numpy and thermoflow afresh and claims its first task
+# 0.17-0.36 s in.
+POOL_STARTUP_S = {"fork": 0.015, "forkserver": 0.3, "spawn": 0.3}
 
 
 def _run_tasks(tasks, workers: int) -> list[dict]:

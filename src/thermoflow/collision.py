@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "NoiseModel",
     "QubitProtocolConfig",
     "WorkLedger",
+    "WorkSummary",
     "WorkDistribution",
     "make_linear_schedule",
     "make_schedule",
@@ -249,7 +250,7 @@ class WorkLedger:
 # ---------------------------------------------------------------------------
 
 def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """One pass over the swap steps: p_0..p_N, per-step mean work, <W> and <W^2>.
+    """One pass over the swap steps: p_0..p_N, per-step mean work, <W> and Var W.
 
     Besides the excitation probability p_m and the moments it tracks the
     excited-state work correlator c_m = E[W_m ; state = 1], whose recursion is
@@ -268,7 +269,7 @@ def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.nda
         p = alpha * p + one * qm
         probabilities.append(p)
         steps.append(inc)
-    return np.array(probabilities), np.array(steps), mean, second
+    return np.array(probabilities), np.array(steps), mean, max(second - mean * mean, 0.0)
 
 
 def excitation_probabilities(config: QubitProtocolConfig) -> np.ndarray:
@@ -306,9 +307,7 @@ def epsilon_upper_bound(N: int, alpha: float, temp: Temperature) -> float:
 
 def work_moments(config: QubitProtocolConfig) -> WorkLedger:
     """Mean and variance of the work distribution by an O(N) recursion (see _moment_recursion)."""
-    _, steps, mean, second = _moment_recursion(config, config._fixed_alpha("work_moments"))
-    variance = max(second - mean * mean, 0.0)
-    return WorkLedger(per_step_work=steps, mean=mean, variance=variance)
+    return WorkLedger(*_moment_recursion(config, config._fixed_alpha("work_moments"))[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -441,32 +440,37 @@ def sample_work_values(
     return works, step_sums / runs, state_sums / runs
 
 
-def _ledger_from_samples(works, mean_steps, bin_edges) -> WorkLedger:
-    mean = float(works.mean())
-    variance = float(works.var(ddof=1)) if len(works) > 1 else 0.0
-    counts, edges = np.histogram(works, bins=bin_edges)
-    return WorkLedger(
-        per_step_work=mean_steps,
-        mean=mean,
-        variance=variance,
-        histogram=(edges, counts),
-        sample_count=len(works),
-    )
+class WorkSummary(NamedTuple):
+    """Mergeable summary of sampled works: count, sum, sum of squares and histogram counts over fixed edges."""
+
+    count: int
+    total: float
+    total_sq: float
+    hist: np.ndarray
+
+    @classmethod
+    def of(cls, works: np.ndarray, edges) -> "WorkSummary":
+        return cls(len(works), float(works.sum()), float(np.dot(works, works)), np.histogram(works, bins=edges)[0])
+
+    @classmethod
+    def merge(cls, blocks) -> "WorkSummary":
+        """The summary of all the blocks' trials: each entry added over the blocks in block order."""
+        return cls(*map(sum, zip(*blocks)))
+
+    def moments(self) -> tuple[float, float]:
+        """Sample mean and unbiased variance, max((sum w^2 - n m^2) / (n - 1), 0); 0 for a single sample."""
+        n, mean = self.count, self.total / self.count
+        return mean, (max((self.total_sq - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0)
+
+
+def _ledger_from_samples(works, mean_steps, edges) -> WorkLedger:
+    summary = WorkSummary.of(works, edges)
+    return WorkLedger(mean_steps, *summary.moments(), histogram=(edges, summary.hist), sample_count=summary.count)
 
 
 def default_bin_edges(config: QubitProtocolConfig, bins: int = 60) -> np.ndarray:
-    """Histogram edges centered on the exact moments (deterministic)."""
-    fixed = (
-        config
-        if isinstance(config.noise, FixedAlpha)
-        else QubitProtocolConfig(
-            p0=config.p0,
-            eps_S=config.eps_S,
-            schedule=config.schedule,
-            noise=FixedAlpha(config.noise.mean_alpha),
-        )
-    )
-    return moment_bin_edges(work_moments(fixed), bins)
+    """Histogram edges centered on the exact moments at the noise model's mean alpha (deterministic)."""
+    return moment_bin_edges(WorkLedger(*_moment_recursion(config, config.noise.mean_alpha)[1:]), bins)
 
 
 def moment_bin_edges(moments: WorkLedger, bins: int = 60) -> np.ndarray:
@@ -475,18 +479,11 @@ def moment_bin_edges(moments: WorkLedger, bins: int = 60) -> np.ndarray:
     return np.linspace(moments.mean - spread, moments.mean + spread, bins + 1)
 
 
-def sample_work(
-    config: QubitProtocolConfig,
-    runs: int,
-    seed: int,
-    trial_offset: int = 0,
-    bin_edges: Optional[np.ndarray] = None,
-) -> WorkLedger:
+def sample_work(config: QubitProtocolConfig, runs: int, seed: int) -> WorkLedger:
     """Monte Carlo work statistics over `runs` independent trials."""
     config._fixed_alpha("sample_work")
-    works, mean_steps, _ = sample_work_values(config, runs, seed, trial_offset)
-    edges = default_bin_edges(config) if bin_edges is None else np.asarray(bin_edges, dtype=float)
-    return _ledger_from_samples(works, mean_steps, edges)
+    works, mean_steps, _ = sample_work_values(config, runs, seed)
+    return _ledger_from_samples(works, mean_steps, default_bin_edges(config))
 
 
 def simulate_random_alpha(

@@ -249,11 +249,16 @@ def relative_entropy(rho, sigma) -> float:
     return max(tr_rho_ln_rho - tr_rho_ln_sigma, 0.0)
 
 
+def _trace_norm(m: np.ndarray) -> np.ndarray:
+    """Trace norm of a Hermitian matrix or of each in a stack, unchecked: the sum of |eigenvalues|."""
+    return np.abs(np.linalg.eigvalsh(m)).sum(axis=-1)
+
+
 def trace_distance(rho, sigma):
     """Trace norm ||rho - sigma||_1 (sum of singular values), in [0, 2]; stacks pair up row by row or broadcast."""
     rho, sigma = _states(rho)[0], _states(sigma)[0]
     _require_same_dim(rho, sigma)
-    return _per_matrix(np.abs(np.linalg.eigvalsh(rho - sigma)).sum(axis=-1))
+    return _per_matrix(_trace_norm(rho - sigma))
 
 
 def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:

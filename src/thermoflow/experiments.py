@@ -32,7 +32,7 @@ from .core import Temperature, free_energy
 from .collision import (
     FixedAlpha,
     QubitProtocolConfig,
-    default_bin_edges,
+    WorkSummary,
     epsilon_upper_bound,
     loss_epsilon,
     average_work,
@@ -239,7 +239,7 @@ def _plan_fig4(p, seed):
     items = []
     for n in p["N_values"]:
         n = int(n)
-        edges = default_bin_edges(_scaled_qubit_config(n, p["temperature"], p["alpha"])[0], bins=p["bins"])
+        edges = moment_bin_edges(work_moments(_scaled_qubit_config(n, p["temperature"], p["alpha"])[0]), p["bins"])
         task_seed = derive_seed(seed, f"fig4:N={n}", 0)
         for start in range(0, p["runs"], TRIAL_BLOCK):
             items.append((n, edges, task_seed, start, min(TRIAL_BLOCK, p["runs"] - start)))
@@ -247,17 +247,10 @@ def _plan_fig4(p, seed):
 
 
 def _run_fig4_block(p, item):
+    """(N, the block's WorkSummary)."""
     n, edges, seed, start, count = item
     cfg, _ = _scaled_qubit_config(n, p["temperature"], p["alpha"])
-    works, _, _ = sample_work_values(cfg, count, seed, trial_offset=start)
-    counts, _ = np.histogram(works, bins=edges)
-    return {
-        "N": n,
-        "count": count,
-        "sum": float(works.sum()),
-        "sum_sq": float(np.dot(works, works)),
-        "hist": counts.tolist(),
-    }
+    return n, WorkSummary.of(sample_work_values(cfg, count, seed, trial_offset=start)[0], edges)
 
 
 def _assemble_fig4(p, results):
@@ -266,22 +259,17 @@ def _assemble_fig4(p, results):
     summary_rows = []
     for n in p["N_values"]:
         n = int(n)
-        blocks = [r for r in results if r["N"] == n]
-        count = sum(b["count"] for b in blocks)
-        total = sum(b["sum"] for b in blocks)
-        total_sq = sum(b["sum_sq"] for b in blocks)
-        hist = np.sum([b["hist"] for b in blocks], axis=0)
-        mean = total / count
-        variance = max((total_sq - count * mean * mean) / (count - 1), 0.0)
+        merged = WorkSummary.merge([block for m, block in results if m == n])
+        mean, variance = merged.moments()
         sigma = math.sqrt(variance)
         cfg, e = _scaled_qubit_config(n, p["temperature"], p["alpha"])
         moments = work_moments(cfg)
         edges = _ldexp(moment_bin_edges(moments, p["bins"]), e)
         sigma_exact = math.sqrt(moments.variance)
-        stderr = sigma_exact / math.sqrt(count)
+        stderr = sigma_exact / math.sqrt(merged.count)
         summary = _ldexp([mean, sigma, moments.mean, sigma_exact, stderr], e)
-        summary_rows.append([n, count, *summary])
-        hist_rows = [[edges[i], edges[i + 1], int(hist[i])] for i in range(len(hist))]
+        summary_rows.append([n, merged.count, *summary])
+        hist_rows = [[lo, hi, int(c)] for lo, hi, c in zip(edges, edges[1:], merged.hist)]
         artifacts.append(OutputTable(f"fig4_hist_N{n}.csv", ["bin_left", "bin_right", "count"], hist_rows))
         if not abs(mean - moments.mean) <= 4.0 * stderr:
             failures.append(f"collision-qubit/sample_work: mean off by >4 s.e. at N={n}")

@@ -25,6 +25,7 @@ from .core import (
     ThermalizingChannel,
     ValidationError,
     _check_contraction_factor,
+    _trace_norm,
     check_density_matrices,
     contact_chain,
     free_energy,
@@ -81,7 +82,7 @@ def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> Therm
     """
     _check_channel_kind(kind)
     channel = ThermalizingChannel(lam, taus, np.linalg.eigh(hams)[1] if kind == "pinch" else None)
-    drift = np.atleast_1d(np.abs(np.linalg.eigvalsh(channel.apply(taus) - taus)).sum(axis=-1))
+    drift = np.atleast_1d(_trace_norm(channel.apply(taus) - taus))
     bad = ~(drift <= 1e-12)
     if bad.any():
         raise ValidationError(f"channel does not fix its thermal target (drift {drift[bad.argmax()]:.3e})")

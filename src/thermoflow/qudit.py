@@ -20,6 +20,7 @@ from .core import (
     Temperature,
     ThermalizingChannel,
     ValidationError,
+    _trace_norm,
     check_density_matrices,
     contact_chain,
     free_energy,
@@ -295,7 +296,7 @@ def lag_deviation(config: QuditProtocolConfig, k: int) -> float:
     s = k / N
     correction = (alpha / (N * (1.0 - alpha))) * config.path.gibbs_derivative(s)
     residual = _staircase(config, k)[0][k] - config.path.gibbs_matrix(s) + correction
-    return float(np.sum(np.abs(np.linalg.eigvalsh(0.5 * (residual + residual.conj().T)))))
+    return float(_trace_norm(0.5 * (residual + residual.conj().T)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoflow.core import HamiltonianMatrix, Temperature, ValidationError, free_energy, gibbs_state
 from thermoflow.collision import (
@@ -12,6 +13,7 @@ from thermoflow.collision import (
     QubitProtocolConfig,
     RandomAlpha,
     WorkLedger,
+    WorkSummary,
     average_work,
     default_bin_edges,
     enumerate_work_paths,
@@ -20,6 +22,7 @@ from thermoflow.collision import (
     loss_epsilon,
     make_linear_schedule,
     make_schedule,
+    moment_bin_edges,
     random_energy_preserving_unitary,
     reduce_thermal_operation,
     sample_work,
@@ -561,6 +564,79 @@ def test_sampling_fig4_n100_mean():
     ledger = sample_work(canonical(100, 0.5), 10_000, seed=20260809)
     se = math.sqrt(ledger.variance / ledger.sample_count)
     assert abs(ledger.mean - 0.939) <= 4.0 * se
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+    loc=st.floats(-10.0, 10.0),
+    scale=st.floats(1e-3, 1e3),
+    cuts=st.lists(st.integers(1, 399), max_size=8),
+)
+def test_merged_block_summaries_reduce_like_the_whole_array(n, seed, loc, scale, cuts):
+    # rounded normal draws: ties, works on the edges and works outside them, as in a sampled histogram
+    works = scale * (loc + np.round(np.random.default_rng(seed).standard_normal(n), 1))
+    edges = scale * (loc + np.linspace(-3.0, 3.0, 13))
+    bounds = sorted({0, n, *(c for c in cuts if c < n)})
+    merged = WorkSummary.merge([WorkSummary.of(works[a:b], edges) for a, b in zip(bounds, bounds[1:])])
+    assert merged.count == n
+    np.testing.assert_array_equal(merged.hist, np.histogram(works, bins=edges)[0])
+    mean, variance = merged.moments()
+    assert abs(mean - np.mean(works)) <= 1e-12 * np.abs(works).max()
+    if n == 1:
+        assert variance == 0.0
+    elif np.ptp(works) == 0.0:  # all tied: the variance is 0, and both formulas leave only rounding
+        assert variance <= 1e-14 * works[0] ** 2
+    else:
+        assert abs(variance - np.var(works, ddof=1)) <= 1e-12 * np.var(works, ddof=1)
+
+
+def test_a_single_sample_has_zero_variance():
+    summary = WorkSummary.of(np.array([0.7]), np.linspace(0.0, 1.0, 5))
+    assert summary.moments() == (0.7, 0.0)
+    assert WorkSummary.merge([summary]).moments() == (0.7, 0.0)
+
+
+def test_sample_work_ledger_is_its_summary():
+    cfg = canonical(40, 0.5)
+    ledger = sample_work(cfg, 1500, seed=3)
+    works, mean_steps, _ = sample_work_values(cfg, 1500, seed=3)
+    edges = default_bin_edges(cfg)
+    summary = WorkSummary.of(works, edges)
+    assert (ledger.mean, ledger.variance) == summary.moments()
+    assert ledger.mean == float(works.mean())
+    np.testing.assert_array_equal(ledger.histogram[0], edges)
+    np.testing.assert_array_equal(ledger.histogram[1], summary.hist)
+    np.testing.assert_array_equal(ledger.per_step_work, mean_steps)
+    assert ledger.sample_count == 1500
+
+
+def _reference_bin_edges(config, bins=60):
+    """default_bin_edges through a FixedAlpha clone of the config at the noise model's mean alpha."""
+    fixed = (
+        config
+        if isinstance(config.noise, FixedAlpha)
+        else QubitProtocolConfig(
+            p0=config.p0,
+            eps_S=config.eps_S,
+            schedule=config.schedule,
+            noise=FixedAlpha(config.noise.mean_alpha),
+        )
+    )
+    return moment_bin_edges(work_moments(fixed), bins)
+
+
+@pytest.mark.parametrize(
+    "noise",
+    [FixedAlpha(0.35), RandomAlpha("uniform", (0.2, 0.6), seed=6), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=5)],
+    ids=["fixed", "uniform", "two-point"],
+)
+@pytest.mark.parametrize("N", [1, 12, 300])
+@pytest.mark.parametrize("bins", [1, 30, 60])
+def test_default_bin_edges_match_the_fixed_alpha_clone(noise, N, bins):
+    cfg = QubitProtocolConfig(p0=0.2, eps_S=0.1, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
+    assert np.array_equal(default_bin_edges(cfg, bins), _reference_bin_edges(cfg, bins))
 
 
 def test_sampling_total_variation_against_enumeration():

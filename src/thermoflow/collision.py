@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .core import Temperature, ValidationError, gibbs_populations
-from .seeding import rng_for, trial_uniforms
+from .seeding import fill_rows, rng_for, trial_states, trial_uniforms
 
 __all__ = [
     "BathSchedule",
@@ -50,6 +50,9 @@ __all__ = [
 
 ENUMERATION_CAP = 20  # 2^N paths; ~1e6 at the cap, held in two 2^21 float64 arrays (32 MB), ~66 MB at peak
 TRIAL_TAG = "collision-mc"
+# Uniforms per sampler chunk (1 MB, 32 trials at N = 2000); 2^16..2^19 ran within noise of one another on a 2-core
+# host, 2^14 was 5-35% slower, and a whole 512-trial block at once 4-13% slower at N = 2000.
+CHUNK_ELEMENTS = 1 << 17
 ALPHA_TAG = "collision-alpha"
 
 
@@ -383,34 +386,47 @@ def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
 # Stochastic sampling
 # ---------------------------------------------------------------------------
 
-def _simulate_block(config, seed, indices, step_sums, state_sums):
-    """Simulate one block of trials; returns the per-trial total works.
+def _simulate_block(config, seed, indices, works, step_sums, state_sums):
+    """Simulate one block of trials, writing their total works into works.
 
-    Per trial, stream order is: one uniform for the initial bit, N uniforms
-    for the swap decisions, N uniforms for the fresh bath bits.  The state
-    scan is one running max over packed codes (s_0, then 2k + b_k at a swap
-    and 0 otherwise, in the narrowest signed int holding 2N + 1): its low bit is s_k,
-    so the increments omega_k (s_k - s_{k-1}) are exact and are the scan's
-    only float array.
+    The block is seeded once, then drawn and scanned in chunks of at most
+    CHUNK_ELEMENTS uniforms, each in the same two buffers.  Per trial, stream
+    order is: one uniform for the initial bit, N for the swap decisions, N for
+    the fresh bath bits.  The state scan is one running max over packed codes
+    (s_0, then 2k + b_k at a swap and 0 otherwise, in the narrowest signed int
+    holding 2N + 1): its low bit is s_k, so the increments omega_k (s_k -
+    s_{k-1}) are exact and are the only float array.  Each later chunk's first
+    row takes the running per-step sum, so the rows add in order, as in one
+    axis-0 sum of the whole block.
     """
     N = config.schedule.N
-    noise = config.noise
-    alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, indices)
-    uniforms = trial_uniforms(seed, TRIAL_TAG, indices, 2 * N + 1)
-
-    codes = np.empty((len(indices), N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
-    np.less(uniforms[:, 0], config.p0, out=codes[:, 0])
-    np.less(uniforms[:, N + 1 :], config.schedule.q[1:], out=codes[:, 1:])
-    codes[:, 1:] += np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
-    codes[:, 1:] *= uniforms[:, 1 : N + 1] < (1.0 - alphas)
-    del uniforms
-    np.maximum.accumulate(codes, axis=1, out=codes)
-    codes &= 1
-
-    increments = config.swap_energies * np.diff(codes, axis=1)
-    step_sums += increments.sum(axis=0)
-    state_sums += codes[:, 1:].sum(axis=0)
-    return increments.sum(axis=1)
+    noise, omega, q_steps = config.noise, config.swap_energies, config.schedule.q[1:]
+    lanes = trial_states(seed, TRIAL_TAG, indices)
+    rows = min(len(indices), max(1, CHUNK_ELEMENTS // (2 * N + 1)))
+    uniforms = np.empty((rows, 2 * N + 1))
+    codes = np.empty((rows, N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
+    swap_codes = np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
+    running = np.empty(N)
+    for first in range(0, len(indices), rows):
+        part = slice(first, first + rows)
+        m = len(indices[part])
+        u, c = fill_rows([lane[part] for lane in lanes], uniforms[:m]), codes[:m]
+        alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, indices[part])
+        np.less(u[:, 0], config.p0, out=c[:, 0])
+        np.less(u[:, N + 1 :], q_steps, out=c[:, 1:])
+        c[:, 1:] += swap_codes
+        c[:, 1:] *= u[:, 1 : N + 1] < (1.0 - alphas)
+        np.maximum.accumulate(c, axis=1, out=c)
+        c &= 1
+        inc = u.reshape(-1)[: m * N].reshape(m, N)  # the increments take the spent uniforms' memory
+        np.subtract(c[:, 1:], c[:, :-1], out=inc)
+        inc *= omega
+        inc.sum(axis=1, out=works[part])
+        if first:
+            inc[0] += running
+        inc.sum(axis=0, out=running)
+        state_sums += c[:, 1:].sum(axis=0)
+    step_sums += running
 
 
 def sample_work_values(
@@ -436,7 +452,7 @@ def sample_work_values(
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         idx = np.arange(trial_offset + start, trial_offset + stop)
-        works[start:stop] = _simulate_block(config, seed, idx, step_sums, state_sums)
+        _simulate_block(config, seed, idx, works[start:stop], step_sums, state_sums)
     return works, step_sums / runs, state_sums / runs
 
 

@@ -7,6 +7,7 @@ measures take a (d, d) matrix or a (B, d, d) stack and give one value per matrix
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional
@@ -169,10 +170,12 @@ def gibbs_populations(energies, temp: Temperature) -> np.ndarray:
     before exponentiation, which keeps the computation finite for any
     beta*spread, including the log-divergent Hamiltonians used in the
     rank-deficient protocols.  A stack of spectra is weighted row by row
-    along its last axis.
+    along its last axis.  At beta = inf only the lowest levels keep weight
+    (beta * 0 would be NaN there).
     """
     e = np.asarray(energies, dtype=float)
-    w = np.exp(-temp.beta * (e - e.min(axis=-1, keepdims=True)))
+    shifted = e - e.min(axis=-1, keepdims=True)
+    w = np.exp(-temp.beta * shifted) if math.isfinite(temp.beta) else (shifted == 0).astype(float)
     return w / w.sum(axis=-1, keepdims=True)
 
 

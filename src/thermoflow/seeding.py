@@ -10,16 +10,18 @@ partition, and independent implementations can reproduce them.
 where tag_hash(tag) is the first 8 bytes (big-endian) of SHA-256 of the
 UTF-8 tag string.
 
-`trial_uniforms` derives the streams of a whole block of trials at once:
+`trial_states` seeds the streams of a whole block of trials at once:
 SplitMix64, numpy's SeedSequence pool hashing and PCG64 seeding run on numpy
-lanes, bit for bit as `default_rng(seed_i)` computes them one at a time.  A
-stream of at most `LANE_DRAWS` uniforms is drawn in lanes too: PCG64 is a
-128-bit LCG whose multiplier M every stream shares, so the state after k draws
-is `M^k state_0 + (1 + M + ... + M^(k-1)) inc (mod 2^128)`, one broadcast
-multiply-add of the rows' seeded states by per-k jump constants, followed by
-numpy's XSL-RR output and double conversion.  Longer streams keep one reused
-PCG64 whose state is assigned per trial, because numpy's native draw is about
-ten times cheaper per uniform than the lanes.
+lanes, bit for bit as `default_rng(seed_i)` computes them one at a time.
+`fill_rows` draws any range of rows into a buffer the caller owns, and
+`trial_uniforms` does both.  A stream of at most `LANE_DRAWS` uniforms is
+drawn in lanes too: PCG64 is a 128-bit LCG whose multiplier M every stream
+shares, so the state after k draws is `M^k state_0 + (1 + M + ... + M^(k-1))
+inc (mod 2^128)`, one broadcast multiply-add of the rows' seeded states by
+per-k jump constants, followed by numpy's XSL-RR output and double
+conversion.  Longer streams assign each row's state to one reused PCG64,
+because numpy's native draw is about ten times cheaper per uniform than the
+lanes.
 """
 
 from __future__ import annotations
@@ -198,46 +200,44 @@ def _lane_states(state_hi, state_lo, inc_hi, inc_lo, n: int) -> tuple[np.ndarray
     return _add128(*advanced, *_mul128(inc_hi[:, None], inc_lo[:, None], s_hi, s_lo))
 
 
-def _lane_uniforms(state_hi, state_lo, inc_hi, inc_lo, n: int) -> np.ndarray:
-    """Rows of `Generator(PCG64).random(n)` from the seeded PCG64 lanes, in row chunks of _LANE_CHUNK elements.
-
-    numpy steps the state before each output, takes XSL-RR of the new state,
-    rotr64(hi ^ lo, hi >> 58), and makes a double as (x >> 11) * 2^-53.
-    """
-    out = np.empty((len(state_hi), n))
-    rows = max(1, _LANE_CHUNK // max(n, 1))
-    for start in range(0, len(out), rows):
-        part = slice(start, start + rows)
-        hi, lo = _lane_states(state_hi[part], state_lo[part], inc_hi[part], inc_lo[part], n)
-        x, r = hi ^ lo, hi >> np.uint64(58)
-        out[part] = (((x >> r) | (x << (-r & np.uint64(63)))) >> np.uint64(11)) * 2.0**-53
-    return out
-
-
-def trial_uniforms(master_seed: int, tag: str, indices, n: int) -> np.ndarray:
-    """Array of shape (len(indices), n) whose row r is rng_for(master_seed, tag, indices[r]).random(n).
-
-    Seeds, SeedSequence hashing and PCG64 seeding are computed for the whole
-    block in numpy lanes.  Up to LANE_DRAWS uniforms per row are drawn in
-    lanes as well; longer rows assign each trial's state to one reused PCG64
-    and draw its uniforms there.
-    """
+def trial_states(master_seed: int, tag: str, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded PCG64 lanes (state_hi, state_lo, inc_hi, inc_lo); lane r seeds rng_for(master_seed, tag, indices[r])."""
     base = splitmix64(splitmix64(master_seed & MASK64) ^ tag_hash(tag))
-    idx = np.asarray(indices).astype(np.uint64)
-    seeds = splitmix64_lanes(np.uint64(base) ^ idx)
-    state_hi, state_lo, inc_hi, inc_lo = _pcg64_states(seed_sequence_state(seeds))
-    if n <= LANE_DRAWS:
-        return _lane_uniforms(state_hi, state_lo, inc_hi, inc_lo, n)
+    seeds = splitmix64_lanes(np.uint64(base) ^ np.asarray(indices).astype(np.uint64))
+    return _pcg64_states(seed_sequence_state(seeds))
 
-    out = np.empty((len(idx), n))
+
+def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
+    """Write the first out.shape[1] uniforms of each lane's stream into the matching row of out, and return out.
+
+    Up to LANE_DRAWS uniforms per row are drawn in lanes, in row chunks of
+    _LANE_CHUNK elements: numpy steps the state before each output, takes
+    XSL-RR of the new state, rotr64(hi ^ lo, hi >> 58), and makes a double as
+    (x >> 11) * 2^-53.  Longer rows assign each lane's state to one reused
+    PCG64 and draw its uniforms there.
+    """
+    n = out.shape[1]
+    if n <= LANE_DRAWS:
+        rows = max(1, _LANE_CHUNK // max(n, 1))
+        state_hi, state_lo, inc_hi, inc_lo = lanes
+        for start in range(0, len(out), rows):
+            part = slice(start, start + rows)
+            hi, lo = _lane_states(state_hi[part], state_lo[part], inc_hi[part], inc_lo[part], n)
+            x, r = hi ^ lo, hi >> np.uint64(58)
+            out[part] = (((x >> r) | (x << (-r & np.uint64(63)))) >> np.uint64(11)) * 2.0**-53
+        return out
     bitgen = np.random.PCG64(0)
     generator = np.random.Generator(bitgen)
     inner = {"state": 0, "inc": 0}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-    rows = zip(out, state_hi.tolist(), state_lo.tolist(), inc_hi.tolist(), inc_lo.tolist())
-    for row, s_hi, s_lo, i_hi, i_lo in rows:
+    for row, s_hi, s_lo, i_hi, i_lo in zip(out, *(lane.tolist() for lane in lanes)):
         inner["state"] = (s_hi << 64) | s_lo
         inner["inc"] = (i_hi << 64) | i_lo
         bitgen.state = state
         generator.random(out=row)
     return out
+
+
+def trial_uniforms(master_seed: int, tag: str, indices, n: int) -> np.ndarray:
+    """Array of shape (len(indices), n) whose row r is rng_for(master_seed, tag, indices[r]).random(n)."""
+    return fill_rows(trial_states(master_seed, tag, indices), np.empty((len(indices), n)))

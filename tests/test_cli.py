@@ -372,6 +372,27 @@ def test_cli_qudit_rank_deficient_gibbs_start_is_a_config_error(tmp_path, capsys
     assert "config error: parameters.temperature: the Gibbs start is not full rank" in capsys.readouterr().err
 
 
+def test_cli_qudit_subnormal_temperature_is_a_config_error_without_a_warning(tmp_path, capsys):
+    # beta = inf times the ground level's zero shifted energy was NaN, with a RuntimeWarning before the exit
+    argv = ["--experiment", "qudit-convergence", "--set", "temperature=5e-324", "--set", "N_values=[4]",
+            "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: parameters.temperature: the Gibbs start is not full rank at T = 5e-324"
+    ]
+
+
+@pytest.mark.parametrize("preset", ["qubit-cyclic-zx", "qubit-cyclic-gap"])
+def test_cli_breakdown_at_a_subnormal_temperature_runs_without_a_warning(preset, tmp_path, capsys):
+    # the NaN Gibbs weights above failed the first task with "non-finite entries" after resolution had passed
+    argv = ["--experiment", "breakdown-scaling", "--set", "temperature=5e-324", "--set", f"preset={preset}",
+            "--set", "N_values=[8, 16]", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = (tmp_path / "o" / "breakdown_scaling.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(math.isfinite(float(v)) for row in rows for v in row.split(","))
+
+
 def test_cli_fig4_edges_beyond_the_float_range_exit_3(tmp_path, capsys):
     # the histogram edges at 2^e times those at T / 2^e overflow; they were written as +-inf with exit 0
     argv = ["--experiment", "fig4-histograms", "--out", str(tmp_path / "o")]

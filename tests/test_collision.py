@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from thermoflow.core import HamiltonianMatrix, Temperature, ValidationError, free_energy, gibbs_state
 from thermoflow.collision import (
     ALPHA_TAG,
+    CHUNK_ELEMENTS,
     TRIAL_TAG,
     FixedAlpha,
     QubitProtocolConfig,
@@ -519,10 +520,15 @@ def _oracle_cases():
     for eps_S in (0.8, -0.3):  # eps_S = 0.8 makes the late omega_k negative
         cfg = QubitProtocolConfig(p0=0.4, eps_S=eps_S, schedule=make_schedule(q, FIG_TEMP), noise=FixedAlpha(0.3))
         yield pytest.param(cfg, 300, 0, id=f"ladder-eps{eps_S}")
-    for noise in (RandomAlpha("uniform", (0.2, 0.7), seed=8), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=9)):
-        cfg = QubitProtocolConfig(p0=0.4, eps_S=0.0, schedule=make_linear_schedule(30, FIG_TEMP), noise=noise)
-        yield pytest.param(cfg, 300, 0, id=f"random-{noise.distribution}")
+    # N = 30 draws 61 uniforms per trial, in lanes; N = 500 draws 1001 per row in chunks of 130 trials, so 300
+    # trials end on a part chunk, and each chunk draws its own per-step alphas
+    for N in (30, 500):
+        for noise in (RandomAlpha("uniform", (0.2, 0.7), seed=8), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=9)):
+            cfg = QubitProtocolConfig(p0=0.4, eps_S=0.0, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
+            yield pytest.param(cfg, 300, 0, id=f"random-{noise.distribution}" + ("" if N == 30 else f"-N{N}"))
     yield pytest.param(canonical(50, 0.5), 300, 1234, id="trial-offset")
+    yield pytest.param(canonical(2000, 0.5), 300, 1234, id="trial-offset-N2000")
+    yield pytest.param(canonical(4096, 0.5), 1100, 77, id="two-blocks-N4096")  # blocks of 1024, chunks of 16
     for N in (16383, 16384):  # the widest int16 codes, then the int32 path; omega_N != 0
         ladder = make_schedule(np.linspace(0.05, 0.47, N + 1), FIG_TEMP)
         yield pytest.param(QubitProtocolConfig(0.4, -0.3, ladder, FixedAlpha(0.3)), 16, 0, id=f"wide-N{N}")
@@ -536,7 +542,8 @@ def test_sampler_is_bit_identical_to_the_gather_scan(config, runs, offset):
         assert np.array_equal(a, b)
 
 
-def test_sampler_block_memory_stays_near_its_uniforms():
+def test_sampler_memory_stays_near_one_chunk():
+    # the block's 512 x 4001 uniforms (16.4 MB) are drawn and scanned CHUNK_ELEMENTS at a time; the peak was 19.6 MB
     cfg, runs = canonical(2000, 0.5), 512
     sample_work_values(cfg, runs, seed=1)  # warm-up: caches and first-call allocations
     tracemalloc.start()
@@ -545,7 +552,7 @@ def test_sampler_block_memory_stays_near_its_uniforms():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * runs * (2 * 2000 + 1) * 8
+    assert peak < 2.5 * CHUNK_ELEMENTS * 8 + 100 * runs * 8
 
 
 def test_sampling_mean_agrees_with_moments():

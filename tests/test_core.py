@@ -27,6 +27,12 @@ LN2 = math.log(2.0)
 # Types and validation
 # ---------------------------------------------------------------------------
 
+def test_gibbs_populations_weigh_the_ground_level_1_at_zero_temperature():
+    # beta = inf times a zero shifted energy was NaN, with a RuntimeWarning
+    p = core.gibbs_populations(np.array([[0.0, 1.0], [2.0, 2.0]]), Temperature(5e-324))
+    assert np.array_equal(p, [[1.0, 0.0], [0.5, 0.5]])
+
+
 def test_temperature_caches_beta():
     t = Temperature(2.5)
     assert abs(t.beta * t.T - 1.0) < 1e-14

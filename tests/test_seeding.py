@@ -1,4 +1,4 @@
-"""Oracles for the block stream kernel `seeding.trial_uniforms`.
+"""Oracles for the block stream kernels `seeding.trial_states`, `fill_rows` and `trial_uniforms`.
 
 Each lane function is checked against the scalar code or the numpy routine it
 reproduces: SplitMix64 against `splitmix64`/`derive_seed`, the SeedSequence
@@ -15,11 +15,13 @@ from thermoflow.seeding import (
     _lane_states,
     _pcg64_states,
     derive_seed,
+    fill_rows,
     rng_for,
     seed_sequence_state,
     splitmix64,
     splitmix64_lanes,
     tag_hash,
+    trial_states,
     trial_uniforms,
 )
 
@@ -95,3 +97,16 @@ def test_trial_uniforms_wraps_master_and_index_like_derive_seed():
 
 def test_trial_uniforms_empty_block():
     assert trial_uniforms(1, "x", np.array([], dtype=np.int64), 25).shape == (0, 25)
+
+
+@pytest.mark.parametrize("n", [25, LANE_DRAWS + 1])
+def test_fill_rows_draws_any_row_range_into_a_reused_buffer(n):
+    # the sampler seeds a block once, then fills row chunks into the leading rows of one buffer
+    master, tag, indices = 42, "collision-mc", np.arange(100, 111)
+    lanes, out = trial_states(master, tag, indices), np.full((4, n), np.nan)
+    for first in range(0, len(indices), 4):
+        part = slice(first, first + 4)
+        rows = fill_rows([lane[part] for lane in lanes], out[: len(indices[part])])
+        assert np.shares_memory(rows, out)
+        for row, index in zip(rows, indices[part]):
+            np.testing.assert_array_equal(row, rng_for(master, tag, int(index)).random(n))

@@ -48,7 +48,11 @@ __all__ = [
     "thermal_op_reduction_check",
 ]
 
-ENUMERATION_CAP = 20  # 2^N paths; ~1e6 at the cap, held in two 2^21 float64 arrays (32 MB), ~66 MB at peak
+ENUMERATION_CAP = 20  # 2^N paths; ~1e6 at the cap, whose works and sort order take 32 MB, ~41 MB at peak
+# Steps tabulated (256 KB) rather than rebuilt per path, and paths per merge chunk: at N = 20 on a 2-core host 10/12/
+# 14/16 steps ran at 1.03/0.92/0.87/0.82 x a full-size probability array, and 2^14..2^17 paths peaked at 40-45 MiB.
+PREFIX_STEPS = 14
+ENUMERATION_CHUNK = 1 << 15
 TRIAL_TAG = "collision-mc"
 # Uniforms per sampler chunk (1 MB, 32 trials at N = 2000); 2^16..2^19 ran within noise of one another on a 2-core
 # host, 2^14 was 5-35% slower, and a whole 512-trial block at once 4-13% slower at N = 2000.
@@ -340,11 +344,14 @@ class WorkDistribution:
 def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
     """Exact work distribution by enumerating all 2^N swap/no-swap paths.
 
-    Fills one row of path works and one of path probabilities per current
-    system bit, in place: step k writes the paths that swap into columns
-    [n:2n] from the first n, then scales the first n by the stay factors.
-    Support points closer than 1e-11 are merged (identical path sums agree
-    bitwise; this also folds coincidences between different paths).
+    Fills one row of path works per current system bit, in place: step k
+    writes the paths that swap into columns [n:2n] from the first n.  Only
+    the works and their sort order are held at full size; per chunk of that
+    order, each path's probability is rebuilt with the doubling's own
+    multiplies, in its order.  Support points closer than 1e-11 are merged
+    (identical path sums agree bitwise; this also folds coincidences between
+    different paths); a group cut by a chunk's end carries its running sums
+    into the next chunk, so every group adds its terms in one sorted pass.
     """
     alpha = config._fixed_alpha("enumerate_work_paths")
     N = config.schedule.N
@@ -352,34 +359,51 @@ def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
         raise ValidationError(
             f"path enumeration is capped at N <= {ENUMERATION_CAP} (2^N paths); got N = {N}"
         )
-    q = config.schedule.q
-    omega = config.swap_energies
+    q, omega, h = config.schedule.q, config.swap_energies, min(N, PREFIX_STEPS)
 
     works = np.empty((2, 1 << N))  # row b: the paths that end with the system bit b
-    probs = np.empty((2, 1 << N))
+    probs = np.empty((2, 1 << h))  # the same rows for the probabilities of the first h steps
     works[:, 0] = 0.0
     probs[:, 0] = 1.0 - config.p0, config.p0
     for k in range(1, N + 1):
         n, qk, w = 1 << (k - 1), q[k], omega[k - 1]
-        stay0 = (1.0 - qk) + alpha * qk
-        stay1 = qk + alpha * (1.0 - qk)
         np.add(works[::-1, :n], [[-w], [w]], out=works[:, n : 2 * n])  # x + (-w) is x - w bit for bit
-        np.multiply(probs[::-1, :n], 1.0 - alpha, out=probs[:, n : 2 * n])
-        probs[:, n : 2 * n] *= [[1.0 - qk], [qk]]
-        probs[:, :n] *= [[stay0], [stay1]]
+        if k <= h:
+            np.multiply(probs[::-1, :n], 1.0 - alpha, out=probs[:, n : 2 * n])
+            probs[:, n : 2 * n] *= [[1.0 - qk], [qk]]
+            probs[:, :n] *= [[(1.0 - qk) + alpha * qk], [qk + alpha * (1.0 - qk)]]
+    # Path (b, c) ends in bit b, and bit k-1 of c says whether step k flipped. Its index >> h, the suffix, sets the
+    # two factors of each step after h: a stay's (stay_b, an exact 1.0) and a flip's (1 - alpha, q_k or 1 - q_k).
+    suffix = np.arange(2 << (N - h))
+    bit, factors = suffix >> (N - h), np.empty((N - h, 2, suffix.size))
+    for k in range(N, h, -1):  # bit: the system bit after step k
+        qk, flip = q[k], (suffix >> (k - 1 - h)) & 1
+        stay0, stay1, swap = (1.0 - qk) + alpha * qk, qk + alpha * (1.0 - qk), 1.0 - alpha
+        factors[k - 1 - h] = np.array([[stay0, swap, stay1, swap], [1.0, 1.0 - qk, 1.0, qk]])[:, 2 * bit + flip]
+        bit ^= flip
+    start = bit << h  # the offset of the row of probs, the bit after step h, that each suffix starts from
 
-    order = np.argsort(works, axis=None)  # each array is freed after its last use: the peak is ~4.1 path arrays
-    values = works.ravel()[order]
-    del works
-    probs = probs.ravel()[order]
-    del order
-    group = np.concatenate([[0], np.cumsum(np.diff(values) > 1e-11)])
-    merged_p = np.bincount(group, weights=probs)
-    values *= probs  # the weights of each group's mean work
-    merged_v = np.bincount(group, weights=values)
-    del values, probs, group
-    keep = merged_p > 0
-    return WorkDistribution(values=merged_v[keep] / merged_p[keep], probabilities=merged_p[keep])
+    order = np.argsort(works, axis=None)  # kind="stable" would order ties, and so each group's sum, differently
+    flat, carry, values, probabilities = works.ravel(), np.zeros((2, 1)), [], []
+    for lo in range(0, order.size, ENUMERATION_CHUNK):
+        paths = order[lo : lo + ENUMERATION_CHUNK]
+        suffix = paths >> h
+        p = probs.ravel().take(start.take(suffix) | (paths & ((1 << h) - 1)))
+        for factor in factors.reshape(-1, factors.shape[-1]):  # both factors of step h+1, then of h+2, ...
+            p *= factor.take(suffix)
+        v = flat.take(paths)
+        # The previous chunk's last group enters as its two running sums (bincount adds in order, so 0 + carry + the
+        # terms here is the one-pass sum) and goes on unless v[0] starts a new group.
+        group = np.cumsum(np.diff(v, prepend=flat[order[lo - 1]] if lo else -np.inf) > 1e-11)
+        v *= p  # the weights of each group's mean work
+        sums = np.array([np.bincount(np.append(0, group), weights=np.append(c, x)) for c, x in zip(carry, (p, v))])
+        cut = sums.shape[1] - (lo + ENUMERATION_CHUNK < order.size)  # the last group may go on in the next chunk
+        done, carry = sums[:, :cut], sums[:, cut:]
+        keep = done[0] > 0
+        values.append(done[1, keep] / done[0, keep])
+        probabilities.append(done[0, keep])
+    del works, flat, order, paths  # a slice of order would hold all of it through the concatenation
+    return WorkDistribution(values=np.concatenate(values), probabilities=np.concatenate(probabilities))
 
 
 # ---------------------------------------------------------------------------

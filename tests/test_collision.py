@@ -9,6 +9,8 @@ from thermoflow.core import HamiltonianMatrix, Temperature, ValidationError, fre
 from thermoflow.collision import (
     ALPHA_TAG,
     CHUNK_ELEMENTS,
+    ENUMERATION_CHUNK,
+    PREFIX_STEPS,
     TRIAL_TAG,
     FixedAlpha,
     QubitProtocolConfig,
@@ -394,16 +396,33 @@ def _reference_enumeration(config):
     return merged_v[keep], merged_p[keep]
 
 
+def _ladder(q, eps_S):
+    return QubitProtocolConfig(p0=0.4, eps_S=eps_S, schedule=make_schedule(q, FIG_TEMP), noise=FixedAlpha(0.3))
+
+
+def _even_gap_ladder():
+    # gaps E_k evenly spaced, so many paths share a work up to rounding: large merged groups, no zero-probability path
+    E = np.linspace(2.0, 0.5, 16) * FIG_TEMP.T
+    return _ladder(np.concatenate([[0.0], 1.0 / (1.0 + np.exp(E / FIG_TEMP.T))]), eps_S=0.25)
+
+
+def _one_group_ladder(N):
+    # gaps of about 1e-13: every path work lies within 1e-11 of the next, so one support group spans every chunk
+    return _ladder(np.concatenate([[0.0], 0.5 - 1e-13 * np.arange(N, 0, -1)]), eps_S=0.0)
+
+
 def _enumeration_cases():
-    for N in (1, 2, 7, 12, 16, 20):
+    # PREFIX_STEPS and one more put N on both sides of the tabulated prefix
+    for N in sorted({1, 2, 7, 12, PREFIX_STEPS, PREFIX_STEPS + 1, 16, 20}):
         for alpha in (0.0, 0.3, 0.93):
             yield pytest.param(canonical(N, alpha), id=f"canonical-N{N}-a{alpha}")
     q = np.linspace(0.05, 0.47, 13)
     for eps_S in (0.8, -0.3):  # eps_S = 0.8 makes the late omega_k negative
-        cfg = QubitProtocolConfig(p0=0.4, eps_S=eps_S, schedule=make_schedule(q, FIG_TEMP), noise=FixedAlpha(0.3))
-        yield pytest.param(cfg, id=f"ladder-eps{eps_S}")
+        yield pytest.param(_ladder(q, eps_S), id=f"ladder-eps{eps_S}")
     two_steps = make_schedule([0.0, 0.15, 0.35], FIG_TEMP)
     yield pytest.param(QubitProtocolConfig(0.0, 0.0, two_steps, FixedAlpha(0.5)), id="two-steps")
+    yield pytest.param(_even_gap_ladder(), id="even-gaps-N16")
+    yield pytest.param(_one_group_ladder(16), id="one-group-N16")
 
 
 @pytest.mark.parametrize("config", list(_enumeration_cases()))
@@ -414,16 +433,37 @@ def test_enumeration_is_bit_identical_to_the_concatenated_doublings(config):
     assert np.array_equal(dist.probabilities, probabilities)
 
 
-def test_enumeration_memory_stays_under_five_path_arrays():
-    cfg = canonical(16, 0.5)
-    enumerate_work_paths(cfg)  # warm-up: caches and first-call allocations
+def test_even_gap_ladder_ends_a_chunk_inside_a_support_group():
+    # without a support group that spans a chunk's end, the even-gaps case would not test the carried group sums
+    w0, w1 = np.zeros(1), np.zeros(1)
+    for w in _even_gap_ladder().swap_energies:
+        w0, w1 = np.concatenate([w0, w1 - w]), np.concatenate([w1, w0 + w])
+    works = np.sort(np.concatenate([w0, w1]))
+    cuts = np.arange(ENUMERATION_CHUNK, works.size, ENUMERATION_CHUNK)
+    assert np.any(np.diff(works)[cuts - 1] <= 1e-11)
+
+
+@pytest.mark.parametrize(
+    "config, bound",
+    [
+        # one 2^21-entry path array is 16 MiB: the works and their order take 2; merging full-size works and
+        # probabilities in one pass held 4.1
+        pytest.param(canonical(20, 0.5), 2.75 * 2**24, id="canonical-N20"),
+        # 2^21 - 1 support points: the outputs take another 2 arrays by the end
+        pytest.param(_ladder(np.linspace(0.05, 0.47, 21), 0.8), 72 * 2**20, id="all-distinct-N20"),
+        # one group of all 2^21 paths: the merge still works through chunks of ENUMERATION_CHUNK paths
+        pytest.param(_one_group_ladder(20), 2.75 * 2**24, id="one-group-N20"),
+    ],
+)
+def test_enumeration_memory_stays_near_the_works_and_their_order(config, bound):
+    enumerate_work_paths(config)  # warm-up: caches and first-call allocations
     tracemalloc.start()
     try:
-        enumerate_work_paths(cfg)
+        enumerate_work_paths(config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 5 * 2**17 * 8  # one 2^(N+1) float64 array is 2^17 * 8 bytes
+    assert peak <= bound
 
 
 def test_enumeration_jarzynski_telescoped_identity():

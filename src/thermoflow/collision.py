@@ -34,7 +34,6 @@ __all__ = [
     "WorkDistribution",
     "make_linear_schedule",
     "make_schedule",
-    "excitation_probabilities",
     "average_work",
     "loss_epsilon",
     "epsilon_upper_bound",
@@ -279,15 +278,6 @@ def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.nda
     return np.array(probabilities), np.array(steps), mean, max(second - mean * mean, 0.0)
 
 
-def excitation_probabilities(config: QubitProtocolConfig) -> np.ndarray:
-    """System excitation p_0..p_N under fixed alpha.
-
-    Step recursion p_k = alpha*p_{k-1} + (1-alpha)*q_k, equivalent to the
-    closed form p_k = (1-alpha) * sum_i alpha^(k-i) q_i + alpha^k p_0.
-    """
-    return _moment_recursion(config, config._fixed_alpha("excitation_probabilities"))[0]
-
-
 def average_work(config: QubitProtocolConfig) -> WorkLedger:
     """Exact average extracted work, (1-alpha) * sum_k omega_k (q_k - p_{k-1})."""
     return WorkLedger.exact(_moment_recursion(config, config._fixed_alpha("average_work"))[1])
@@ -508,9 +498,9 @@ def _ledger_from_samples(works, mean_steps, edges) -> WorkLedger:
     return WorkLedger(mean_steps, *summary.moments(), histogram=(edges, summary.hist), sample_count=summary.count)
 
 
-def default_bin_edges(config: QubitProtocolConfig, bins: int = 60) -> np.ndarray:
-    """Histogram edges centered on the exact moments at the noise model's mean alpha (deterministic)."""
-    return moment_bin_edges(WorkLedger(*_moment_recursion(config, config.noise.mean_alpha)[1:]), bins)
+def default_bin_edges(config: QubitProtocolConfig) -> np.ndarray:
+    """60 histogram bins centered on the exact moments at the noise model's mean alpha (deterministic)."""
+    return moment_bin_edges(WorkLedger(*_moment_recursion(config, config.noise.mean_alpha)[1:]))
 
 
 def moment_bin_edges(moments: WorkLedger, bins: int = 60) -> np.ndarray:
@@ -526,11 +516,7 @@ def sample_work(config: QubitProtocolConfig, runs: int, seed: int) -> WorkLedger
     return _ledger_from_samples(works, mean_steps, default_bin_edges(config))
 
 
-def simulate_random_alpha(
-    config: QubitProtocolConfig,
-    runs: int,
-    bin_edges: Optional[np.ndarray] = None,
-) -> tuple[WorkLedger, np.ndarray]:
+def simulate_random_alpha(config: QubitProtocolConfig, runs: int) -> tuple[WorkLedger, np.ndarray]:
     """Sampled statistics under per-step random alpha_k.
 
     The per-step alpha stream is seeded from the noise model's own seed; the
@@ -541,8 +527,7 @@ def simulate_random_alpha(
     if not isinstance(config.noise, RandomAlpha):
         raise ValidationError("simulate_random_alpha requires a RandomAlpha noise model")
     works, mean_steps, mean_exc = sample_work_values(config, runs, config.noise.seed)
-    edges = default_bin_edges(config) if bin_edges is None else np.asarray(bin_edges, dtype=float)
-    return _ledger_from_samples(works, mean_steps, edges), mean_exc
+    return _ledger_from_samples(works, mean_steps, default_bin_edges(config)), mean_exc
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,6 @@ from .core import (
     gibbs_state,
     trace_distance,
 )
-from .collision import WorkLedger
 from .qudit import HamiltonianPath
 from .seeding import rng_for
 
@@ -47,9 +46,6 @@ __all__ = [
     "CYCLIC_PATH_PRESETS",
     "evolve_unitary",
     "unitary_approx_error",
-    "run_protocol_segment",
-    "run_cyclic_protocol",
-    "protocol_state_lag",
     "dissipation_breakdown",
     "estimate_contraction",
 ]
@@ -298,40 +294,6 @@ def _run(protocol: CyclicProtocol, rho0: DensityOperator) -> ProtocolRun:
     """_execute with the protocol's own settings."""
     p = protocol
     return _execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
-
-
-def run_protocol_segment(
-    path: HamiltonianPath,
-    N: int,
-    rho0: DensityOperator,
-    channel_alpha: float,
-    channel_kind: str = "partial",
-    evolution_mode: str = "quench",
-    substeps: int = DEFAULT_SUBSTEPS,
-) -> tuple[WorkLedger, DensityOperator]:
-    """Run an open (not necessarily cyclic) protocol segment.
-
-    Used for cross-framework consistency checks against the collision
-    staircase, where the Hamiltonian ramps between two distinct endpoints.
-    """
-    run = _execute(path, N, rho0, channel_kind, channel_alpha, evolution_mode, substeps)
-    return WorkLedger.exact(run.work_steps), DensityOperator(run.sigmas[-1])
-
-
-def run_cyclic_protocol(protocol: CyclicProtocol, rho0: DensityOperator) -> tuple[WorkLedger, DensityOperator]:
-    """Run a cyclic protocol and enforce the free-energy work bound."""
-    run = _run(protocol, rho0)
-    H0, temp = run.hamiltonians[0], protocol.path.temp
-    bound = free_energy(rho0, H0, temp) - free_energy(run.taus[0], H0, temp)
-    if not run.work <= bound + 1e-9:
-        raise ValidationError(f"second-law violation: W = {run.work!r} exceeds DeltaF = {bound!r}")
-    return WorkLedger.exact(run.work_steps), DensityOperator(run.sigmas[-1])
-
-
-def protocol_state_lag(protocol: CyclicProtocol, rho0: DensityOperator) -> float:
-    """Max over contacts of ||sigma_i - tau_i||_1; shrinks as 1/N."""
-    run = _run(protocol, rho0)
-    return float(trace_distance(run.sigmas[1:], run.taus[1:]).max())
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .core import (
     contact_chain,
     free_energy,
     gibbs_matrices,
-    relative_entropy,
     trace_distance,
 )
 from .collision import WorkLedger
@@ -46,16 +45,15 @@ __all__ = [
     "run_qudit_protocol",
     "lag_deviation",
     "gamma_coefficient",
-    "f_lambda",
-    "relative_entropy_curvature",
     "asymptotic_dissipation",
     "rank_deficient_scaling",
     "make_rank_deficient_erasure",
-    "initial_mismatch_work",
 ]
 
 FULL_RANK_THRESHOLD = 1e-8
 SMOOTHNESS_CURVATURE_CAP = 1e6
+GAMMA_PANELS = 256  # gamma_coefficient's first Simpson panel count, doubled until GAMMA_TOL or 4096 panels
+GAMMA_TOL = 1e-9
 
 
 def smoothstep(s):
@@ -121,9 +119,6 @@ class HamiltonianPath:
         out[one_sided] = (-3.0 * at + 4.0 * lo - hi) / (2 * d).reshape((-1,) + (1,) * (f.ndim - 1))
         return out
 
-    def hamiltonian_derivative(self, s: float) -> np.ndarray:
-        return self._fd(self.hamiltonians, (s,))[0]
-
     def gibbs_derivative(self, s: float) -> np.ndarray:
         return self._fd(self.gibbs_matrices, (s,))[0]
 
@@ -162,28 +157,28 @@ def linear_endpoint_path(H0, H1, temp: Temperature) -> HamiltonianPath:
     return HamiltonianPath(dim=m0.shape[0], sampler=sampler, temp=temp)
 
 
-def qubit_excitation_path(q_start: float, q_end: float, temp: Temperature, smooth: bool = True) -> HamiltonianPath:
-    """Qubit path parametrized by its Gibbs excitation probability q(s).
+def qubit_excitation_path(q_start: float, q_end: float, temp: Temperature) -> HamiltonianPath:
+    """Qubit path parametrized by its Gibbs excitation probability q(s), smoothstep-ramped.
 
-    The gap is E(s) = T ln((1-q)/q); with the smooth ramp the endpoint
+    The gap is E(s) = T ln((1-q)/q); the smooth ramp makes the endpoint
     free-energy derivatives vanish.
     """
     if not (0.0 < q_start < 1.0 and 0.0 < q_end < 1.0):
         raise ValidationError("excitation endpoints must lie in (0, 1)")
 
     def sampler(s: np.ndarray) -> np.ndarray:
-        q = q_start + (q_end - q_start) * (smoothstep(s) if smooth else s)
+        q = q_start + (q_end - q_start) * smoothstep(s)
         gaps = [temp.T * math.log((1.0 - x) / x) for x in q.tolist()]  # math.log, as the scalar formula
         return _diagonal_stack(np.stack([np.zeros(len(s)), gaps], axis=1))
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
 
 
-def qubit_gap_ramp_path(gap_start: float, gap_end: float, temp: Temperature, smooth: bool = True) -> HamiltonianPath:
-    """Qubit path ramping the energy gap from gap_start to gap_end."""
+def qubit_gap_ramp_path(gap_start: float, gap_end: float, temp: Temperature) -> HamiltonianPath:
+    """Qubit path smoothstep-ramping the energy gap from gap_start to gap_end."""
 
     def sampler(s: np.ndarray) -> np.ndarray:
-        w = smoothstep(s) if smooth else s
+        w = smoothstep(s)
         return _diagonal_stack(np.stack([np.zeros(len(s)), gap_start + (gap_end - gap_start) * w], axis=1))
 
     return HamiltonianPath(dim=2, sampler=sampler, temp=temp)
@@ -319,49 +314,25 @@ def _simpson(fun: Callable[[np.ndarray], np.ndarray], panels: int) -> float:
     return float((ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()) / (3.0 * panels))
 
 
-def gamma_coefficient(path: HamiltonianPath, M: int = 256, tol: float = 1e-9) -> float:
+def gamma_coefficient(path: HamiltonianPath) -> float:
     """Dissipation coefficient Gamma = -(1/2) Integral Tr(taudot Hdot) ds.
 
-    Composite Simpson on M panels, doubled with Richardson extrapolation
-    until successive refinements agree to tol.
+    Composite Simpson on GAMMA_PANELS panels, doubled with Richardson
+    extrapolation until successive refinements agree to GAMMA_TOL or the
+    count reaches 4096.
     """
-    if M < 8:
-        raise ValidationError(f"need at least 8 quadrature panels, got {M}")
-    if M % 2:
-        raise ValidationError("panel count must be even")
     path.require_smooth()
     fun = lambda s: _dissipation_density(path, s)
+    M = GAMMA_PANELS
     coarse = _simpson(fun, M)
     while True:
         M *= 2
         fine = _simpson(fun, M)
         # Richardson step for the O(M^-4) Simpson error.
         extrapolated = fine + (fine - coarse) / 15.0
-        if abs(fine - coarse) < tol or M >= 4096:
+        if abs(fine - coarse) < GAMMA_TOL or M >= 4096:
             return extrapolated
         coarse = fine
-
-
-def f_lambda(path: HamiltonianPath, lam: float) -> float:
-    """Local dissipation rate f(lambda) = -Tr(taudot(lambda) Hdot(lambda)).
-
-    Equals T times the second derivative of S(tau(lambda+x) || tau(lambda))
-    in x at 0, so it is non-negative along any Gibbs family.
-    """
-    h = path.derivative_step
-    if not h <= lam <= 1.0 - h:
-        raise ValidationError(f"lambda = {lam} too close to the boundary of (0, 1)")
-    return -float(np.trace(path.gibbs_derivative(lam) @ path.hamiltonian_derivative(lam)).real)
-
-
-def relative_entropy_curvature(path: HamiltonianPath, lam: float, x: float = 1e-3) -> float:
-    """T * d^2/dx^2 S(tau(lambda+x) || tau(lambda)) at x = 0, by central differences."""
-    if not x <= lam <= 1.0 - x:
-        raise ValidationError(f"lambda = {lam} too close to the boundary for step {x}")
-    base = path.gibbs_matrix(lam)
-    plus = relative_entropy(path.gibbs_matrix(lam + x), base)
-    minus = relative_entropy(path.gibbs_matrix(lam - x), base)
-    return path.temp.T * (plus + minus) / (x * x)
 
 
 def _fdot(config: QuditProtocolConfig, s: float) -> float:
@@ -515,20 +486,3 @@ def make_rank_deficient_erasure(alpha: float, temp: Temperature, delta: float) -
     end = np.full(2, 0.5)
     path = _diagonal_population_path(start, end, temp)
     return QuditProtocolConfig(path=path, rho0=rho0, N=max(int(round(1.0 / delta)), 2), alpha=alpha)
-
-
-def initial_mismatch_work(config: QuditProtocolConfig) -> tuple[float, float]:
-    """First-contact work term from rho0 != tau(0), and its norm bound.
-
-    W0 = (1-alpha) sum_k alpha^(k-1) Tr[(H(k/N) - H_S)(tau(0) - rho0)]
-    obeys |W0| <= delta * max_s ||H(s) - H_S||_inf with delta the initial
-    trace-norm mismatch.
-    """
-    N, alpha, path = config.N, config.alpha, config.path
-    mismatch = path.gibbs_matrix(0.0) - config.rho0.matrix
-    k = np.arange(1, N + 1)
-    overlap = ((path.hamiltonians(k / N) - config.H_system) @ mismatch).trace(axis1=1, axis2=2).real
-    w0 = float(((1.0 - alpha) * alpha ** (k - 1) * overlap).sum())
-    grid = np.linspace(0.0, 1.0, 201)
-    bound = config.delta * float(np.linalg.norm(path.hamiltonians(grid) - config.H_system, 2, axis=(1, 2)).max())
-    return w0, bound

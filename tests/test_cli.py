@@ -382,6 +382,28 @@ def test_cli_qudit_subnormal_temperature_is_a_config_error_without_a_warning(tmp
     ]
 
 
+@pytest.mark.parametrize(
+    "preset,temperature,expected",
+    [
+        ("qubit-linear-q", "5e307", EXIT_CONFIG),
+        ("qubit-linear-q", "1e308", EXIT_CONFIG),
+        ("qubit-linear-q", "1.7e308", EXIT_CONFIG),
+        ("qubit-gap-ramp", "5e307", EXIT_NUMERIC),
+        ("qubit-gap-ramp", "1e308", EXIT_NUMERIC),
+        ("qubit-gap-ramp", "1.7e308", EXIT_NUMERIC),
+        ("random-diagonal-d4", "5e307", EXIT_NUMERIC),
+        ("random-diagonal-d4", "1e308", EXIT_NUMERIC),
+        ("random-diagonal-d4", "1.7e308", EXIT_NUMERIC),
+    ],
+)
+def test_cli_qudit_at_an_extreme_temperature_prints_one_line(preset, temperature, expected, tmp_path, capsys):
+    # the derivative stencils, the smoothness probe and the free energies overflowed with RuntimeWarnings first
+    argv = ["--experiment", "qudit-convergence", "--set", f'preset="{preset}"', "--set", f"temperature={temperature}",
+            "--set", "N_values=[20]", "--out", str(tmp_path / "o")]
+    assert main(argv) == expected
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("preset", ["qubit-cyclic-zx", "qubit-cyclic-gap"])
 def test_cli_breakdown_at_a_subnormal_temperature_runs_without_a_warning(preset, tmp_path, capsys):
     # the NaN Gibbs weights above failed the first task with "non-finite entries" after resolution had passed

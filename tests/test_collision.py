@@ -17,11 +17,11 @@ from thermoflow.collision import (
     RandomAlpha,
     WorkLedger,
     WorkSummary,
+    _moment_recursion,
     average_work,
     default_bin_edges,
     enumerate_work_paths,
     epsilon_upper_bound,
-    excitation_probabilities,
     loss_epsilon,
     make_linear_schedule,
     make_schedule,
@@ -135,6 +135,15 @@ def test_noise_model_validation():
 # ---------------------------------------------------------------------------
 # Excitation probabilities
 # ---------------------------------------------------------------------------
+
+def excitation_probabilities(config: QubitProtocolConfig) -> np.ndarray:
+    """System excitation p_0..p_N under fixed alpha, as the shared moment recursion tracks it.
+
+    Step recursion p_k = alpha*p_{k-1} + (1-alpha)*q_k, equivalent to the
+    closed form p_k = (1-alpha) * sum_i alpha^(k-i) q_i + alpha^k p_0.
+    """
+    return _moment_recursion(config, config._fixed_alpha("excitation_probabilities"))[0]
+
 
 def test_excitation_alpha0_tracks_bath():
     cfg = canonical(50, 0.0)
@@ -659,7 +668,7 @@ def test_sample_work_ledger_is_its_summary():
     assert ledger.sample_count == 1500
 
 
-def _reference_bin_edges(config, bins=60):
+def _reference_bin_edges(config):
     """default_bin_edges through a FixedAlpha clone of the config at the noise model's mean alpha."""
     fixed = (
         config
@@ -671,7 +680,7 @@ def _reference_bin_edges(config, bins=60):
             noise=FixedAlpha(config.noise.mean_alpha),
         )
     )
-    return moment_bin_edges(work_moments(fixed), bins)
+    return moment_bin_edges(work_moments(fixed))
 
 
 @pytest.mark.parametrize(
@@ -680,10 +689,10 @@ def _reference_bin_edges(config, bins=60):
     ids=["fixed", "uniform", "two-point"],
 )
 @pytest.mark.parametrize("N", [1, 12, 300])
-@pytest.mark.parametrize("bins", [1, 30, 60])
-def test_default_bin_edges_match_the_fixed_alpha_clone(noise, N, bins):
-    cfg = QubitProtocolConfig(p0=0.2, eps_S=0.1, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
-    assert np.array_equal(default_bin_edges(cfg, bins), _reference_bin_edges(cfg, bins))
+@pytest.mark.parametrize("p0,eps_S", [(0.0, 0.0), (0.2, 0.1), (0.5, 0.7)])
+def test_default_bin_edges_match_the_fixed_alpha_clone(noise, N, p0, eps_S):
+    cfg = QubitProtocolConfig(p0=p0, eps_S=eps_S, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
+    assert np.array_equal(default_bin_edges(cfg), _reference_bin_edges(cfg))
 
 
 def test_sampling_total_variation_against_enumeration():
@@ -816,8 +825,8 @@ def test_random_alpha_matches_per_trial_streams(noise):
     expected = _per_trial_random_alpha_works(cfg, runs)
     works, _, _ = sample_work_values(cfg, runs, noise.seed)
     np.testing.assert_array_equal(works, expected)
-    edges = default_bin_edges(cfg, bins=30)
-    ledger, _ = simulate_random_alpha(cfg, runs, bin_edges=edges)
+    edges = default_bin_edges(cfg)
+    ledger, _ = simulate_random_alpha(cfg, runs)
     np.testing.assert_array_equal(ledger.histogram[1], np.histogram(expected, bins=edges)[0])
     assert ledger.sample_count == runs
 

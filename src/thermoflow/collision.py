@@ -255,8 +255,8 @@ class WorkLedger:
 # Deterministic recursions
 # ---------------------------------------------------------------------------
 
-def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """One pass over the swap steps: p_0..p_N, per-step mean work, <W> and Var W.
+def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.ndarray, float, float]:
+    """One pass over the swap steps: per-step mean work, <W> and Var W.
 
     Besides the excitation probability p_m and the moments it tracks the
     excited-state work correlator c_m = E[W_m ; state = 1], whose recursion is
@@ -265,7 +265,7 @@ def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.nda
     """
     one = 1.0 - alpha
     p = float(config.p0)
-    probabilities, steps = [p], []
+    steps = []
     mean = second = corr = 0.0
     for qm, w in zip(config.schedule.q[1:].tolist(), config.swap_energies.tolist()):
         inc = one * w * (qm - p)
@@ -273,14 +273,13 @@ def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.nda
         corr = qm * one * (mean + (1.0 - p) * w) + alpha * corr
         mean += inc
         p = alpha * p + one * qm
-        probabilities.append(p)
         steps.append(inc)
-    return np.array(probabilities), np.array(steps), mean, max(second - mean * mean, 0.0)
+    return np.array(steps), mean, max(second - mean * mean, 0.0)
 
 
 def average_work(config: QubitProtocolConfig) -> WorkLedger:
     """Exact average extracted work, (1-alpha) * sum_k omega_k (q_k - p_{k-1})."""
-    return WorkLedger.exact(_moment_recursion(config, config._fixed_alpha("average_work"))[1])
+    return WorkLedger.exact(_moment_recursion(config, config._fixed_alpha("average_work"))[0])
 
 
 def loss_epsilon(config: QubitProtocolConfig) -> float:
@@ -304,7 +303,7 @@ def epsilon_upper_bound(N: int, alpha: float, temp: Temperature) -> float:
 
 def work_moments(config: QubitProtocolConfig) -> WorkLedger:
     """Mean and variance of the work distribution by an O(N) recursion (see _moment_recursion)."""
-    return WorkLedger(*_moment_recursion(config, config._fixed_alpha("work_moments"))[1:])
+    return WorkLedger(*_moment_recursion(config, config._fixed_alpha("work_moments")))
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +499,7 @@ def _ledger_from_samples(works, mean_steps, edges) -> WorkLedger:
 
 def default_bin_edges(config: QubitProtocolConfig) -> np.ndarray:
     """60 histogram bins centered on the exact moments at the noise model's mean alpha (deterministic)."""
-    return moment_bin_edges(WorkLedger(*_moment_recursion(config, config.noise.mean_alpha)[1:]))
+    return moment_bin_edges(WorkLedger(*_moment_recursion(config, config.noise.mean_alpha)))
 
 
 def moment_bin_edges(moments: WorkLedger, bins: int = 60) -> np.ndarray:

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .core import Temperature, free_energy
+from .core import Temperature, ValidationError
 from .collision import (
     FixedAlpha,
     QubitProtocolConfig,
@@ -46,6 +46,7 @@ from .qudit import (
     PATH_PRESETS,
     QuditProtocolConfig,
     asymptotic_dissipation,
+    exact_dissipation,
     linear_endpoint_path,
     path_preset,
 )
@@ -297,20 +298,35 @@ def _qudit_path(p):
 
 
 def _check_qudit(p):
-    """Check the endpoint pair, and that the Gibbs start is full rank, as the asymptotic prediction needs."""
-    if not np.linalg.eigvalsh(_qudit_path(p).gibbs_matrix(0.0))[0] >= FULL_RANK_THRESHOLD:
+    """Check the endpoint pair, and that the path is smooth and its Gibbs start full rank, as the 1/N law needs."""
+    where = "parameters.H0/H1" if p["H0"] else "parameters.temperature"
+    with np.errstate(over="ignore", invalid="ignore"):  # at extreme T the probe overflows, and fails without a warning
+        try:
+            path = _qudit_path(p)
+            start = path.gibbs_matrix(0.0)
+            path.require_smooth()
+        except ValidationError as exc:
+            raise ConfigError(f"{where}: {exc} (T = {p['temperature']!r})") from None
+    if not np.linalg.eigvalsh(start)[0] >= FULL_RANK_THRESHOLD:
         raise ConfigError(f"parameters.temperature: the Gibbs start is not full rank at T = {p['temperature']!r}")
 
 
-def _run_qudit_point(p, n):
-    # At extreme T the stencils and free energies overflow; the non-finite value goes on to the gates.
+def _plan_qudit(p, seed):
+    """One item (N, law) per N: the path's 1/N law is computed once, under the tasks' errstate."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        path = _qudit_path(p)
+        law = asymptotic_dissipation(path, path.hamiltonian(1.0))
+    return [(int(n), law) for n in p["N_values"]]
+
+
+def _run_qudit_point(p, item):
+    n, law = item
+    # At extreme T the free energies overflow; the non-finite value goes on to the gates.
     with np.errstate(over="ignore", invalid="ignore"):
         path = _qudit_path(p)
         cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=n, alpha=p["alpha"])
-        result = asymptotic_dissipation(cfg)
-        H_S, temp = cfg.H_system, path.temp
-        delta_f = free_energy(cfg.rho0, H_S, temp) - free_energy(path.gibbs_matrix(1.0), H_S, temp)
-    return [n, p["alpha"], delta_f - result.exact, result.exact, result.prediction]
+        w_dis = exact_dissipation(cfg)
+        return [n, p["alpha"], cfg.free_energy_drop - w_dis, w_dis, law.prediction(p["alpha"], n)]
 
 
 def _assemble_qudit(p, rows):
@@ -459,7 +475,7 @@ _REGISTRY = {
             "H0": (_list, []),
             "H1": (_list, []),
         },
-        plan=_sizes_of("N_values"),
+        plan=_plan_qudit,
         run=_run_qudit_point,
         assemble=_assemble_qudit,
         check_all=_check_qudit,

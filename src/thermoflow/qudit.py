@@ -46,6 +46,7 @@ __all__ = [
     "lag_deviation",
     "gamma_coefficient",
     "asymptotic_dissipation",
+    "exact_dissipation",
     "rank_deficient_scaling",
     "make_rank_deficient_erasure",
 ]
@@ -220,7 +221,7 @@ class QuditProtocolConfig:
 
     H_system defaults to H(1) (the protocol ends at the system Hamiltonian).
     Full-rank initial states must match tau(0) exactly; rank-deficient ones
-    record their initial mismatch delta = ||tau(0) - rho0||_1.
+    record their initial mismatch delta = ||tau(0) - rho0||_1.  free_energy_drop is F(rho0, H_S) - F(tau(1), H_S).
     """
 
     path: HamiltonianPath
@@ -229,6 +230,7 @@ class QuditProtocolConfig:
     alpha: float
     H_system: Optional[np.ndarray] = None
     delta: float = field(init=False)
+    free_energy_drop: float = field(init=False)
 
     def __post_init__(self):
         if self.N < 1:
@@ -243,10 +245,11 @@ class QuditProtocolConfig:
         object.__setattr__(self, "H_system", H_S)
         delta = trace_distance(self.rho0, self.path.gibbs_matrix(0.0))
         if self.is_full_rank and not delta <= 1e-10:
-            raise ValidationError(
-                f"full-rank protocols require rho0 = tau(0); mismatch {delta:.3e}"
-            )
+            raise ValidationError(f"full-rank protocols require rho0 = tau(0); mismatch {delta:.3e}")
         object.__setattr__(self, "delta", float(delta))
+        temp = self.path.temp
+        drop = free_energy(self.rho0, H_S, temp) - free_energy(self.path.gibbs_matrix(1.0), H_S, temp)
+        object.__setattr__(self, "free_energy_drop", drop)
 
     @property
     def is_full_rank(self) -> bool:
@@ -335,75 +338,37 @@ def gamma_coefficient(path: HamiltonianPath) -> float:
         coarse = fine
 
 
-def _fdot(config: QuditProtocolConfig, s: float) -> float:
+def _fdot(path: HamiltonianPath, H_system: np.ndarray, s: float) -> float:
     """d/ds F(tau(s), H_system) by the O(h^2) stencil of HamiltonianPath._fd."""
-    path = config.path
-    return float(path._fd(lambda u: free_energy(path.gibbs_matrices(u), config.H_system, path.temp), (s,))[0])
+    return float(path._fd(lambda u: free_energy(path.gibbs_matrices(u), H_system, path.temp), (s,))[0])
 
 
 @dataclass(frozen=True)
 class AsymptoticDissipation:
-    """Leading 1/N dissipation law versus the exact N-step value."""
+    """The order-1/N dissipation law of a path: its coefficients Gamma and Fdot(1), for any alpha and N."""
 
-    prediction: float
-    exact: float
-    lambda_over_gamma: float
     gamma: float
     fdot_end: float
-    fdot_start: float
+
+    def prediction(self, alpha: float, N: int) -> float:
+        """(1 + 2 alpha/(1-alpha)) Gamma / N - alpha/((1-alpha) N) Fdot(1)."""
+        ratio = alpha / (1.0 - alpha)
+        return (1.0 + 2.0 * ratio) * self.gamma / N - ratio * self.fdot_end / N
 
 
-def asymptotic_dissipation(config: QuditProtocolConfig) -> AsymptoticDissipation:
-    """Assemble the order-1/N dissipation prediction and compare it exactly.
+def asymptotic_dissipation(path: HamiltonianPath, H_system: np.ndarray) -> AsymptoticDissipation:
+    """The path's 1/N law for full-rank staircases from tau(0), with Fdot the slope of F(tau(s), H_system).
 
-    prediction = (1 + 2 alpha/(1-alpha)) Gamma / N
-                 - alpha/((1-alpha) N) Fdot(1),
-    exact      = DeltaF - W  with  DeltaF = F(rho0, H_S) - F(tau(1), H_S).
-
-    The endpoint term involves only the final free-energy slope: expanding
-    the exact work sum around the upper stencil points, all Fdot(0+)
-    contributions cancel between the geometric transient and the
-    Riemann-sum edge corrections (verified against exact staircases; the
-    starting slope is still reported for diagnostics).
-
-    lambda_over_gamma refits the alpha-linearity against an alpha = 0 run of
-    the same staircase; it approaches 2 when the endpoint terms vanish, and
-    is NaN when that run dissipates nothing.
+    Only Fdot(1) enters: expanding the exact work sum, all Fdot(0+) terms cancel between the geometric
+    transient and the Riemann-sum edge corrections (verified against exact staircases).
     """
-    if not config.is_full_rank:
-        raise ValidationError("rank-deficient initial state: use rank_deficient_scaling")
-    gamma = gamma_coefficient(config.path)
-    h = config.path.derivative_step
-    fdot_end = _fdot(config, 1.0)
-    fdot_start = _fdot(config, h)  # right limit, one step inside
-    alpha, N = config.alpha, config.N
-    ratio = alpha / (1.0 - alpha)
-    prediction = (1.0 + 2.0 * ratio) * gamma / N - ratio * fdot_end / N
-
-    exact = _exact_dissipation(config)
-    if alpha > 0.0:
-        perfect = _exact_dissipation(
-            QuditProtocolConfig(path=config.path, rho0=config.rho0, N=N, alpha=0.0, H_system=config.H_system)
-        )
-        scale = ratio * perfect
-        lambda_over_gamma = (exact - perfect) / scale if scale else float("nan")
-    else:
-        lambda_over_gamma = float("nan")
-    return AsymptoticDissipation(
-        prediction=prediction,
-        exact=exact,
-        lambda_over_gamma=lambda_over_gamma,
-        gamma=gamma,
-        fdot_end=fdot_end,
-        fdot_start=fdot_start,
-    )
+    return AsymptoticDissipation(gamma=gamma_coefficient(path), fdot_end=_fdot(path, H_system, 1.0))
 
 
-def _exact_dissipation(config: QuditProtocolConfig) -> float:
+def exact_dissipation(config: QuditProtocolConfig) -> float:
+    """DeltaF - W of the N-step staircase, with DeltaF its free_energy_drop."""
     _, ledger = run_qudit_protocol(config)
-    H_S, temp = config.H_system, config.path.temp
-    delta_F = free_energy(config.rho0, H_S, temp) - free_energy(config.path.gibbs_matrix(1.0), H_S, temp)
-    return delta_F - ledger.cumulative_work
+    return config.free_energy_drop - ledger.cumulative_work
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +436,7 @@ def rank_deficient_scaling(config: QuditProtocolConfig, delta_schedule) -> list[
         start = _clamped_start(rho0_pops, delta)
         path = _diagonal_population_path(start, end_pops, temp)
         run_cfg = QuditProtocolConfig(path=path, rho0=config.rho0, N=N, alpha=config.alpha, H_system=H_S)
-        rows.append(RankDeficientPoint(delta=float(delta), N=N, w_dis=_exact_dissipation(run_cfg)))
+        rows.append(RankDeficientPoint(delta=float(delta), N=N, w_dis=exact_dissipation(run_cfg)))
     return rows
 
 

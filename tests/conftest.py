@@ -1,12 +1,28 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from thermoflow.core import DensityOperator, Temperature
+from thermoflow.qudit import QuditProtocolConfig, exact_dissipation
 
 # Figure conventions: k_B T ln 2 = 1.
 FIG_TEMP = Temperature(1.0 / math.log(2.0))
+
+
+def lambda_over_gamma(config: QuditProtocolConfig) -> float:
+    """(exact(alpha) - exact(0)) / (r exact(0)), r = alpha/(1-alpha): the alpha-linearity of the exact dissipation.
+
+    It approaches 2 when the endpoint terms vanish, and is NaN at alpha = 0 or
+    when the alpha = 0 run of the same staircase dissipates nothing.
+    """
+    if not config.alpha > 0.0:
+        return math.nan
+    exact = exact_dissipation(config)
+    perfect = exact_dissipation(dataclasses.replace(config, alpha=0.0))
+    scale = config.alpha / (1.0 - config.alpha) * perfect
+    return (exact - perfect) / scale if scale else math.nan
 
 
 @pytest.fixture

@@ -34,6 +34,7 @@ from thermoflow.maps import (
 from thermoflow.qudit import (
     QuditProtocolConfig,
     asymptotic_dissipation,
+    exact_dissipation,
     make_rank_deficient_erasure,
     path_preset,
     rank_deficient_scaling,
@@ -41,7 +42,7 @@ from thermoflow.qudit import (
 from thermoflow.tth import CosineSqAlpha, ExponentialAlpha, g_function, minimize_g
 from thermoflow.experiments import run_experiment
 
-from conftest import FIG_TEMP
+from conftest import FIG_TEMP, lambda_over_gamma
 
 SEED = 20260809
 QUDIT_PRESETS = ("qubit-linear-q", "qubit-gap-ramp", "random-diagonal-d4")
@@ -149,19 +150,16 @@ def test_criterion_06_qudit_asymptotics():
     details = []
     for name in QUDIT_PRESETS:
         path = path_preset(name, FIG_TEMP)
-        results = {}
-        for N in (1000, 2000):
-            cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=0.5)
-            results[N] = asymptotic_dissipation(cfg)
-        r = results[2000]
-        rel = abs(r.exact - r.prediction) / abs(r.exact)
+        law = asymptotic_dissipation(path, path.hamiltonian(1.0))
+        cfgs = {N: QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=0.5) for N in (1000, 2000)}
+        exact = {N: exact_dissipation(cfg) for N, cfg in cfgs.items()}
+        rel = abs(exact[2000] - law.prediction(0.5, 2000)) / abs(exact[2000])
         assert rel < 0.05
-        richardson = abs(results[1000].exact - results[1000].prediction) / abs(
-            r.exact - r.prediction
-        )
+        richardson = abs(exact[1000] - law.prediction(0.5, 1000)) / abs(exact[2000] - law.prediction(0.5, 2000))
         assert richardson >= 1.8
-        assert abs(r.lambda_over_gamma - 2.0) <= 0.04
-        details.append(f"{name}: rel={rel:.2%}, L/G={r.lambda_over_gamma:.4f}")
+        ratio = lambda_over_gamma(cfgs[2000])
+        assert abs(ratio - 2.0) <= 0.04
+        details.append(f"{name}: rel={rel:.2%}, L/G={ratio:.4f}")
     report("criterion 6 (qudit asymptotics)", "; ".join(details))
 
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thermoflow
-from thermoflow import collision, experiments
+from thermoflow import collision, experiments, qudit
 from thermoflow.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from thermoflow.experiments import (
     ConfigError,
@@ -234,6 +234,30 @@ def test_fig4_runs_the_exact_moment_recursion_twice_per_size(tmp_path, monkeypat
     assert sorted(calls) == [12, 12, 16, 16, 20, 20]
 
 
+def test_qudit_convergence_computes_the_law_once_per_run(tmp_path, monkeypatch):
+    # Gamma is the path's, and each N runs one staircase (it was 3 and 6: Gamma and an alpha = 0 run per N)
+    calls = {"gamma_coefficient": 0, "run_qudit_protocol": 0}
+
+    def counting(name):
+        original = getattr(qudit, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return counted
+
+    for name in calls:
+        counted = counting(name)
+        for module in (qudit, experiments):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    cfg = {"experiment": "qudit-convergence", "parameters": {"N_values": [250, 500, 1000], "alpha": 0.5},
+           "output_dir": str(tmp_path / "o")}
+    run_experiment(cfg)
+    assert calls == {"gamma_coefficient": 1, "run_qudit_protocol": 3}
+
+
 def test_fig4_builds_each_scaled_config_once(tmp_path, monkeypatch):
     # the plan, each block and the assembly used to build it again: 12 configs for 3 sizes of 2 blocks
     built = []
@@ -401,7 +425,21 @@ def test_cli_qudit_at_an_extreme_temperature_prints_one_line(preset, temperature
     argv = ["--experiment", "qudit-convergence", "--set", f'preset="{preset}"', "--set", f"temperature={temperature}",
             "--set", "N_values=[20]", "--out", str(tmp_path / "o")]
     assert main(argv) == expected
-    assert len(capsys.readouterr().err.splitlines()) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    if preset == "qubit-linear-q":
+        # the smoothness probe and the sampler overflow: refused at resolution, naming the parameter
+        assert err[0].startswith("config error: parameters.temperature: ")
+
+
+def test_cli_qudit_endpoint_pair_beyond_the_float_range_names_the_pair(tmp_path, capsys):
+    # H1 - H0 overflowed with a RuntimeWarning, and the error then blamed parameters.temperature
+    argv = ["--experiment", "qudit-convergence", "--set", "H0=[[0, 0], [0, 1e308]]", "--set", "H1=[[0, 0], [0, -1e308]]",
+            "--set", "N_values=[20]", "--out", str(tmp_path / "o")]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: parameters.H0/H1: path fails the smoothness probe (curvature blow-up) (T = 1.4426950408889634)"
+    ]
 
 
 @pytest.mark.parametrize("preset", ["qubit-cyclic-zx", "qubit-cyclic-gap"])

@@ -17,7 +17,6 @@ from thermoflow.collision import (
     RandomAlpha,
     WorkLedger,
     WorkSummary,
-    _moment_recursion,
     average_work,
     default_bin_edges,
     enumerate_work_paths,
@@ -137,12 +136,16 @@ def test_noise_model_validation():
 # ---------------------------------------------------------------------------
 
 def excitation_probabilities(config: QubitProtocolConfig) -> np.ndarray:
-    """System excitation p_0..p_N under fixed alpha, as the shared moment recursion tracks it.
+    """System excitation p_0..p_N under fixed alpha, in the shared moment recursion's operation order.
 
     Step recursion p_k = alpha*p_{k-1} + (1-alpha)*q_k, equivalent to the
     closed form p_k = (1-alpha) * sum_i alpha^(k-i) q_i + alpha^k p_0.
     """
-    return _moment_recursion(config, config._fixed_alpha("excitation_probabilities"))[0]
+    alpha = config._fixed_alpha("excitation_probabilities")
+    p = [float(config.p0)]
+    for qm in config.schedule.q[1:].tolist():
+        p.append(alpha * p[-1] + (1.0 - alpha) * qm)
+    return np.array(p)
 
 
 def test_excitation_alpha0_tracks_bath():

@@ -21,7 +21,9 @@ from thermoflow.qudit import (
     HamiltonianPath,
     QuditProtocolConfig,
     _dissipation_density,
+    _fdot,
     asymptotic_dissipation,
+    exact_dissipation,
     gamma_coefficient,
     lag_deviation,
     linear_endpoint_path,
@@ -33,7 +35,7 @@ from thermoflow.qudit import (
     smoothstep,
 )
 
-from conftest import FIG_TEMP
+from conftest import FIG_TEMP, lambda_over_gamma
 
 PRESETS = ("qubit-linear-q", "qubit-gap-ramp", "random-diagonal-d4")
 
@@ -290,37 +292,33 @@ def test_f_lambda_matches_relative_entropy_curvature(name):
 # Asymptotic dissipation law
 # ---------------------------------------------------------------------------
 
+def preset_law(name: str):
+    path = path_preset(name, FIG_TEMP)
+    return asymptotic_dissipation(path, path.hamiltonian(1.0))
+
+
 def test_asymptotic_alpha0_reduces_to_gamma_over_n():
-    cfg = preset_config("qubit-gap-ramp", 500, 0.0)
-    result = asymptotic_dissipation(cfg)
-    assert abs(result.prediction - result.gamma / 500) < 1e-12
-    assert math.isnan(result.lambda_over_gamma)
+    law = preset_law("qubit-gap-ramp")
+    assert abs(law.prediction(0.0, 500) - law.gamma / 500) < 1e-12
+    assert math.isnan(lambda_over_gamma(preset_config("qubit-gap-ramp", 500, 0.0)))
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_asymptotic_matches_exact_at_n2000(name):
-    result = asymptotic_dissipation(preset_config(name, 2000, 0.5))
-    assert abs(result.exact - result.prediction) / abs(result.exact) < 0.05
+    exact = exact_dissipation(preset_config(name, 2000, 0.5))
+    assert abs(exact - preset_law(name).prediction(0.5, 2000)) / abs(exact) < 0.05
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_asymptotic_richardson_ratio(name):
-    res = {N: asymptotic_dissipation(preset_config(name, N, 0.5)) for N in (1000, 2000)}
-    r1 = abs(res[1000].exact - res[1000].prediction)
-    r2 = abs(res[2000].exact - res[2000].prediction)
+    law = preset_law(name)
+    r1, r2 = (abs(exact_dissipation(preset_config(name, N, 0.5)) - law.prediction(0.5, N)) for N in (1000, 2000))
     assert r1 / r2 >= 1.8
 
 
 @pytest.mark.parametrize("name", PRESETS)
 def test_lambda_over_gamma_is_two(name):
-    result = asymptotic_dissipation(preset_config(name, 2000, 0.5))
-    assert abs(result.lambda_over_gamma - 2.0) <= 0.04
-
-
-def test_asymptotic_rejects_rank_deficient():
-    cfg = make_rank_deficient_erasure(alpha=0.5, temp=FIG_TEMP, delta=1e-2)
-    with pytest.raises(ValidationError):
-        asymptotic_dissipation(cfg)
+    assert abs(lambda_over_gamma(preset_config(name, 2000, 0.5)) - 2.0) <= 0.04
 
 
 def test_dissipation_law_without_endpoint_smoothing():
@@ -328,15 +326,16 @@ def test_dissipation_law_without_endpoint_smoothing():
     # dissipation still converges to the bulk term alone, because the
     # starting-slope contributions cancel exactly in the staircase
     path = linear_gap_ramp_path(1.6, 0.3, FIG_TEMP)
+    H_S = path.hamiltonian(1.0)
     gamma = gamma_coefficient(path)
+    law = asymptotic_dissipation(path, H_S)
     alpha = 0.5
     bulk = (1.0 + 2.0 * alpha / (1.0 - alpha)) * gamma
+    assert abs(_fdot(path, H_S, path.derivative_step)) > 0.1  # the ramp really has a sloped start
     for N in (2000, 4000):
-        cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=alpha)
-        result = asymptotic_dissipation(cfg)
-        assert abs(result.fdot_start) > 0.1  # the ramp really has a sloped start
-        assert abs(N * result.exact - bulk) / bulk < 0.01
-        assert abs(result.exact - result.prediction) / result.exact < 0.01
+        exact = exact_dissipation(QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=alpha))
+        assert abs(N * exact - bulk) / bulk < 0.01
+        assert abs(exact - law.prediction(alpha, N)) / exact < 0.01
 
 
 def test_dissipation_law_final_slope_coefficient():
@@ -350,9 +349,10 @@ def test_dissipation_law_final_slope_coefficient():
     H_S = np.diag([0.0, 0.9]).astype(complex)
     alpha = 0.5
     cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=4000, alpha=alpha, H_system=H_S)
-    result = asymptotic_dissipation(cfg)
-    assert abs(result.fdot_end) > 0.1
-    assert abs(result.exact - result.prediction) / abs(result.exact) < 0.01
+    law = asymptotic_dissipation(path, H_S)
+    exact = exact_dissipation(cfg)
+    assert abs(law.fdot_end) > 0.1
+    assert abs(exact - law.prediction(alpha, 4000)) / abs(exact) < 0.01
 
 
 # ---------------------------------------------------------------------------
@@ -410,14 +410,13 @@ def test_initial_mismatch_work_bound():
 @pytest.mark.parametrize("name", PRESETS)
 def test_dissipation_never_negative(name):
     for N, alpha in [(50, 0.0), (50, 0.6), (200, 0.9)]:
-        result = asymptotic_dissipation(preset_config(name, N, alpha))
-        assert result.exact >= -1e-10
+        assert exact_dissipation(preset_config(name, N, alpha)) >= -1e-10
 
 
 def test_dissipation_monotone_in_alpha():
     values = []
     for alpha in (0.0, 0.25, 0.5, 0.75, 0.9):
-        values.append(asymptotic_dissipation(preset_config("qubit-gap-ramp", 400, alpha)).exact)
+        values.append(exact_dissipation(preset_config("qubit-gap-ramp", 400, alpha)))
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -427,7 +426,7 @@ def test_alpha_prefactor_collapse_across_paths():
     for name in PRESETS:
         ratios = []
         for alpha in (0.0, 0.25, 0.5, 0.75, 0.9):
-            exact = asymptotic_dissipation(preset_config(name, N, alpha)).exact
+            exact = exact_dissipation(preset_config(name, N, alpha))
             ratios.append(N * exact / (1.0 + 2.0 * alpha / (1.0 - alpha)))
         spread = (max(ratios) - min(ratios)) / np.mean(ratios)
         assert spread < 0.03

@@ -40,7 +40,8 @@ from .collision import (
     work_moments,
     sample_work_values,
 )
-from .maps import CHANNEL_KINDS, CYCLIC_PATH_PRESETS, CyclicProtocol, dissipation_breakdown
+from .maps import (CHANNEL_KINDS, CYCLIC_PATH_PRESETS, DEFAULT_SUBSTEPS, EVOLUTION_MODES, CyclicProtocol,
+                   dissipation_breakdown)
 from .qudit import (
     FULL_RANK_THRESHOLD,
     PATH_PRESETS,
@@ -79,68 +80,68 @@ class NumericError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Parameter checks: check(value, path) returns the accepted value or raises
+# Parameter domains: Domain.check(value, path) returns the accepted value or raises
 # ---------------------------------------------------------------------------
 
 _REQUIRED = object()
 
 
-def _number(kind, rule="", test=lambda v: True):
-    """Check for a finite int or float that passes `test`, described by `rule`."""
+@dataclass(frozen=True)
+class Domain:
+    """A parameter's domain and default (_REQUIRED: none): a finite float or int within lo and hi (closed unless
+    lo_open or hi_open), one of the choices, or any list; sizes: a non-empty list of such ints, distinct if asked."""
 
-    def check(value, path):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected {kind.__name__}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-        if kind is int and isinstance(value, float) and not value.is_integer():
-            raise ConfigError(f"{path}: expected an integer, got {value!r}")
-        if not test(value):
-            raise ConfigError(f"{path}: expected {kind.__name__} {rule}, got {value!r}")
-        try:
-            return kind(value)
-        except OverflowError:  # an int beyond the float range
-            raise ConfigError(f"{path}: expected a finite number, got {value!r}") from None
+    kind: type
+    default: object = _REQUIRED
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    lo_open: bool = False
+    hi_open: bool = False
+    choices: tuple = ()
+    sizes: bool = False
+    distinct: bool = False
 
-    return check
+    @property
+    def rule(self) -> str:
+        """The bounds as text, such as '> 0' or 'in [0, 1)'; empty without bounds."""
+        if self.hi is None:
+            return "" if self.lo is None else f"{'>' if self.lo_open else '>='} {self.lo}"
+        return f"in {'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"
 
-
-def _sizes(distinct=False):
-    """Check for a non-empty list of integers >= 1, kept as given; optionally distinct."""
-
-    def check(value, path):
+    def check(self, value, path):
+        if self.choices:
+            if value not in self.choices:
+                raise ConfigError(f"{path}: expected one of {sorted(self.choices)}, got {value!r}")
+            return value
+        if self.kind is list and not isinstance(value, list):
+            raise ConfigError(f"{path}: expected a list, got {value!r}")
+        if not self.sizes:
+            return value if self.kind is list else self._scalar(value, path)
         if not isinstance(value, list) or not value:
-            raise ConfigError(f"{path}: expected a non-empty list of integers >= 1, got {value!r}")
-        sizes = [_COUNT(n, f"{path}[{i}]") for i, n in enumerate(value)]
-        if distinct and len(set(sizes)) < len(sizes):
+            raise ConfigError(f"{path}: expected a non-empty list of integers {self.rule}, got {value!r}")
+        sizes = [self._scalar(n, f"{path}[{i}]") for i, n in enumerate(value)]
+        if self.distinct and len(set(sizes)) < len(sizes):
             raise ConfigError(f"{path}: expected distinct sizes, got {value!r}")
         return value
 
-    return check
+    def _scalar(self, value, path):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path}: expected {self.kind.__name__}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        if self.kind is int and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"{path}: expected an integer, got {value!r}")
+        if not ((self.lo is None or value > self.lo or value == self.lo and not self.lo_open)
+                and (self.hi is None or value < self.hi or value == self.hi and not self.hi_open)):
+            raise ConfigError(f"{path}: expected {self.kind.__name__} {self.rule}, got {value!r}")
+        try:
+            return self.kind(value)
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}") from None
 
 
-def _choice(options):
-    options = tuple(options)
-
-    def check(value, path):
-        if value not in options:
-            raise ConfigError(f"{path}: expected one of {sorted(options)}, got {value!r}")
-        return value
-
-    return check
-
-
-def _list(value, path):
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {value!r}")
-    return value
-
-
-_REAL = _number(float)
-_POSITIVE = _number(float, "> 0", lambda v: v > 0)
-_COUNT = _number(int, ">= 1", lambda v: v >= 1)
-_ALPHA = (_number(float, "in [0, 1)", lambda v: 0 <= v < 1), 0.5)
-_TEMPERATURE = (_POSITIVE, 1.0 / LN2)
+_ALPHA = Domain(float, 0.5, lo=0, hi=1, hi_open=True)
+_TEMPERATURE = Domain(float, 1.0 / LN2, lo=0, lo_open=True)
 
 CUSTOM_OPS = ("average-work", "loss", "work-moments")
 # custom's N bound: each op is one O(N) pass, and the ledger ops write their per-step arrays.  Through the CLI on a
@@ -156,10 +157,10 @@ def _matrix_from_json(rows: list, path: str) -> np.ndarray:
     if not all(isinstance(row, list) and len(row) == len(rows) for row in rows):
         raise ConfigError(f"{path}: expected a square matrix as a list of rows, got {rows!r}")
 
-    def entry(x, where):
+    def entry(x, where, real=Domain(float).check):
         if isinstance(x, list) and len(x) == 2:
-            return complex(_REAL(x[0], where), _REAL(x[1], where))
-        return complex(_REAL(x, where))
+            return complex(real(x[0], where), real(x[1], where))
+        return complex(real(x, where))
 
     m = np.array([[entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)])
     if np.abs(m - m.conj().T).max() > 1e-12:
@@ -351,24 +352,31 @@ def _assemble_breakdown(p, rows):
     return [OutputTable("breakdown_scaling.csv", header, rows)], []
 
 
+def _tth_windows(p) -> dict:
+    """Each model's parameter and its grid and optimizer windows (lo, hi): inside (0, pi/g), and up to 5 tau_th."""
+    cosine, tau = (1e-3 * math.pi / p["g"], (1.0 - 1e-6) * math.pi / p["g"]), p["tau_th"]
+    return {"g": (cosine, cosine), "tau_th": ((1e-3 * tau, 5.0 * tau), (1e-6 * tau, 5.0 * tau))}
+
+
 def _check_tth(p):
-    """The search windows pi/g and 5 tau_th must be finite."""
-    for key, window, end in (("g", "pi/g", math.pi / p["g"]), ("tau_th", "5*tau_th", 5.0 * p["tau_th"])):
-        if not math.isfinite(end):
-            raise ConfigError(f"parameters.{key}: expected {window} to be finite, got {key} = {p[key]!r}")
+    """Every search window lies in (0, inf): pi/g or 5 tau_th can overflow, and 1e-6 tau_th underflow to 0."""
+    for key, windows in _tth_windows(p).items():
+        for lo, hi in windows:
+            if not (lo > 0.0 and math.isfinite(hi)):
+                raise ConfigError(f"parameters.{key}: expected a search window in (0, inf), got [{lo!r}, {hi!r}] "
+                                  f"at {key} = {p[key]!r}")
 
 
 def _run_tth(p, _item):
     cosine = CosineSqAlpha(p["g"])
     expo = ExponentialAlpha(p["tau_th"])
-    t_lo, t_hi = 1e-3 * math.pi / p["g"], (1.0 - 1e-6) * math.pi / p["g"]
-    cosine_grid = np.linspace(t_lo, t_hi, p["t_points"])
-    expo_grid = np.linspace(1e-3 * p["tau_th"], 5.0 * p["tau_th"], p["t_points"])
+    windows = _tth_windows(p)
+    (cosine_grid, cosine_window), (expo_grid, expo_window) = windows["g"], windows["tau_th"]
     return {
-        "cosine": _tth_rows(cosine, cosine_grid, p["Gamma"], p["total_time"]),
-        "exponential": _tth_rows(expo, expo_grid, p["Gamma"], p["total_time"]),
-        "optimum": minimize_g(cosine, (t_lo, t_hi)).as_dict(),
-        "exponential_optimum": minimize_g(expo, (1e-6 * p["tau_th"], 5.0 * p["tau_th"])).as_dict(),
+        "cosine": _tth_rows(cosine, np.linspace(*cosine_grid, p["t_points"]), p["Gamma"], p["total_time"]),
+        "exponential": _tth_rows(expo, np.linspace(*expo_grid, p["t_points"]), p["Gamma"], p["total_time"]),
+        "optimum": minimize_g(cosine, cosine_window).as_dict(),
+        "exponential_optimum": minimize_g(expo, expo_window).as_dict(),
     }
 
 
@@ -428,10 +436,10 @@ def _assemble_custom(p, results):
 class Experiment:
     """One preset's registry entry.
 
-    parameters maps each name to (check, default), _REQUIRED meaning no
-    default; check_all(params) rejects bad combinations.  plan gives the task
-    items, which must pickle; run computes one, possibly in a worker process;
-    assemble receives the results in item order.
+    parameters maps each name to its Domain; check_all(params) rejects bad
+    combinations.  plan gives the task items, which must pickle; run computes
+    one, possibly in a worker process; assemble receives the results in item
+    order.
     """
 
     parameters: dict
@@ -446,7 +454,7 @@ _REGISTRY = {
         parameters={
             "alpha": _ALPHA,
             "temperature": _TEMPERATURE,
-            "N_grid": (_sizes(), sorted({int(round(n)) for n in np.logspace(1, 4, 25)})),
+            "N_grid": Domain(int, sorted({int(round(n)) for n in np.logspace(1, 4, 25)}), lo=1, sizes=True),
         },
         plan=_sizes_of("N_grid"),
         run=_run_fig3_point,
@@ -454,11 +462,11 @@ _REGISTRY = {
     ),
     "fig4-histograms": Experiment(
         parameters={
-            "N_values": (_sizes(distinct=True), [100, 200, 500, 1000]),
-            "runs": (_number(int, ">= 2", lambda v: v >= 2), 10000),
+            "N_values": Domain(int, [100, 200, 500, 1000], lo=1, sizes=True, distinct=True),
+            "runs": Domain(int, 10000, lo=2),
             "alpha": _ALPHA,
             "temperature": _TEMPERATURE,
-            "bins": (_COUNT, 60),
+            "bins": Domain(int, 60, lo=1),
         },
         plan=_plan_fig4,
         run=_run_fig4_block,
@@ -466,14 +474,14 @@ _REGISTRY = {
     ),
     "qudit-convergence": Experiment(
         parameters={
-            "preset": (_choice(PATH_PRESETS), "qubit-gap-ramp"),
+            "preset": Domain(str, "qubit-gap-ramp", choices=tuple(PATH_PRESETS)),
             "alpha": _ALPHA,
             "temperature": _TEMPERATURE,
-            "N_values": (_sizes(), [250, 500, 1000, 2000]),
+            "N_values": Domain(int, [250, 500, 1000, 2000], lo=1, sizes=True),
             # endpoint pair alternative to the preset: Hermitian matrices as rows
             # of numbers (or [re, im] pairs), linearly interpolated
-            "H0": (_list, []),
-            "H1": (_list, []),
+            "H0": Domain(list, []),
+            "H1": Domain(list, []),
         },
         plan=_plan_qudit,
         run=_run_qudit_point,
@@ -482,13 +490,13 @@ _REGISTRY = {
     ),
     "breakdown-scaling": Experiment(
         parameters={
-            "preset": (_choice(CYCLIC_PATH_PRESETS), "qubit-cyclic-zx"),
-            "alpha": (_number(float, "in [0, 1]", lambda v: 0 <= v <= 1), 0.5),
+            "preset": Domain(str, "qubit-cyclic-zx", choices=tuple(CYCLIC_PATH_PRESETS)),
+            "alpha": Domain(float, 0.5, lo=0, hi=1),
             "temperature": _TEMPERATURE,
-            "N_values": (_sizes(), [32, 64, 128, 256]),
-            "channel": (_choice(CHANNEL_KINDS), "partial"),
-            "evolution": (_choice(("unitary", "quench")), "unitary"),
-            "substeps": (_COUNT, 16),
+            "N_values": Domain(int, [32, 64, 128, 256], lo=1, sizes=True),
+            "channel": Domain(str, "partial", choices=CHANNEL_KINDS),
+            "evolution": Domain(str, "unitary", choices=EVOLUTION_MODES),
+            "substeps": Domain(int, DEFAULT_SUBSTEPS, lo=1),
         },
         plan=_sizes_of("N_values"),
         run=_run_breakdown_point,
@@ -496,11 +504,11 @@ _REGISTRY = {
     ),
     "fig5-fig6-tth": Experiment(
         parameters={
-            "g": (_POSITIVE, 1.0),
-            "tau_th": (_POSITIVE, 1.0),
-            "t_points": (_COUNT, 400),
-            "Gamma": (_number(float, ">= 0", lambda v: v >= 0), 1.0),
-            "total_time": (_POSITIVE, 100.0),
+            "g": Domain(float, 1.0, lo=0, lo_open=True),
+            "tau_th": Domain(float, 1.0, lo=0, lo_open=True),
+            "t_points": Domain(int, 400, lo=1),
+            "Gamma": Domain(float, 1.0, lo=0),
+            "total_time": Domain(float, 100.0, lo=0, lo_open=True),
         },
         plan=_single_task,
         run=_run_tth,
@@ -509,8 +517,8 @@ _REGISTRY = {
     ),
     "custom": Experiment(
         parameters={
-            "op": (_choice(CUSTOM_OPS), _REQUIRED),
-            "N": (_number(int, f"in [1, {CUSTOM_N_MAX}]", lambda v: 1 <= v <= CUSTOM_N_MAX), 1000),
+            "op": Domain(str, choices=CUSTOM_OPS),
+            "N": Domain(int, 1000, lo=1, hi=CUSTOM_N_MAX),
             "alpha": _ALPHA,
             "temperature": _TEMPERATURE,
         },
@@ -535,13 +543,13 @@ def _resolve_parameters(experiment: str, params_in) -> dict:
         if key not in entry.parameters:
             raise ConfigError(f"parameters.{key}: unknown parameter for experiment {experiment!r}")
     params = {}
-    for key, (check, default) in entry.parameters.items():
+    for key, domain in entry.parameters.items():
         if key in params_in:
-            params[key] = check(params_in[key], f"parameters.{key}")
-        elif default is _REQUIRED:
+            params[key] = domain.check(params_in[key], f"parameters.{key}")
+        elif domain.default is _REQUIRED:
             raise ConfigError(f"parameters.{key}: required for experiment {experiment!r}")
         else:
-            params[key] = default
+            params[key] = domain.default
     if entry.check_all is not None:
         entry.check_all(params)
     return params

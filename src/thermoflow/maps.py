@@ -51,6 +51,7 @@ __all__ = [
 ]
 
 CHANNEL_KINDS = ("partial", "pinch")
+EVOLUTION_MODES = ("unitary", "quench")
 DEFAULT_SUBSTEPS = 16
 
 
@@ -59,8 +60,8 @@ DEFAULT_SUBSTEPS = 16
 # ---------------------------------------------------------------------------
 
 def _check_evolution_mode(mode: str) -> None:
-    if mode not in ("unitary", "quench"):
-        raise ValidationError(f"evolution_mode must be 'unitary' or 'quench', got {mode!r}")
+    if mode not in EVOLUTION_MODES:
+        raise ValidationError(f"evolution_mode must be {' or '.join(map(repr, EVOLUTION_MODES))}, got {mode!r}")
 
 
 def _check_channel_kind(kind: str) -> None:

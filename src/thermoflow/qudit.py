@@ -20,7 +20,6 @@ from .core import (
     Temperature,
     ThermalizingChannel,
     ValidationError,
-    _trace_norm,
     check_density_matrices,
     contact_chain,
     free_energy,
@@ -43,7 +42,6 @@ __all__ = [
     "random_diagonal_path",
     "path_preset",
     "run_qudit_protocol",
-    "lag_deviation",
     "gamma_coefficient",
     "asymptotic_dissipation",
     "exact_dissipation",
@@ -119,9 +117,6 @@ class HamiltonianPath:
         at, lo, hi = f[2 * n : 2 * n + m], f[2 * n + m : 2 * n + 2 * m], f[2 * n + 2 * m :]
         out[one_sided] = (-3.0 * at + 4.0 * lo - hi) / (2 * d).reshape((-1,) + (1,) * (f.ndim - 1))
         return out
-
-    def gibbs_derivative(self, s: float) -> np.ndarray:
-        return self._fd(self.gibbs_matrices, (s,))[0]
 
     def probe_smoothness(self) -> float:
         """Max second-difference curvature of H over 17 probe points."""
@@ -256,45 +251,19 @@ class QuditProtocolConfig:
         return float(np.linalg.eigvalsh(self.rho0.matrix)[0]) >= FULL_RANK_THRESHOLD
 
 
-def _staircase(config: QuditProtocolConfig, n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """States rho_0..rho_n and per-step works of the first n contacts, all stacked (see run_qudit_protocol)."""
-    path, alpha = config.path, config.alpha
-    H = path.hamiltonians(np.arange(1, n_steps + 1) / config.N)
-    taus = gibbs_matrices(H, path.temp)
-    states = contact_chain(config.rho0.matrix, ThermalizingChannel(alpha, taus))
-    check_density_matrices(states[1:])
-    steps = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[:-1])).trace(axis1=1, axis2=2).real
-    return states, steps
-
-
 def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, WorkLedger]:
     """Iterate rho_k = alpha rho_{k-1} + (1-alpha) tau(k/N) and tally work.
 
     Step k contributes (1-alpha) Tr[(H(k/N) - H_S)(tau(k/N) - rho_{k-1})].
     Returns the checked states rho_0..rho_N as one (N+1, dim, dim) array.
     """
-    states, steps = _staircase(config, config.N)
+    path, alpha = config.path, config.alpha
+    H = path.hamiltonians(np.arange(1, config.N + 1) / config.N)
+    taus = gibbs_matrices(H, path.temp)
+    states = contact_chain(config.rho0.matrix, ThermalizingChannel(alpha, taus))
+    check_density_matrices(states[1:])
+    steps = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[:-1])).trace(axis1=1, axis2=2).real
     return states, WorkLedger.exact(steps)
-
-
-def lag_deviation(config: QuditProtocolConfig, k: int) -> float:
-    """Residual of the first-order lag expansion at step k.
-
-    Returns || rho_k - tau(k/N) + (alpha/((1-alpha) N)) taudot(k/N) ||_1,
-    which vanishes one order faster than the lag itself.
-    """
-    if not config.is_full_rank:
-        raise ValidationError("lag expansion requires full-rank mode")
-    N = config.N
-    if not 1 <= k <= N:
-        raise ValidationError(f"step index k = {k} outside 1..{N}")
-    if k < math.isqrt(N):
-        raise ValidationError(f"lag expansion needs k >= sqrt(N); got k = {k}, N = {N}")
-    alpha = config.alpha
-    s = k / N
-    correction = (alpha / (N * (1.0 - alpha))) * config.path.gibbs_derivative(s)
-    residual = _staircase(config, k)[0][k] - config.path.gibbs_matrix(s) + correction
-    return float(_trace_norm(0.5 * (residual + residual.conj().T)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -370,14 +371,23 @@ def test_fig3_rows_equal_the_direct_computation(temperature, alpha):
 
 @pytest.mark.parametrize(
     "setting,name",
-    [("Gamma=-1", "Gamma"), ("g=1e-308", "g"), ("tau_th=1e308", "tau_th")],
+    [("Gamma=-1", "Gamma"), ("g=1e-308", "g"), ("tau_th=1e308", "tau_th"), ("tau_th=5e-324", "tau_th"),
+     ("tau_th=1e-318", "tau_th")],
 )
 def test_cli_tth_rejects_bad_parameters_before_any_task(setting, name, tmp_path, capsys, monkeypatch):
-    # Gamma = -1 wrote negative W_dis with exit 0; the two windows overflowed to a NaN grid inside the task
+    # Gamma = -1 wrote negative W_dis with exit 0; the two windows overflowed to a NaN grid inside the task; at a
+    # subnormal tau_th the optimizer window started at 0, and the task exited 2 on "need t > 0", naming no parameter
     monkeypatch.setattr(experiments, "_execute_task", lambda task: pytest.fail("a task ran"))
     argv = ["--experiment", "fig5-fig6-tth", "--set", setting, "--out", str(tmp_path / "o")]
     assert main(argv) == EXIT_CONFIG
     assert f"config error: parameters.{name}:" in capsys.readouterr().err
+
+
+def test_cli_tth_runs_at_a_subnormal_tau_th_whose_windows_start_above_0(tmp_path, capsys):
+    # 1e-6 tau_th, the optimizer window's lower end, is 1e-321 here: the run is valid work
+    argv = ["--experiment", "fig5-fig6-tth", "--set", "tau_th=1e-315", "--set", "t_points=8", "--out", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_tth_overflowing_g_exits_3_without_a_warning(tmp_path, capsys):
@@ -986,31 +996,90 @@ SMALL_BASES = {
     "fig5-fig6-tth": {"t_points": 8},
     "custom": {"op": "loss", "N": 20},
 }
-PARAMETER_NAMES = {
-    "fig3-loss": ["alpha", "temperature", "N_grid"],
-    "fig4-histograms": ["N_values", "runs", "alpha", "temperature", "bins"],
-    "qudit-convergence": ["preset", "alpha", "temperature", "N_values", "H0", "H1"],
-    "breakdown-scaling": ["preset", "alpha", "temperature", "N_values", "channel", "evolution", "substeps"],
-    "fig5-fig6-tth": ["g", "tau_th", "t_points", "Gamma", "total_time"],
-    "custom": ["op", "N", "alpha", "temperature"],
-}
-# wrong types, JSON constants, empty and non-finite values, a list holding a
-# string, duplicates; small magnitudes only (a huge run count is valid work)
-HOSTILE_VALUES = st.one_of(
-    st.sampled_from(["x", True, None, [], {}, 0, -1, 0.5, 1, math.nan, math.inf, -math.inf, ["x"], [8, 8]]),
-    st.integers(-2, 3),
-    st.lists(st.integers(-1, 16), max_size=3),
-)
+# the float extremes every numeric domain is probed at, with their negatives
+FLOAT_EXTREMES = (5e-324, 1e-300, 1e-12, 1e308, 1.7e308, 1 - 2**-53, 2**-53)
+# wrong types: JSON constants, strings, empty and nested lists, an object
+HOSTILE_VALUES = (True, False, None, "x", "", [], [[]], [["x"]], [[1, [2]]], {})
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), value=HOSTILE_VALUES)
-def test_cli_never_ends_in_a_traceback(data, value):
-    experiment = data.draw(st.sampled_from(sorted(SMALL_BASES)))
-    name = data.draw(st.sampled_from(PARAMETER_NAMES[experiment]))
-    params = dict(SMALL_BASES[experiment], **{name: value})
+def edge_numbers(domain):
+    """The bounds with their neighbours, 0, -1, the float extremes and their negatives, and the non-finite floats.
+
+    A count with no upper bound (runs, bins, a size) takes no large integral
+    value: that is valid work, not an edge.
+    """
+    numbers = [0, -1, math.nan, math.inf, -math.inf, *FLOAT_EXTREMES, *(-x for x in FLOAT_EXTREMES)]
+    for bound in (b for b in (domain.lo, domain.hi) if b is not None):
+        numbers += [bound, bound - 1, bound + 1, math.nextafter(bound, -math.inf), math.nextafter(bound, math.inf)]
+    return [x for x in numbers if not x > 1000] if domain.kind is int and domain.hi is None else numbers
+
+
+def edge_values(domain):
+    """The domain's edges: its edge numbers (one-size lists of them, and a repeat where sizes must be distinct),
+    non-members of its choices, or matrices of the float extremes."""
+    if domain.choices:
+        return [*domain.choices, *(c.upper() for c in domain.choices), "no-such-name", 0]
+    if domain.kind is list:
+        return [[[x]] for x in FLOAT_EXTREMES] + [[[0.5, 1.0], [1.0, 0.5]]]
+    if domain.sizes:
+        return [[x] for x in edge_numbers(domain)] + ([[domain.lo, domain.lo]] if domain.distinct else [])
+    return edge_numbers(domain)
+
+
+def domain_values(domain):
+    """Values drawn in and around the domain: its edges, lists of up to three sizes, and wrong types."""
+    values = st.sampled_from(edge_values(domain))
+    if domain.sizes:
+        values |= st.lists(st.sampled_from(edge_numbers(domain)), min_size=1, max_size=3)
+    return values | st.sampled_from(HOSTILE_VALUES) | st.lists(st.sampled_from(HOSTILE_VALUES), max_size=2)
+
+
+def assert_exit_contract(experiment, name, value):
+    """One CLI run of the experiment at its small base with name = value: exit 0, 2 or 3, exit 2 exactly when
+    resolve_config refuses the config, and at most one line on stderr."""
+    params = json.loads(json.dumps(dict(SMALL_BASES[experiment], **{name: value})))
     with tempfile.TemporaryDirectory() as out:
         argv = ["--experiment", experiment, "--out", out]
         for key, item in params.items():
             argv += ["--set", f"{key}={json.dumps(item)}"]
-        assert main(argv) in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        try:
+            resolve_config({"experiment": experiment, "parameters": params, "output_dir": out})
+            refused = False
+        except ConfigError:
+            refused = True
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    assert (code == EXIT_CONFIG) == refused, err.getvalue()
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+
+
+PARAMETERS = [(experiment, name) for experiment, entry in experiments._REGISTRY.items() for name in entry.parameters]
+
+
+def test_readme_lists_every_parameter_with_its_domain():
+    # README's list restated each domain by hand; every bound's rule text must appear in its domain list
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text[text.index("Experiments and their parameters"):text.index("### CSV dialect")]
+    domain_list, *bullets = re.split(r"^- `([a-z0-9-]+)` — ", section, flags=re.M)
+    described = dict(zip(bullets[::2], bullets[1::2]))
+    assert sorted(described) == sorted(experiments._REGISTRY)
+    for experiment, name in PARAMETERS:
+        rule = experiments._REGISTRY[experiment].parameters[name].rule
+        assert f"`{name}`" in described[experiment], f"{experiment}: {name} is not named in its bullet"
+        assert rule in " ".join(domain_list.split()), f"{experiment}.{name}: {rule!r} is not in the domain list"
+
+
+@pytest.mark.parametrize("experiment,name", PARAMETERS)
+def test_cli_keeps_the_exit_contract_at_every_domain_edge(experiment, name):
+    # fig5-fig6-tth at tau_th = 5e-324 passed resolution, then its task exited 2 on "need t > 0"
+    for value in edge_values(experiments._REGISTRY[experiment].parameters[name]):
+        assert_exit_contract(experiment, name, value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_never_ends_in_a_traceback(data):
+    experiment, name = data.draw(st.sampled_from(PARAMETERS))
+    assert_exit_contract(experiment, name, data.draw(domain_values(experiments._REGISTRY[experiment].parameters[name])))

@@ -2,8 +2,8 @@
 
 A name in a module's ``__all__`` earns its place by a reference from
 ``src/`` code outside its own definition, from the benchmark scripts under
-``bench/``, or from README.md.  Names that only the acceptance criteria (or a
-planned rework) call are listed in ``EXCEPTIONS`` with the reason.
+``bench/``, or from README.md.  Names that only the acceptance criteria call
+are listed in ``EXCEPTIONS`` with the reason.
 """
 
 import ast
@@ -22,7 +22,6 @@ EXCEPTIONS = {
     "estimate_contraction": "acceptance criterion: measured contraction of the partial and pinch channels",
     "unitary_approx_error": "acceptance criterion: frozen-Hamiltonian propagators converge at second order",
     "rank_deficient_scaling": "acceptance criterion: log(N)/N dissipation for rank-deficient starts",
-    "lag_deviation": "kept for the rework of the state-lag expansion on the roadmap",
 }
 
 

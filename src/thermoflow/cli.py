@@ -76,6 +76,8 @@ def _load_config(args) -> dict:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}")
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:  # a directory, bytes not UTF-8, too deep nesting
+            raise ConfigError(f"config file cannot be read: {exc}")
         if not isinstance(config, dict):
             raise ConfigError("config file must contain a JSON object")
     if args.experiment:
@@ -83,7 +85,10 @@ def _load_config(args) -> dict:
     if "experiment" not in config:
         raise ConfigError("no experiment selected: pass --experiment or a config file")
     if args.overrides:
-        params = dict(config.get("parameters", {}))
+        params = config.get("parameters", {})
+        if not isinstance(params, dict):  # refused as resolve_config refuses it, before --set merges into it
+            raise ConfigError("parameters: expected a JSON object")
+        params = dict(params)
         for item in args.overrides:
             key, value = _parse_override(item)
             params[key] = value

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -33,7 +33,6 @@ __all__ = [
     "WorkSummary",
     "WorkDistribution",
     "make_linear_schedule",
-    "make_schedule",
     "average_work",
     "loss_epsilon",
     "epsilon_upper_bound",
@@ -41,7 +40,6 @@ __all__ = [
     "enumerate_work_paths",
     "sample_work_values",
     "sample_work",
-    "simulate_random_alpha",
     "reduce_thermal_operation",
     "random_energy_preserving_unitary",
     "thermal_op_reduction_check",
@@ -105,17 +103,12 @@ class BathSchedule:
         return len(self.q) - 1
 
 
-def make_schedule(q, temp: Temperature) -> BathSchedule:
-    """Schedule from an explicit strictly increasing probability ladder."""
-    return BathSchedule(q=q, temp=temp)
-
-
 def make_linear_schedule(N: int, temp: Temperature) -> BathSchedule:
     """The ladder q_k = k/(2N), ending at q_N = 1/2 (zero final gap)."""
     if N < 1:
         raise ValidationError(f"N must be >= 1, got {N}")
     q = np.arange(N + 1) / (2.0 * N)
-    return make_schedule(q, temp)
+    return BathSchedule(q, temp)
 
 
 @dataclass(frozen=True)
@@ -213,7 +206,7 @@ class QubitProtocolConfig:
 
     def _fixed_alpha(self, op_name: str) -> float:
         if not isinstance(self.noise, FixedAlpha):
-            raise ValidationError(f"{op_name} requires a fixed-alpha noise model; use simulate_random_alpha")
+            raise ValidationError(f"{op_name} requires a fixed-alpha noise model")
         return self.noise.alpha
 
     @property
@@ -224,13 +217,11 @@ class QubitProtocolConfig:
 
 @dataclass(frozen=True)
 class WorkLedger:
-    """Per-step work increments plus summary statistics of the total."""
+    """Exact per-step mean work increments plus the mean and variance of the total."""
 
     per_step_work: np.ndarray
     mean: float
     variance: float
-    histogram: Optional[tuple] = None  # (bin_edges, counts)
-    sample_count: Optional[int] = None
 
     def __post_init__(self):
         steps = np.asarray(self.per_step_work, dtype=float)
@@ -399,7 +390,7 @@ def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
 # Stochastic sampling
 # ---------------------------------------------------------------------------
 
-def _simulate_block(config, seed, indices, works, step_sums, state_sums):
+def _simulate_block(config, seed, indices, works):
     """Simulate one block of trials, writing their total works into works.
 
     The block is seeded once, then drawn and scanned in chunks of at most
@@ -408,9 +399,7 @@ def _simulate_block(config, seed, indices, works, step_sums, state_sums):
     the fresh bath bits.  The state scan is one running max over packed codes
     (s_0, then 2k + b_k at a swap and 0 otherwise, in the narrowest signed int
     holding 2N + 1): its low bit is s_k, so the increments omega_k (s_k -
-    s_{k-1}) are exact and are the only float array.  Each later chunk's first
-    row takes the running per-step sum, so the rows add in order, as in one
-    axis-0 sum of the whole block.
+    s_{k-1}) are exact and are the only float array.
     """
     N = config.schedule.N
     noise, omega, q_steps = config.noise, config.swap_energies, config.schedule.q[1:]
@@ -419,7 +408,6 @@ def _simulate_block(config, seed, indices, works, step_sums, state_sums):
     uniforms = np.empty((rows, 2 * N + 1))
     codes = np.empty((rows, N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
     swap_codes = np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
-    running = np.empty(N)
     for first in range(0, len(indices), rows):
         part = slice(first, first + rows)
         m = len(indices[part])
@@ -435,11 +423,6 @@ def _simulate_block(config, seed, indices, works, step_sums, state_sums):
         np.subtract(c[:, 1:], c[:, :-1], out=inc)
         inc *= omega
         inc.sum(axis=1, out=works[part])
-        if first:
-            inc[0] += running
-        inc.sum(axis=0, out=running)
-        state_sums += c[:, 1:].sum(axis=0)
-    step_sums += running
 
 
 def sample_work_values(
@@ -447,26 +430,21 @@ def sample_work_values(
     runs: int,
     seed: int,
     trial_offset: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Raw per-trial works plus per-step work and excitation averages.
+) -> np.ndarray:
+    """The total works of `runs` independent trials, under either noise model.
 
-    Returns (works, mean_step_work, mean_excitation) where works has length
-    `runs`, and the trailing arrays average over trials.  Trial t uses the
-    stream derived from (seed, trial_offset + t), so any block partition of
-    the trial range reproduces identical numbers.
+    Trial t uses the stream derived from (seed, trial_offset + t), so any
+    block partition of the trial range reproduces identical numbers.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
-    N = config.schedule.N
     works = np.empty(runs)
-    step_sums = np.zeros(N)
-    state_sums = np.zeros(N)
-    block = max(1, min(8192, (1 << 22) // max(N, 1)))
+    block = max(1, min(8192, (1 << 22) // config.schedule.N))
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         idx = np.arange(trial_offset + start, trial_offset + stop)
-        _simulate_block(config, seed, idx, works[start:stop], step_sums, state_sums)
-    return works, step_sums / runs, state_sums / runs
+        _simulate_block(config, seed, idx, works[start:stop])
+    return works
 
 
 class WorkSummary(NamedTuple):
@@ -492,11 +470,6 @@ class WorkSummary(NamedTuple):
         return mean, (max((self.total_sq - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0)
 
 
-def _ledger_from_samples(works, mean_steps, edges) -> WorkLedger:
-    summary = WorkSummary.of(works, edges)
-    return WorkLedger(mean_steps, *summary.moments(), histogram=(edges, summary.hist), sample_count=summary.count)
-
-
 def default_bin_edges(config: QubitProtocolConfig) -> np.ndarray:
     """60 histogram bins centered on the exact moments at the noise model's mean alpha (deterministic)."""
     return moment_bin_edges(WorkLedger(*_moment_recursion(config, config.noise.mean_alpha)))
@@ -508,25 +481,9 @@ def moment_bin_edges(moments: WorkLedger, bins: int = 60) -> np.ndarray:
     return np.linspace(moments.mean - spread, moments.mean + spread, bins + 1)
 
 
-def sample_work(config: QubitProtocolConfig, runs: int, seed: int) -> WorkLedger:
-    """Monte Carlo work statistics over `runs` independent trials."""
-    config._fixed_alpha("sample_work")
-    works, mean_steps, _ = sample_work_values(config, runs, seed)
-    return _ledger_from_samples(works, mean_steps, default_bin_edges(config))
-
-
-def simulate_random_alpha(config: QubitProtocolConfig, runs: int) -> tuple[WorkLedger, np.ndarray]:
-    """Sampled statistics under per-step random alpha_k.
-
-    The per-step alpha stream is seeded from the noise model's own seed; the
-    trajectory stream reuses the same master seed so a degenerate alpha
-    distribution reproduces the fixed-alpha trials exactly.  Returns the
-    ledger and the ensemble-averaged excitation trajectory p_1..p_N.
-    """
-    if not isinstance(config.noise, RandomAlpha):
-        raise ValidationError("simulate_random_alpha requires a RandomAlpha noise model")
-    works, mean_steps, mean_exc = sample_work_values(config, runs, config.noise.seed)
-    return _ledger_from_samples(works, mean_steps, default_bin_edges(config)), mean_exc
+def sample_work(config: QubitProtocolConfig, runs: int, seed: int) -> WorkSummary:
+    """Monte Carlo work statistics over `runs` independent trials, binned on default_bin_edges."""
+    return WorkSummary.of(sample_work_values(config, runs, seed), default_bin_edges(config))
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,7 @@ def _run_fig4_block(p, item):
     """(N, the block's WorkSummary)."""
     n, edges, seed, start, count = item
     cfg, _ = _scaled_qubit_config(n, p["temperature"], p["alpha"])
-    return n, WorkSummary.of(sample_work_values(cfg, count, seed, trial_offset=start)[0], edges)
+    return n, WorkSummary.of(sample_work_values(cfg, count, seed, trial_offset=start), edges)
 
 
 def _assemble_fig4(p, results):
@@ -692,7 +692,6 @@ class RunManifest:
 
 def _write(out_dir: Path, config: dict, files=(), listed=()) -> RunManifest:
     """Write files, (name, rows, bytes) triples, and a manifest of them and of the listed outputs."""
-    out_dir.mkdir(parents=True, exist_ok=True)
     for name, _, blob in files:
         (out_dir / name).write_bytes(blob)
     outputs = [(name, rows, hashlib.sha256(blob).hexdigest()) for name, rows, blob in files] + list(listed)
@@ -804,11 +803,17 @@ def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     task order, so outputs are independent of the worker count.  Each group's
     files and manifest go into its own directory; a sweep's top-level
     manifest lists the files of the groups that passed.  Raises ConfigError
-    for schema violations and NumericError when a preset's numeric gate or
+    for schema violations and, before any task runs, for an output directory
+    that cannot be created, and NumericError when a preset's numeric gate or
     the finite-output gate of any file fails (outputs are still written for
     inspection), each failing group's message prefixed with its name.
     """
     config, groups = _resolve(raw_config)
+    for out_dir in [config["output_dir"]] + [group["output_dir"] for _, group in groups]:
+        try:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"output_dir: cannot create directory {out_dir!r}: {exc.strerror or exc}") from None
     entry = _REGISTRY[config["experiment"]]
     plans = [[(c["experiment"], c["parameters"], item) for item in entry.plan(c["parameters"], c["master_seed"])]
              for _, c in groups]

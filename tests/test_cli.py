@@ -13,6 +13,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -911,11 +912,21 @@ def test_cli_config_file_plus_overrides(tmp_path):
         ["--config", "/nonexistent/path.json"],
         [],  # no experiment at all
         ["--experiment", "fig4-histograms", "--set", 'N_values=["x"]'],  # a list holding a string
+        # these ended in a traceback with exit 1, an unusable output_dir only after every task had run
+        ["--config", "{tmp}"],  # a directory
+        ["--config", "{tmp}/latin-1.json"],  # bytes that are not UTF-8
+        ["--config", "{tmp}/deep.json"],  # nesting deeper than the JSON decoder's recursion limit
+        ["--experiment", "fig3-loss", "--out", "{tmp}/file"],
+        ["--experiment", "fig3-loss", "--out", "{tmp}/file/sub"],
     ],
 )
-def test_cli_config_errors_exit_2(argv, tmp_path, capsys):
-    assert main(argv + ["--out", str(tmp_path / "o")]) == EXIT_CONFIG
-    assert "config error" in capsys.readouterr().err
+def test_cli_config_errors_exit_2(argv, tmp_path):
+    (tmp_path / "latin-1.json").write_bytes(b'{"experiment": "fig3-loss", "parameters": {"op": "\xe9"}}')
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+    (tmp_path / "file").write_text("")
+    code, err = run_cli(["--out", str(tmp_path / "o")] + [a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert code == EXIT_CONFIG and err.startswith("config error: "), err
+    assert "--out" not in argv or "output_dir" in err
 
 
 def test_cli_numeric_failure_exits_3(tmp_path, capsys):
@@ -1034,25 +1045,38 @@ def domain_values(domain):
     return values | st.sampled_from(HOSTILE_VALUES) | st.lists(st.sampled_from(HOSTILE_VALUES), max_size=2)
 
 
-def assert_exit_contract(experiment, name, value):
-    """One CLI run of the experiment at its small base with name = value: exit 0, 2 or 3, exit 2 exactly when
-    resolve_config refuses the config, and at most one line on stderr."""
+def run_cli(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stderr, held to the exit contract: exit 0, 2 or 3, at most one line on stderr,
+    and no task run on exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), mock.patch.object(
+        experiments, "_execute_task", wraps=experiments._execute_task
+    ) as execute:
+        code = main(argv)
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert code != EXIT_CONFIG or execute.call_count == 0, "a task ran before the config error"
+    return code, err.getvalue()
+
+
+def assert_exit_contract(experiment, name, value, in_file=False):
+    """One CLI run of the experiment at its small base with name = value, the base set by --set or, in_file, in a
+    config file: the exit contract of run_cli, with exit 2 exactly when resolve_config refuses the config."""
     params = json.loads(json.dumps(dict(SMALL_BASES[experiment], **{name: value})))
     with tempfile.TemporaryDirectory() as out:
         argv = ["--experiment", experiment, "--out", out]
-        for key, item in params.items():
+        if in_file:
+            Path(out, "config.json").write_text(json.dumps({"parameters": SMALL_BASES[experiment]}))
+            argv += ["--config", str(Path(out, "config.json"))]
+        for key, item in ({name: params[name]} if in_file else params).items():
             argv += ["--set", f"{key}={json.dumps(item)}"]
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main(argv)
+        code, err = run_cli(argv)
         try:
             resolve_config({"experiment": experiment, "parameters": params, "output_dir": out})
             refused = False
         except ConfigError:
             refused = True
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
-    assert (code == EXIT_CONFIG) == refused, err.getvalue()
-    assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+    assert (code == EXIT_CONFIG) == refused, err
 
 
 PARAMETERS = [(experiment, name) for experiment, entry in experiments._REGISTRY.items() for name in entry.parameters]
@@ -1082,4 +1106,32 @@ def test_cli_keeps_the_exit_contract_at_every_domain_edge(experiment, name):
 @given(data=st.data())
 def test_cli_never_ends_in_a_traceback(data):
     experiment, name = data.draw(st.sampled_from(PARAMETERS))
-    assert_exit_contract(experiment, name, data.draw(domain_values(experiments._REGISTRY[experiment].parameters[name])))
+    value = data.draw(domain_values(experiments._REGISTRY[experiment].parameters[name]))
+    assert_exit_contract(experiment, name, value, in_file=data.draw(st.booleans()))
+
+
+# a config file's parameters value in each JSON shape: an object, a list, a list of pairs, a string, a number, null
+# and a bool; only the object is a config (dict() made [["N_grid", [10]]] one when --set merged into it)
+@pytest.mark.parametrize("overrides", [[], ["--set", "N_grid=[10]"]], ids=["alone", "with-set"])
+@pytest.mark.parametrize(
+    "parameters",
+    [{"N_grid": [10, 100]}, [1, 2], [["N_grid", [10]]], "ab", 0.5, None, True],
+    ids=["object", "list", "pairs", "string", "number", "null", "bool"],
+)
+def test_cli_keeps_the_exit_contract_for_every_shape_of_config_parameters(parameters, overrides, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": "fig3-loss", "parameters": parameters}))
+    code, err = run_cli(["--config", str(config), *overrides, "--out", str(tmp_path / "o")])
+    if isinstance(parameters, dict):
+        assert code == EXIT_OK, err
+    else:
+        assert code == EXIT_CONFIG and err == "config error: parameters: expected a JSON object\n"
+
+
+def test_sweep_output_dir_below_a_file_is_refused_before_any_task(tmp_path):
+    (tmp_path / "file").write_text("")
+    config = {"experiment": "fig3-loss", "parameters": {"N_grid": [10]}, "output_dir": str(tmp_path / "file" / "s"),
+              "sweep": {"axis": "alpha", "values": [0.1, 0.2]}}
+    with mock.patch.object(experiments, "_execute_task") as execute, pytest.raises(ConfigError, match="output_dir"):
+        run_experiment(config)
+    assert execute.call_count == 0

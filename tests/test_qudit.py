@@ -16,7 +16,7 @@ from thermoflow.core import (
     gibbs_state,
     relative_entropy,
 )
-from thermoflow.collision import FixedAlpha, QubitProtocolConfig, average_work, make_schedule
+from thermoflow.collision import BathSchedule, FixedAlpha, QubitProtocolConfig, average_work
 from thermoflow.maps import cyclic_qubit_gap_path, cyclic_qubit_zx_path, evolve_unitary
 from thermoflow.qudit import (
     HamiltonianPath,
@@ -164,7 +164,7 @@ def test_qudit_reproduces_qubit_staircase():
     N, q0, q1, alpha = 200, 0.2, 0.5, 0.37
     path = linear_excitation_path(q0, q1, FIG_TEMP)
     qs = q0 + (q1 - q0) * np.arange(N + 1) / N
-    sched = make_schedule(qs, FIG_TEMP)
+    sched = BathSchedule(qs, FIG_TEMP)
     collision_cfg = QubitProtocolConfig(
         p0=q0, eps_S=float(sched.E[-1]), schedule=sched, noise=FixedAlpha(alpha)
     )

@@ -63,6 +63,8 @@ def _parse_override(item: str) -> tuple[str, object]:
         value = json.loads(raw)
     except json.JSONDecodeError:
         value = raw
+    except RecursionError:  # nested deeper than the decoder's recursion limit, as a --config file is refused
+        raise ConfigError(f"--set {key}: value is nested too deeply to parse") from None
     return key, value
 
 

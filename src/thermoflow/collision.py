@@ -217,7 +217,7 @@ class QubitProtocolConfig:
 
 @dataclass(frozen=True)
 class WorkLedger:
-    """Exact per-step mean work increments plus the mean and variance of the total."""
+    """work_moments' record: exact per-step mean work increments plus the mean and variance of the total."""
 
     per_step_work: np.ndarray
     mean: float
@@ -231,15 +231,6 @@ class WorkLedger:
             raise ValidationError(f"variance must be non-negative, got {self.variance}")
         steps.flags.writeable = False
         object.__setattr__(self, "per_step_work", steps)
-
-    @property
-    def cumulative_work(self) -> float:
-        return float(self.per_step_work.sum())
-
-    @classmethod
-    def exact(cls, steps: np.ndarray) -> "WorkLedger":
-        """The ledger of a deterministic work sequence: its total is the mean, with zero variance."""
-        return cls(per_step_work=steps, mean=float(steps.sum()), variance=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +259,9 @@ def _moment_recursion(config: QubitProtocolConfig, alpha: float) -> tuple[np.nda
     return np.array(steps), mean, max(second - mean * mean, 0.0)
 
 
-def average_work(config: QubitProtocolConfig) -> WorkLedger:
-    """Exact average extracted work, (1-alpha) * sum_k omega_k (q_k - p_{k-1})."""
-    return WorkLedger.exact(_moment_recursion(config, config._fixed_alpha("average_work"))[0])
+def average_work(config: QubitProtocolConfig) -> float:
+    """Exact average extracted work, (1-alpha) * sum_k omega_k (q_k - p_{k-1}), summed over the per-step means."""
+    return float(_moment_recursion(config, config._fixed_alpha("average_work"))[0].sum())
 
 
 def loss_epsilon(config: QubitProtocolConfig) -> float:

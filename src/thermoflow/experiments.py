@@ -35,7 +35,6 @@ from .collision import (
     WorkSummary,
     epsilon_upper_bound,
     loss_epsilon,
-    average_work,
     moment_bin_edges,
     work_moments,
     sample_work_values,
@@ -63,7 +62,6 @@ __all__ = [
     "resolve_config",
     "canonical_config_hash",
     "run_experiment",
-    "sweep",
 ]
 
 DEFAULT_MASTER_SEED = 20260809
@@ -406,22 +404,17 @@ def _assemble_tth(p, results):
 
 
 def _run_custom(p, _item):
+    """The op's value, and the ledger of what a ledger op computes: a run at T / 2^e reported at T, works times 2^e
+    and the variance times 4^e.  average-work writes no variance, which can overflow where its works do not."""
     cfg, e = _scaled_qubit_config(p["N"], p["temperature"], p["alpha"])
     if p["op"] == "loss":
         return {"op": p["op"], "value": _ldexp(loss_epsilon(cfg), e)}
-    ledger = _ledger_dict(average_work(cfg) if p["op"] == "average-work" else work_moments(cfg), e)
-    value = ledger["cumulative_work"] if p["op"] == "average-work" else ledger["mean"]
-    return {"op": p["op"], "value": value, "ledger": ledger}
-
-
-def _ledger_dict(ledger, e: int) -> dict:
-    """The ledger of a run at T / 2^e, reported at T: works times 2^e, the variance times 4^e."""
-    return {
-        "cumulative_work": _ldexp(ledger.cumulative_work, e),
-        "mean": _ldexp(ledger.mean, e),
-        "variance": _ldexp(ledger.variance, 2 * e),
-        "per_step_work": _ldexp(ledger.per_step_work, e),
-    }
+    moments = work_moments(cfg)
+    ledger = {"per_step_work": _ldexp(moments.per_step_work, e)}
+    if p["op"] == "average-work":
+        return {"op": p["op"], "value": _ldexp(float(moments.per_step_work.sum()), e), "ledger": ledger}
+    ledger.update(mean=_ldexp(moments.mean, e), variance=_ldexp(moments.variance, 2 * e))
+    return {"op": p["op"], "value": ledger["mean"], "ledger": ledger}
 
 
 def _assemble_custom(p, results):
@@ -714,9 +707,10 @@ POOL_STARTUP_S = {"fork": 0.015, "forkserver": 0.3, "spawn": 0.3}
 
 
 def _run_tasks(tasks, workers: int) -> list[dict]:
-    """The tasks' results in order; workers counts the caller, which up to workers - 1 helpers join (POOL_STARTUP_S)."""
-    if workers <= 1:
-        return [_execute_task(t) for t in tasks]
+    """The tasks' results in order; workers counts the caller, which up to workers - 1 helpers join (POOL_STARTUP_S).
+
+    At workers = 1 the estimated work is 0, so no helper starts.
+    """
     results, pace, start = [], math.inf, time.thread_time()
     while len(results) < len(tasks):
         results.append(_execute_task(tasks[len(results)]))
@@ -849,7 +843,3 @@ def _group_name(axis: str, value) -> str:
     numbers = "_".join(re.findall(r"[0-9A-Za-z.+-]+", text))[:48].rstrip("_")
     return f"{axis}={numbers}-{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
-
-def sweep(raw_config: dict, axis: str, values, output_format: str = "csv") -> RunManifest:
-    """run_experiment with raw_config swept over the axis values, each into sweep-<axis>/<axis>=<value>."""
-    return run_experiment(dict(raw_config, sweep={"axis": axis, "values": values}), output_format)

@@ -244,10 +244,6 @@ class ProtocolRun:
     unitaries: np.ndarray
     work_steps: np.ndarray
 
-    @property
-    def work(self) -> float:
-        return float(self.work_steps.sum())
-
 
 def _traces(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Re Tr(a_i b_i) for each pair of matrices of two (B, d, d) stacks."""
@@ -291,12 +287,6 @@ def _execute(
     return ProtocolRun(hamiltonians=hams, taus=taus, sigmas=sigmas, unitaries=unitaries, work_steps=work_steps)
 
 
-def _run(protocol: CyclicProtocol, rho0: DensityOperator) -> ProtocolRun:
-    """_execute with the protocol's own settings."""
-    p = protocol
-    return _execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
-
-
 # ---------------------------------------------------------------------------
 # Dissipation split
 # ---------------------------------------------------------------------------
@@ -325,9 +315,10 @@ class DissipationBreakdown:
 
 def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> DissipationBreakdown:
     """Run the protocol and split DeltaF_iso - W into its three exact parts."""
-    run = _run(protocol, rho0)
+    p = protocol
+    run = _execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
     hams, taus, sigmas, U = run.hamiltonians, run.taus, run.sigmas[:-1], run.unitaries[1:]
-    temp = protocol.path.temp
+    temp = p.path.temp
     delta_f_iso = free_energy(taus[0], hams[0], temp) - free_energy(taus[-1], hams[-1], temp)
 
     dH = hams[:-1] - hams[1:]
@@ -339,6 +330,7 @@ def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> Di
         gamma -= g
         epsilon -= e
         kappa -= k
+    work = float(run.work_steps.sum())
     return DissipationBreakdown(
-        gamma=gamma, epsilon=epsilon, kappa=kappa, total=delta_f_iso - run.work, w_iso=run.work, delta_f_iso=delta_f_iso
+        gamma=gamma, epsilon=epsilon, kappa=kappa, total=delta_f_iso - work, w_iso=work, delta_f_iso=delta_f_iso
     )

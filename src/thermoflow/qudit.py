@@ -26,7 +26,6 @@ from .core import (
     gibbs_matrices,
     trace_distance,
 )
-from .collision import WorkLedger
 
 __all__ = [
     "HamiltonianPath",
@@ -251,11 +250,12 @@ class QuditProtocolConfig:
         return float(np.linalg.eigvalsh(self.rho0.matrix)[0]) >= FULL_RANK_THRESHOLD
 
 
-def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, WorkLedger]:
+def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     """Iterate rho_k = alpha rho_{k-1} + (1-alpha) tau(k/N) and tally work.
 
-    Step k contributes (1-alpha) Tr[(H(k/N) - H_S)(tau(k/N) - rho_{k-1})].
-    Returns the checked states rho_0..rho_N as one (N+1, dim, dim) array.
+    Returns (states, work_steps): the checked states rho_0..rho_N as one
+    (N+1, dim, dim) array, and the (N,) works extracted per step, step k
+    contributing (1-alpha) Tr[(H(k/N) - H_S)(tau(k/N) - rho_{k-1})].
     """
     path, alpha = config.path, config.alpha
     H = path.hamiltonians(np.arange(1, config.N + 1) / config.N)
@@ -263,7 +263,7 @@ def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, WorkLed
     states = contact_chain(config.rho0.matrix, ThermalizingChannel(alpha, taus))
     check_density_matrices(states[1:])
     steps = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[:-1])).trace(axis1=1, axis2=2).real
-    return states, WorkLedger.exact(steps)
+    return states, steps
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +336,8 @@ def asymptotic_dissipation(path: HamiltonianPath, H_system: np.ndarray) -> Asymp
 
 def exact_dissipation(config: QuditProtocolConfig) -> float:
     """DeltaF - W of the N-step staircase, with DeltaF its free_energy_drop."""
-    _, ledger = run_qudit_protocol(config)
-    return config.free_energy_drop - ledger.cumulative_work
+    _, work_steps = run_qudit_protocol(config)
+    return config.free_energy_drop - float(work_steps.sum())
 
 
 # ---------------------------------------------------------------------------

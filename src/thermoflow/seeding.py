@@ -193,6 +193,19 @@ def _jump_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return tuple(words)
 
 
+@functools.cache
+def _row_generator() -> tuple[np.random.PCG64, np.random.Generator, dict]:
+    """The PCG64 that fill_rows draws long rows from, its Generator, and the state dict it assigns per row.
+
+    Built once per process on first use, as PCG64(0) costs a SeedSequence
+    hash; no draw depends on its seed, because every row's state, buffered
+    uint32 included, is assigned in full before the row draws.
+    """
+    bitgen = np.random.PCG64(0)
+    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
+    return bitgen, np.random.Generator(bitgen), state
+
+
 def _lane_states(state_hi, state_lo, inc_hi, inc_lo, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(high, low) words, shape (B, n), of each row's PCG64 state after k = 1..n draws (n <= LANE_DRAWS)."""
     a_hi, a_lo, s_hi, s_lo = (c[:n] for c in _jump_constants())
@@ -226,10 +239,8 @@ def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
             x, r = hi ^ lo, hi >> np.uint64(58)
             out[part] = (((x >> r) | (x << (-r & np.uint64(63)))) >> np.uint64(11)) * 2.0**-53
         return out
-    bitgen = np.random.PCG64(0)
-    generator = np.random.Generator(bitgen)
-    inner = {"state": 0, "inc": 0}
-    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    bitgen, generator, state = _row_generator()
+    inner = state["state"]
     for row, s_hi, s_lo, i_hi, i_lo in zip(out, *(lane.tolist() for lane in lanes)):
         inner["state"] = (s_hi << 64) | s_lo
         inner["inc"] = (i_hi << 64) | i_lo

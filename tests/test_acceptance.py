@@ -58,7 +58,7 @@ def report(criterion: str, detail: str) -> None:
 
 def test_criterion_01_erasure_convergence():
     # deterministic mean at N = 1000 sits on the sampled figure value
-    w_1000 = average_work(canonical(1000, 0.5)).cumulative_work
+    w_1000 = average_work(canonical(1000, 0.5))
     assert abs(w_1000 - 0.993) <= 0.002
 
     # N = 1e5 convergence of the exact sum toward the full free-energy gap.
@@ -67,7 +67,7 @@ def test_criterion_01_erasure_convergence():
     # unit conversion being the entire difference.
     kt = Temperature(1.0)
     cfg = canonical(100_000, 0.5, temp=kt)
-    w = average_work(cfg).cumulative_work
+    w = average_work(cfg)
     delta_f = kt.T * math.log(2.0)
     gap_energy_units = abs(delta_f - w)
     assert gap_energy_units < 1e-4

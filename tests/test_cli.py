@@ -32,7 +32,6 @@ from thermoflow.experiments import (
     canonical_config_hash,
     resolve_config,
     run_experiment,
-    sweep,
 )
 from thermoflow.collision import FixedAlpha, QubitProtocolConfig, epsilon_upper_bound, loss_epsilon
 from thermoflow.core import Temperature, ValidationError
@@ -313,17 +312,25 @@ def test_fig4_runs_at_extreme_temperatures(tmp_path, temperature):
     assert np.array_equal(hist_t[:, 2], hist_unit[:, 2])
 
 
-def test_custom_op_emits_ledger_json(tmp_path):
-    cfg = {
-        "experiment": "custom",
-        "parameters": {"op": "work-moments", "N": 40},
-        "output_dir": str(tmp_path / "o"),
-    }
-    run_experiment(cfg)
-    ledger = json.loads((tmp_path / "o" / "custom_ledger.json").read_text())
-    assert set(ledger) >= {"cumulative_work", "mean", "variance", "per_step_work"}
-    assert len(ledger["per_step_work"]) == 40
-    assert ledger["variance"] >= 0.0
+@pytest.mark.parametrize("op", ["average-work", "loss", "work-moments"])
+def test_custom_ledger_holds_what_its_op_computes(op, tmp_path):
+    # at the default temperature the run is at T itself (e = 0), so the ledger is work_moments' record as it is
+    run_experiment({"experiment": "custom", "parameters": {"op": op, "N": 50}, "output_dir": str(tmp_path)})
+    value = float((tmp_path / "custom.csv").read_text().splitlines()[1].split(",")[1])
+    if op == "loss":
+        assert not (tmp_path / "custom_ledger.json").exists()
+        return
+    ledger = json.loads((tmp_path / "custom_ledger.json").read_text())
+    moments = collision.work_moments(QubitProtocolConfig.canonical_erasure(50, Temperature(1.0 / math.log(2.0)),
+                                                                           FixedAlpha(0.5)))
+    assert ledger["per_step_work"] == moments.per_step_work.tolist()
+    if op == "average-work":
+        assert set(ledger) == {"per_step_work"}
+        assert value == float(np.array(ledger["per_step_work"]).sum())
+    else:
+        assert set(ledger) == {"mean", "variance", "per_step_work"}
+        assert (ledger["mean"], ledger["variance"]) == (moments.mean, moments.variance)
+        assert value == moments.mean
 
 
 @pytest.mark.parametrize(
@@ -514,7 +521,7 @@ def test_numeric_gate_failure_raises(tmp_path):
 
 def test_sweep_single_value_is_byte_identical(tmp_path):
     plain = run_experiment(fig3_config(tmp_path / "plain"))
-    swept = sweep(fig3_config(tmp_path / "swept"), "alpha", [0.5])
+    swept = run_experiment(dict(fig3_config(tmp_path / "swept"), sweep={"axis": "alpha", "values": [0.5]}))
     plain_bytes = (tmp_path / "plain" / "fig3_loss.csv").read_bytes()
     swept_bytes = (tmp_path / "swept" / "sweep-alpha" / "alpha=0.5" / "fig3_loss.csv").read_bytes()
     assert plain_bytes == swept_bytes
@@ -522,7 +529,8 @@ def test_sweep_single_value_is_byte_identical(tmp_path):
 
 
 def test_sweep_produces_row_group_per_value(tmp_path):
-    manifest = sweep(fig3_config(tmp_path / "s"), "alpha", [0.0, 0.25, 0.5, 0.75])
+    sweep = {"axis": "alpha", "values": [0.0, 0.25, 0.5, 0.75]}
+    manifest = run_experiment(dict(fig3_config(tmp_path / "s"), sweep=sweep))
     groups = {name.split("/")[1] for name, _, _ in manifest.outputs}
     assert groups == {"alpha=0.0", "alpha=0.25", "alpha=0.5", "alpha=0.75"}
     for value in (0.25, 0.75):
@@ -532,7 +540,7 @@ def test_sweep_produces_row_group_per_value(tmp_path):
 
 def test_sweep_axis_must_exist(tmp_path):
     with pytest.raises(ConfigError):
-        sweep(fig3_config(tmp_path / "s"), "definitely-not-a-knob", [1])
+        run_experiment(dict(fig3_config(tmp_path / "s"), sweep={"axis": "definitely-not-a-knob", "values": [1]}))
 
 
 def test_sweep_over_qudit_ladder(tmp_path):
@@ -541,7 +549,7 @@ def test_sweep_over_qudit_ladder(tmp_path):
         "parameters": {"N_values": [250]},
         "output_dir": str(tmp_path / "s"),
     }
-    manifest = sweep(cfg, "N_values", [[250], [500]])
+    manifest = run_experiment(dict(cfg, sweep={"axis": "N_values", "values": [[250], [500]]}))
     names = {name for name, _, _ in manifest.outputs}
     assert names == {
         "sweep-N_values/N_values=250-997829838baf/qudit_convergence.csv",
@@ -623,13 +631,14 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
     monkeypatch.setattr(experiments, "_execute_task", counted)
     built = count_helpers(monkeypatch, OneTaskHelper)
     grid = (10, 20, 50, 100, 1000)
-    sweep(dict(fig3_config(tmp_path / "pooled", grid), workers=3), "alpha", [0.25, 0.5, 0.75])
+    sweep = {"axis": "alpha", "values": [0.25, 0.5, 0.75]}
+    run_experiment(dict(fig3_config(tmp_path / "pooled", grid), workers=3, sweep=sweep))
     assert built == [2]
     # every task ran once: the first two in the caller, the next two in the helpers, the rest in the caller
     # from the tail
     plan = [(alpha, n) for alpha in (0.25, 0.5, 0.75) for n in grid]
     assert ran == plan[:4] + plan[4:][::-1]
-    sweep(fig3_config(tmp_path / "serial", grid), "alpha", [0.25, 0.5, 0.75])
+    run_experiment(dict(fig3_config(tmp_path / "serial", grid), sweep=sweep))
     for value in (0.25, 0.5, 0.75):
         files = [tmp_path / side / "sweep-alpha" / f"alpha={value}" / "fig3_loss.csv" for side in ("pooled", "serial")]
         assert files[0].read_bytes() == files[1].read_bytes()
@@ -859,6 +868,24 @@ def test_one_stalled_task_does_not_start_a_pool(stalled, monkeypatch):
     assert experiments._run_tasks(costs, 2) == costs
 
 
+def test_one_worker_never_shares(monkeypatch):
+    # at workers = 1 the estimated work, pace * tasks left * (1 - 1/workers), is 0 however slow the tasks are
+    clock = [0.0]
+
+    def execute(cost):
+        clock[0] += cost
+        return cost
+
+    def share(tasks, helpers):
+        pytest.fail("a pool was started at workers = 1")
+
+    costs = [40 * max(experiments.POOL_STARTUP_S.values())] * 6
+    monkeypatch.setattr(experiments.time, "thread_time", lambda: clock[0])
+    monkeypatch.setattr(experiments, "_execute_task", execute)
+    monkeypatch.setattr(experiments, "_share", share)
+    assert experiments._run_tasks(costs, 1) == costs
+
+
 def test_finite_output_gate_names_each_file_holding_a_non_finite_number(tmp_path, monkeypatch):
     def assemble(p, results):
         return [
@@ -927,6 +954,15 @@ def test_cli_config_errors_exit_2(argv, tmp_path):
     code, err = run_cli(["--out", str(tmp_path / "o")] + [a.replace("{tmp}", str(tmp_path)) for a in argv])
     assert code == EXIT_CONFIG and err.startswith("config error: "), err
     assert "--out" not in argv or "output_dir" in err
+
+
+def test_cli_deeply_nested_set_value_is_a_config_error(tmp_path):
+    # json.loads raises RecursionError past its nesting limit; a --config file of the same depth is refused too
+    value = "[" * 5000 + "]" * 5000
+    code, err = run_cli(["--experiment", "fig3-loss", "--set", f"N_grid={value}", "--out", str(tmp_path / "o")])
+    assert code == EXIT_CONFIG
+    assert err.startswith("config error: --set N_grid: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_numeric_failure_exits_3(tmp_path, capsys):

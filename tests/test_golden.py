@@ -85,14 +85,14 @@ GOLDEN = {
     },
     "custom-average-work": {
         "custom.csv": "76c6c8f9d24653350c75ba45457b4accb89dd1ea8bf70a79ce55cd9bb5e710f4",
-        "custom_ledger.json": "477eadb7e889f160f7b408e9c7ae44b8937d9b4981ee916204f625aee668308a",
+        "custom_ledger.json": "2ab7ea52c8fa97b325a28e73feaf77e88b93eeb806dcde4a000d9ccdea18ed7b",
     },
     "custom-loss": {
         "custom.csv": "0d7062706fe826665b7f341c2ec65d220e7a165fa44852952334ad2b22f1ee5b",
     },
     "custom-work-moments": {
         "custom.csv": "29d0a15b39dae15a9aa57c48e2b38c4de88cda38a8491d443c0ea91c84e9d59a",
-        "custom_ledger.json": "0b5a5be94285086182400ca34598c19d721b44da1a050f44d3fee16606f4caaf",
+        "custom_ledger.json": "6296e671cdc1f5c6284a7d7144aadc2426c2fadd91e656f1ba3989dc87f438f6",
     },
     "fig3-default": {
         "fig3_loss.csv": "dbf8217817f11649f5a197026f1920cf56aac1ff81852247571247a623372d12",

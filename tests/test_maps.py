@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from thermoflow import maps
-from thermoflow.collision import WorkLedger
 from thermoflow.core import (
     DensityOperator,
     HamiltonianMatrix,
@@ -41,23 +40,29 @@ from conftest import FIG_TEMP, random_density, random_hermitian
 
 
 def run_protocol_segment(path, N, rho0, channel_alpha, channel_kind="partial", evolution_mode="quench", substeps=16):
-    """An open (not necessarily cyclic) protocol segment run by the presets' engine: its ledger and final state."""
+    """An open (not necessarily cyclic) protocol segment run by the presets' engine: its total work and final state."""
     run = maps._execute(path, N, rho0, channel_kind, channel_alpha, evolution_mode, substeps)
-    return WorkLedger.exact(run.work_steps), DensityOperator(run.sigmas[-1])
+    return float(run.work_steps.sum()), DensityOperator(run.sigmas[-1])
+
+
+def execute(protocol, rho0):
+    """maps._execute with the protocol's own settings, as dissipation_breakdown runs it."""
+    p = protocol
+    return maps._execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
 
 
 def run_cyclic_protocol(protocol, rho0):
-    """A cyclic protocol's ledger and final state, with the free-energy work bound enforced."""
-    run = maps._run(protocol, rho0)
-    H0, temp = run.hamiltonians[0], protocol.path.temp
+    """A cyclic protocol's total work and final state, with the free-energy work bound enforced."""
+    run = execute(protocol, rho0)
+    H0, temp, work = run.hamiltonians[0], protocol.path.temp, float(run.work_steps.sum())
     bound = free_energy(rho0, H0, temp) - free_energy(run.taus[0], H0, temp)
-    assert run.work <= bound + 1e-9, f"second-law violation: W = {run.work!r} exceeds DeltaF = {bound!r}"
-    return WorkLedger.exact(run.work_steps), DensityOperator(run.sigmas[-1])
+    assert work <= bound + 1e-9, f"second-law violation: W = {work!r} exceeds DeltaF = {bound!r}"
+    return work, DensityOperator(run.sigmas[-1])
 
 
 def protocol_state_lag(protocol, rho0):
     """Max over contacts of ||sigma_i - tau_i||_1; shrinks as 1/N."""
-    run = maps._run(protocol, rho0)
+    run = execute(protocol, rho0)
     return float(trace_distance(run.sigmas[1:], run.taus[1:]).max())
 
 
@@ -321,9 +326,9 @@ def test_single_step_identity_channel_work():
     loop = cyclic_qubit_zx_path(FIG_TEMP)
     rho0 = loop.gibbs(0.0)
     proto = CyclicProtocol(path=loop, N=1, channel_alpha=1.0, evolution_mode="quench")
-    ledger, final = run_cyclic_protocol(proto, rho0)
+    work, final = run_cyclic_protocol(proto, rho0)
     expected = np.trace((loop.hamiltonian(0.0) - loop.hamiltonian(1.0)) @ rho0.matrix).real
-    assert abs(ledger.cumulative_work - expected) < 1e-12
+    assert abs(work - expected) < 1e-12
     assert trace_distance(final, rho0) < 1e-12  # H(0) = H(1) and no contraction
 
 
@@ -333,7 +338,7 @@ def test_quench_partial_matches_scalar_recursion():
     N, lam = 37, 0.45
     rho0 = loop.gibbs(0.0)
     proto = CyclicProtocol(path=loop, N=N, channel_alpha=lam, evolution_mode="quench")
-    ledger, final = run_cyclic_protocol(proto, rho0)
+    engine_work, final = run_cyclic_protocol(proto, rho0)
 
     def gap(t):
         return 2.0 * (1.0 + 0.8 * math.sin(math.pi * t) ** 2)  # splitting of base*Z
@@ -349,7 +354,7 @@ def test_quench_partial_matches_scalar_recursion():
         t_prev, t_i = (i - 1) / N, i / N
         work += (gap(t_prev) - gap(t_i)) * (e - 0.5)
         e = lam * e + (1.0 - lam) * exc(t_i)
-    assert abs(ledger.cumulative_work - work) < 1e-10
+    assert abs(engine_work - work) < 1e-10
     assert abs(final.populations[0] - e) < 1e-12
 
 
@@ -359,9 +364,9 @@ def test_work_bounded_by_free_energy_gap():
     for pops in ([1.0, 0.0], [0.5, 0.5], [0.9, 0.1]):
         rho0 = DensityOperator.diagonal(pops)
         proto = CyclicProtocol(path=loop, N=64, channel_alpha=0.3, substeps=16)
-        ledger, _ = run_cyclic_protocol(proto, rho0)
+        work, _ = run_cyclic_protocol(proto, rho0)
         bound = free_energy(rho0, H0, FIG_TEMP) - free_energy(loop.gibbs(0.0), H0, FIG_TEMP)
-        assert ledger.cumulative_work <= bound + 1e-9
+        assert work <= bound + 1e-9
 
 
 def test_optimal_protocol_reaches_free_energy_gap():
@@ -377,8 +382,8 @@ def test_optimal_protocol_reaches_free_energy_gap():
     )
     gaps = []
     for N in (500, 2000):
-        ledger, _ = run_protocol_segment(segment, N, rho0, channel_alpha=0.0, evolution_mode="quench")
-        gaps.append(delta_f - (w_quench + ledger.cumulative_work))
+        work, _ = run_protocol_segment(segment, N, rho0, channel_alpha=0.0, evolution_mode="quench")
+        gaps.append(delta_f - (w_quench + work))
     assert 0.0 < gaps[1] < 1e-4
     assert gaps[0] / gaps[1] > 3.0  # vanishes at first order in 1/N
 
@@ -456,7 +461,7 @@ def test_quench_segment_reproduces_collision_staircase_dissipation(channel_kind,
     N = 400
     segment = qubit_excitation_path(0.2, 0.45, FIG_TEMP)
     rho0 = segment.gibbs(0.0)
-    ledger, _ = run_protocol_segment(
+    work, _ = run_protocol_segment(
         segment, N, rho0, channel_alpha=alpha, channel_kind=channel_kind, evolution_mode="quench"
     )
     H0 = HamiltonianMatrix(segment.hamiltonian(0.0))
@@ -464,16 +469,16 @@ def test_quench_segment_reproduces_collision_staircase_dissipation(channel_kind,
     delta_f_iso = free_energy(segment.gibbs(0.0), H0, FIG_TEMP) - free_energy(
         segment.gibbs(1.0), H1, FIG_TEMP
     )
-    w_dis_maps = delta_f_iso - ledger.cumulative_work
+    w_dis_maps = delta_f_iso - work
 
     qudit_cfg = QuditProtocolConfig(path=segment, rho0=rho0, N=N, alpha=alpha)
-    _, qudit_ledger = run_qudit_protocol(qudit_cfg)
+    qudit_work = float(run_qudit_protocol(qudit_cfg)[1].sum())
     delta_f = free_energy(rho0, H1, FIG_TEMP) - free_energy(segment.gibbs(1.0), H1, FIG_TEMP)
-    w_dis_qudit = delta_f - qudit_ledger.cumulative_work
+    w_dis_qudit = delta_f - qudit_work
     assert abs(w_dis_maps - w_dis_qudit) < 1e-10
-    # the raw work ledgers differ by the fixed initial-Hamiltonian offset
+    # the raw total works differ by the fixed initial-Hamiltonian offset
     offset = np.trace((segment.hamiltonian(1.0) - segment.hamiltonian(0.0)) @ rho0.matrix).real
-    assert abs(qudit_ledger.cumulative_work - ledger.cumulative_work - offset) < 1e-10
+    assert abs(qudit_work - work - offset) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +551,7 @@ def test_stacked_engine_is_bit_identical_to_the_per_step_loop(preset, kind, mode
     path = CYCLIC_PATH_PRESETS[preset](FIG_TEMP)
     rho0 = random_density(np.random.default_rng(N), 2)
     proto = CyclicProtocol(path=path, N=N, channel_alpha=0.45, channel_kind=kind, evolution_mode=mode, substeps=16)
-    run = maps._run(proto, rho0)
+    run = execute(proto, rho0)
     ref = _reference_run(path, N, rho0, kind, 0.45, mode, 16)
     for name, expected in zip(("hamiltonians", "taus", "sigmas", "unitaries", "work_steps"), ref):
         assert np.array_equal(getattr(run, name), expected), name

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,8 +173,8 @@ def test_qudit_reproduces_qubit_staircase():
     qudit_cfg = QuditProtocolConfig(
         path=path, rho0=DensityOperator.diagonal([1 - q0, q0]), N=N, alpha=alpha
     )
-    _, ledger = run_qudit_protocol(qudit_cfg)
-    assert abs(ledger.cumulative_work - average_work(collision_cfg).cumulative_work) < 1e-10
+    _, work_steps = run_qudit_protocol(qudit_cfg)
+    assert abs(work_steps.sum() - average_work(collision_cfg)) < 1e-10
 
 
 def test_perfect_thermalization_follows_the_staircase():
@@ -186,11 +188,12 @@ def test_single_step_work_formula():
     path = path_preset("qubit-gap-ramp", FIG_TEMP)
     H_S = np.diag([0.0, 0.9]).astype(complex)
     cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=1, alpha=0.3, H_system=H_S)
-    _, ledger = run_qudit_protocol(cfg)
+    _, work_steps = run_qudit_protocol(cfg)
     expected = 0.7 * np.trace(
         (path.hamiltonian(1.0) - H_S) @ (path.gibbs_matrix(1.0) - path.gibbs_matrix(0.0))
     ).real
-    assert abs(ledger.cumulative_work - expected) < 1e-12
+    assert work_steps.shape == (1,)
+    assert abs(work_steps[0] - expected) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -594,12 +597,12 @@ def test_blocked_staircase_is_bit_identical_to_the_per_step_loop(name):
     path = ORACLE_PATHS[name]()
     for N, alpha in [(1, 0.3), (63, 0.0), (65, 0.37), (200, 0.9)]:
         cfg = QuditProtocolConfig(path=path, rho0=path.gibbs(0.0), N=N, alpha=alpha)
-        states, ledger = run_qudit_protocol(cfg)
+        states, work_steps = run_qudit_protocol(cfg)
         ref_states, ref_steps = _reference_staircase(cfg, name)
         assert states.shape == (N + 1, path.dim, path.dim)
         assert np.array_equal(states, ref_states)
-        assert np.array_equal(ledger.per_step_work, ref_steps)
-        assert ledger.cumulative_work == float(ref_steps.sum())
+        assert np.array_equal(work_steps, ref_steps)
+        assert exact_dissipation(cfg) == cfg.free_energy_drop - float(ref_steps.sum())
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PATHS))
@@ -668,3 +671,13 @@ def test_staircase_checks_every_contact(monkeypatch, contact):
     with pytest.raises(ValidationError, match="trace must be 1"):
         run_qudit_protocol(cfg)
     assert calls == [200]
+
+
+def test_qudit_imports_only_core():
+    # the staircase returns plain per-step works: qudit needs nothing from the qubit collision model
+    tree = ast.parse(Path(thermoflow.qudit.__file__).read_text())
+    relative = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert relative == {"core"}
+    absolute = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    absolute += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and not node.level]
+    assert not [name for name in absolute if name.startswith("thermoflow")]

@@ -14,6 +14,7 @@ from thermoflow.seeding import (
     LANE_DRAWS,
     _lane_states,
     _pcg64_states,
+    _row_generator,
     derive_seed,
     fill_rows,
     rng_for,
@@ -110,3 +111,17 @@ def test_fill_rows_draws_any_row_range_into_a_reused_buffer(n):
         assert np.shares_memory(rows, out)
         for row, index in zip(rows, indices[part]):
             np.testing.assert_array_equal(row, rng_for(master, tag, int(index)).random(n))
+
+
+def test_interleaved_long_fills_share_one_generator_and_keep_their_streams():
+    # fill_rows reuses one per-process PCG64 for rows longer than LANE_DRAWS; each row's state is assigned in full,
+    # so neither another block's fill nor a uint32 left buffered in the generator reaches the next row
+    master, tag, n = 7, "collision-mc", LANE_DRAWS + 3
+    blocks = {"A": np.arange(0, 5), "B": np.arange(900, 903)}
+    for name in ("A", "B", "A"):
+        _row_generator()[1].integers(0, 10, dtype=np.uint32)  # leaves has_uint32 set
+        indices = blocks[name]
+        rows = fill_rows(trial_states(master, tag, indices), np.empty((len(indices), n)))
+        for row, index in zip(rows, indices):
+            np.testing.assert_array_equal(row, rng_for(master, tag, int(index)).random(n))
+    assert _row_generator() is _row_generator()

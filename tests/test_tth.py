@@ -201,7 +201,7 @@ def validate_against_simulation(model, path, total_time, t_grid) -> list[Simulat
         alpha = alpha_of(model, t)
         N = max(int(round(total_time / t)), 1)
         formula = w_dis_of_tth(model, gamma, total_time, t)
-        exact = delta_f_iso - _execute(path, N, rho0, "partial", alpha, "quench", 16).work
+        exact = delta_f_iso - float(_execute(path, N, rho0, "partial", alpha, "quench", 16).work_steps.sum())
         deviation = abs(exact - formula) / formula
         rows.append(SimulationComparison(N, deviation, N >= 20, N >= 100))
     return rows

@@ -12,16 +12,25 @@ UTF-8 tag string.
 
 `trial_states` seeds the streams of a whole block of trials at once:
 SplitMix64, numpy's SeedSequence pool hashing and PCG64 seeding run on numpy
-lanes, bit for bit as `default_rng(seed_i)` computes them one at a time.
+lanes, bit for bit as `default_rng(seed_i)` computes them one at a time.  The
+pool is one (4, B) uint32 array, so each hash round is one stacked call.
 `fill_rows` draws any range of rows into a buffer the caller owns, and
-`trial_uniforms` does both.  A stream of at most `LANE_DRAWS` uniforms is
-drawn in lanes too: PCG64 is a 128-bit LCG whose multiplier M every stream
-shares, so the state after k draws is `M^k state_0 + (1 + M + ... + M^(k-1))
-inc (mod 2^128)`, one broadcast multiply-add of the rows' seeded states by
-per-k jump constants, followed by numpy's XSL-RR output and double
-conversion.  Longer streams assign each row's state to one reused PCG64,
-because numpy's native draw is about ten times cheaper per uniform than the
-lanes.
+`trial_uniforms` does both.
+
+A stream of at most `LANE_DRAWS` uniforms is drawn in lanes too.  PCG64 is a
+128-bit LCG s -> M s + inc whose multiplier every stream shares, and
+M - 1 = 4 m' with m' odd, so m' is invertible mod 2^128.  With
+D_k = (M^k - 1) / 4 and z = 4 s_0 + m'^-1 inc, the state after k draws is
+
+    s_k = M^k s_0 + (1 + M + ... + M^(k-1)) inc = s_0 + D_k z  (mod 2^128),
+
+one 128-bit product of each row's z by a per-column constant, plus s_0.
+numpy's XSL-RR output and double conversion then run on the (rows, n)
+states in four reused buffers.  Longer streams assign each row's state to
+one reused PCG64: on a 2-core host the lanes cost about 14-20 ns per uniform,
+the per-row path about 2.3 us per row plus 3 ns per uniform, so numpy's
+native draw wins once a row is long enough to pay for the state assignment
+(see LANE_DRAWS).
 """
 
 from __future__ import annotations
@@ -67,24 +76,25 @@ _XSHIFT = 16
 MASK32 = (1 << 32) - 1
 
 
-def _hash_constants(init: int, mult: int, count: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor constant, multiplier) of each successive hash step."""
-    pairs = []
-    const = init
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(xor constants, multipliers) of `count` successive hash steps, shape (2, count, 1) so a step stacks on rows."""
+    consts = [init]
     for _ in range(count):
-        nxt = (const * mult) & MASK32
-        pairs.append((np.uint32(const), np.uint32(nxt)))
-        const = nxt
-    return pairs
+        consts.append((consts[-1] * mult) & MASK32)
+    consts = np.array(consts, dtype=np.uint32)
+    return np.stack([consts[:-1], consts[1:]])[..., None]
 
 
 # 4 hashmix calls fill the pool, 12 more cross-mix it; generate_state(4, uint64) hashes 8 words.
 _MIX_CONSTANTS = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * _POOL_SIZE)
 _STATE_CONSTANTS = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
 
-# PCG64 (pcg_setseq_128 XSL-RR) default multiplier, as (high, low) 64-bit words.
+# PCG64 (pcg_setseq_128 XSL-RR) default multiplier M, as (high, low) 64-bit words, and the inverse mod 2^128 of
+# m' = (M - 1) / 4, which is odd.
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_MULT_HI, _PCG_MULT_LO = np.uint64(_PCG_MULT >> 64), np.uint64(_PCG_MULT & MASK64)
+_QUARTER_INV = pow((_PCG_MULT - 1) >> 2, -1, 1 << 128)
+_QUARTER_INV_HI, _QUARTER_INV_LO = np.uint64(_QUARTER_INV >> 64), np.uint64(_QUARTER_INV & MASK64)
 
 
 def splitmix64_lanes(x: np.ndarray) -> np.ndarray:
@@ -95,7 +105,8 @@ def splitmix64_lanes(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _hash(value: np.ndarray, constants: tuple[np.uint32, np.uint32]) -> np.ndarray:
+def _hash(value: np.ndarray, constants: np.ndarray) -> np.ndarray:
+    """SeedSequence's hashmix of value under each (xor, mult) step of constants; rows of steps broadcast on value."""
     xor, mult = constants
     value = (value ^ xor) * mult
     return value ^ (value >> np.uint32(_XSHIFT))
@@ -107,42 +118,53 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def seed_sequence_state(seeds: np.ndarray) -> np.ndarray:
-    """`SeedSequence(s).generate_state(4, np.uint64)` for every uint64 seed s; shape (len, 4).
+    """`SeedSequence(s).generate_state(4, np.uint64)` for every uint64 seed s of a 1-D array; shape (len, 4).
 
     The entropy words are [lo32, hi32], zero-padded to the pool size.  numpy
     drops the zero high word of a seed below 2^32, but pads the pool with
-    zeros, so the result is the same.
+    zeros, so the result is the same.  The pool is one (4, B) array: the
+    four entropy words are hashed in one call, each source word mixes the
+    three other words in one (3, B) hash and mix, and the eight output
+    words, pool words 0..3 twice, are hashed as one (8, B) array.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    constants = iter(_MIX_CONSTANTS)
-    zero = np.zeros_like(seeds, dtype=np.uint32)
-    entropy = [(seeds & np.uint64(MASK32)).astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
-    pool = [_hash(word, next(constants)) for word in entropy + [zero] * (_POOL_SIZE - len(entropy))]
+    pool = np.zeros((_POOL_SIZE, len(seeds)), dtype=np.uint32)
+    pool[0], pool[1] = seeds & np.uint64(MASK32), seeds >> np.uint64(32)
+    pool = _hash(pool, _MIX_CONSTANTS[:, :_POOL_SIZE])
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], next(constants)))
-    words = [_hash(pool[i % _POOL_SIZE], c).astype(np.uint64) for i, c in enumerate(_STATE_CONSTANTS)]
-    return np.stack([words[2 * j] | (words[2 * j + 1] << np.uint64(32)) for j in range(4)], axis=-1)
+        dst = [d for d in range(_POOL_SIZE) if d != src]
+        first = _POOL_SIZE + len(dst) * src
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _MIX_CONSTANTS[:, first : first + len(dst)]))
+    words = _hash(np.concatenate([pool, pool]), _STATE_CONSTANTS).astype(np.uint64)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
 
 
 _LO32, _SHIFT32 = np.uint64(MASK32), np.uint64(32)
 
 
-def _mul64(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit products of the broadcast uint64 lanes a and b, as (high, low) words."""
-    a0, a1 = a & _LO32, a >> _SHIFT32
-    b0, b1 = b & _LO32, b >> _SHIFT32
-    p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
-    mid = (p00 >> _SHIFT32) + (p01 & _LO32) + (p10 & _LO32)
-    high = p11 + (p01 >> _SHIFT32) + (p10 >> _SHIFT32) + (mid >> _SHIFT32)
-    return high, a * b
+def _mul128(a_hi, a_lo, b_hi, b_lo, hi: np.ndarray, lo: np.ndarray, t: np.ndarray, u: np.ndarray):
+    """Write (a * b) mod 2^128 of broadcast 128-bit lanes, as (high, low) uint64 words, into hi and lo.
+
+    t and u are scratch buffers of the same shape.  The high word of
+    a_lo * b_lo comes from 32-bit limbs: t = p10 + (p00 >> 32),
+    u = p01 + (t & L), mulhi = p11 + (t >> 32) + (u >> 32).
+    """
+    a0, a1, b0, b1 = a_lo & _LO32, a_lo >> _SHIFT32, b_lo & _LO32, b_lo >> _SHIFT32
+    np.multiply(a1, b0, out=t)
+    t += np.right_shift(np.multiply(a0, b0, out=lo), _SHIFT32, out=lo)
+    np.multiply(a0, b1, out=u)
+    u += np.bitwise_and(t, _LO32, out=lo)
+    np.multiply(a1, b1, out=hi)
+    hi += np.right_shift(t, _SHIFT32, out=t)
+    hi += np.right_shift(u, _SHIFT32, out=u)
+    hi += np.multiply(a_lo, b_hi, out=t)
+    hi += np.multiply(a_hi, b_lo, out=t)
+    return hi, np.multiply(a_lo, b_lo, out=lo)
 
 
-def _mul128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
-    """(a * b) mod 2^128 of broadcast 128-bit lanes given as (high, low) uint64 words."""
-    high, low = _mul64(a_lo, b_lo)
-    return high + a_lo * b_hi + a_hi * b_lo, low
+def _product(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
+    """(a * b) mod 2^128 of 1-D uint64 lanes a and 128-bit constants b, into new arrays."""
+    return _mul128(a_hi, a_lo, b_hi, b_lo, *np.empty((4, len(a_lo)), dtype=np.uint64))
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo) -> tuple[np.ndarray, np.ndarray]:
@@ -161,34 +183,34 @@ def _pcg64_states(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     one = np.uint64(1)
     inc_hi, inc_lo = (s2 << one) | (s3 >> np.uint64(63)), (s3 << one) | one
     t_hi, t_lo = _add128(inc_hi, inc_lo, s0, s1)
-    state_hi, state_lo = _add128(*_mul128(t_hi, t_lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
+    state_hi, state_lo = _add128(*_product(t_hi, t_lo, _PCG_MULT_HI, _PCG_MULT_LO), inc_hi, inc_lo)
     return state_hi, state_lo, inc_hi, inc_lo
 
 
-# Streams of at most LANE_DRAWS uniforms are drawn in lanes, longer ones by the per-row generator.  Lanes cost about
-# 40-60 ns per uniform against about 5 ns for numpy's native draw, but save the per-row state assignment (about 3 us).
-# Measured on a 2-core host (numpy 2.4.6, 512-row blocks, interleaved): lanes beat the per-row loop at every n up to 91
-# (n = 1: 0.1 vs 3.4 ms; n = 41: 2.0 vs 4.4 ms) and lost at n = 101 (3.9 vs 3.5 ms), so 64 sits on the lane side.
-LANE_DRAWS = 64
-# Lane elements (rows x draws) per chunk: each uint64 temporary is then 64 KB, which stays in cache and off mmap.
-# 8192 was the fastest of 2048..32768 and a whole 512-row block at n = 25..101 on the same host.
-_LANE_CHUNK = 8192
+# Streams of at most LANE_DRAWS uniforms are drawn in lanes, longer ones by the per-row generator.  Measured on a
+# 2-core host (numpy 2.4.6, 512-row blocks, interleaved): lanes cost about 14-20 ns per uniform, the per-row path about
+# 2.3 us per row for its state assignment plus 3 ns per uniform.  Lanes won at every n up to 176 (n = 41: 0.41 vs
+# 1.26 ms; n = 129: 1.06 vs 1.40 ms), tied at 192 and lost from 208 (1.69 vs 1.52 ms); 128 keeps a clear margin.
+LANE_DRAWS = 128
+# Lane elements (rows x draws) per chunk: the four uint64 buffers then take 1 MB, which stays in L2.  32768 was the
+# fastest of 8192..65536 at n = 25..160 on the same host, and holds a whole 512-row block up to n = 64.
+_LANE_CHUNK = 32768
 
 
 @functools.cache
-def _jump_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(A_hi, A_lo, S_hi, S_lo) for k = 1..LANE_DRAWS: A_k = M^k and S_k = 1 + M + ... + M^(k-1), mod 2^128.
+def _lane_table() -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) words of D_k = (M^k - 1) / 4 mod 2^128 for k = 1..LANE_DRAWS.
 
-    A PCG64 state after k steps is A_k state_0 + S_k inc (mod 2^128).  Built
-    from Python ints on first use, so importing the module does no work; the
-    arrays are shared, so they are read-only.
+    The state after k draws is s_0 + D_k z with z = 4 s_0 + m'^-1 inc.
+    Built from Python ints on first use, so importing the module does no
+    work; the arrays are shared, so they are read-only.
     """
-    mask = (1 << 128) - 1
-    a, s, jumps = 1, 0, []
+    mask, power, table = (1 << 130) - 1, 1, []
     for _ in range(LANE_DRAWS):
-        a, s = (a * _PCG_MULT) & mask, (s * _PCG_MULT + 1) & mask
-        jumps.append((a >> 64, a & MASK64, s >> 64, s & MASK64))
-    words = np.array(jumps, dtype=np.uint64).T
+        power = (power * _PCG_MULT) & mask  # M^k mod 2^130, so (M^k - 1) / 4 is exact mod 2^128
+        d = (power - 1) >> 2
+        table.append((d >> 64, d & MASK64))
+    words = np.array(table, dtype=np.uint64).T
     words.setflags(write=False)
     return tuple(words)
 
@@ -206,13 +228,6 @@ def _row_generator() -> tuple[np.random.PCG64, np.random.Generator, dict]:
     return bitgen, np.random.Generator(bitgen), state
 
 
-def _lane_states(state_hi, state_lo, inc_hi, inc_lo, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(high, low) words, shape (B, n), of each row's PCG64 state after k = 1..n draws (n <= LANE_DRAWS)."""
-    a_hi, a_lo, s_hi, s_lo = (c[:n] for c in _jump_constants())
-    advanced = _mul128(state_hi[:, None], state_lo[:, None], a_hi, a_lo)
-    return _add128(*advanced, *_mul128(inc_hi[:, None], inc_lo[:, None], s_hi, s_lo))
-
-
 def trial_states(master_seed: int, tag: str, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Seeded PCG64 lanes (state_hi, state_lo, inc_hi, inc_lo); lane r seeds rng_for(master_seed, tag, indices[r])."""
     base = splitmix64(splitmix64(master_seed & MASK64) ^ tag_hash(tag))
@@ -224,20 +239,35 @@ def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
     """Write the first out.shape[1] uniforms of each lane's stream into the matching row of out, and return out.
 
     Up to LANE_DRAWS uniforms per row are drawn in lanes, in row chunks of
-    _LANE_CHUNK elements: numpy steps the state before each output, takes
-    XSL-RR of the new state, rotr64(hi ^ lo, hi >> 58), and makes a double as
-    (x >> 11) * 2^-53.  Longer rows assign each lane's state to one reused
-    PCG64 and draw its uniforms there.
+    _LANE_CHUNK elements: numpy steps the state before each output, so
+    column k - 1 takes s_k = s_0 + D_k z; XSL-RR is rotr64(hi ^ lo, hi >> 58),
+    and the double is (x >> 11) * 2^-53.  Longer rows assign each lane's
+    state to one reused PCG64 and draw its uniforms there.
     """
     n = out.shape[1]
     if n <= LANE_DRAWS:
+        s_hi, s_lo, inc_hi, inc_lo = lanes
+        d_hi, d_lo = (words[:n] for words in _lane_table())
+        z_hi, z_lo = _add128(*_product(inc_hi, inc_lo, _QUARTER_INV_HI, _QUARTER_INV_LO),
+                             (s_hi << np.uint64(2)) | (s_lo >> np.uint64(62)), s_lo << np.uint64(2))
         rows = max(1, _LANE_CHUNK // max(n, 1))
-        state_hi, state_lo, inc_hi, inc_lo = lanes
+        buffers = np.empty((4, min(rows, len(out)), n), dtype=np.uint64)
+        carry = np.empty(buffers.shape[1:], dtype=bool)
         for start in range(0, len(out), rows):
             part = slice(start, start + rows)
-            hi, lo = _lane_states(state_hi[part], state_lo[part], inc_hi[part], inc_lo[part], n)
-            x, r = hi ^ lo, hi >> np.uint64(58)
-            out[part] = (((x >> r) | (x << (-r & np.uint64(63)))) >> np.uint64(11)) * 2.0**-53
+            m = len(z_lo[part])
+            hi, lo, r, x = buffers[:, :m]
+            _mul128(z_hi[part, None], z_lo[part, None], d_hi, d_lo, hi, lo, r, x)
+            lo += s_lo[part, None]
+            hi += s_hi[part, None]
+            hi += np.less(lo, s_lo[part, None], out=carry[:m])
+            np.right_shift(hi, np.uint64(58), out=r)
+            hi ^= lo
+            np.right_shift(hi, r, out=x)
+            hi <<= np.subtract(np.uint64(64), r, out=r)
+            hi |= x
+            hi >>= np.uint64(11)
+            np.multiply(hi.view(np.int64), 2.0**-53, out=out[part])  # below 2^53, so int64 converts exactly and faster
         return out
     bitgen, generator, state = _row_generator()
     inner = state["state"]

@@ -3,16 +3,20 @@
 Each lane function is checked against the scalar code or the numpy routine it
 reproduces: SplitMix64 against `splitmix64`/`derive_seed`, the SeedSequence
 port against `np.random.SeedSequence(s).generate_state(4, np.uint64)`, the
-lane jump-ahead against `np.random.PCG64.advance`, and whole rows, on both
+lane table D_k against `np.random.PCG64.advance`, and whole rows, on both
 sides of `LANE_DRAWS`, against `rng_for(...).random(n)`.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermoflow.seeding import (
+    _LANE_CHUNK,
+    _PCG_MULT,
+    _QUARTER_INV,
     LANE_DRAWS,
-    _lane_states,
+    _lane_table,
     _pcg64_states,
     _row_generator,
     derive_seed,
@@ -72,20 +76,39 @@ def test_trial_uniforms_rows_match_rng_for(indices, n):
         np.testing.assert_array_equal(row, rng_for(master, tag, index).random(n))
 
 
-def test_lane_states_match_pcg64_advance():
-    # the jump constants A_k, S_k against numpy's own jump-ahead: one step off in either fails every k
+MASK128 = (1 << 128) - 1
+
+
+def _table(k: int) -> int:
+    high, low = _lane_table()
+    return (int(high[k - 1]) << 64) | int(low[k - 1])
+
+
+def test_lane_identity_preconditions():
+    # M - 1 = 4 m' with m' odd, so m' has an inverse mod 2^128, and D_k = (M^k - 1) / 4 mod 2^128 for every k in the
+    # table: 4 D_k + 1 = M^k mod 2^128, and mod 2^130 too, which pins the two high bits of D_k as well
+    quarter = (_PCG_MULT - 1) >> 2
+    assert 4 * quarter + 1 == _PCG_MULT and quarter % 2 == 1
+    assert quarter * _QUARTER_INV & MASK128 == 1
+    for k in range(1, LANE_DRAWS + 1):
+        assert (4 * _table(k) + 1) & MASK128 == pow(_PCG_MULT, k, 1 << 128), k
+        assert 4 * _table(k) + 1 == pow(_PCG_MULT, k, 1 << 130), k
+    assert len(_lane_table()[0]) == LANE_DRAWS
+
+
+def test_lane_table_matches_pcg64_advance():
+    # s_k = s_0 + D_k z with z = 4 s_0 + m'^-1 inc, against numpy's own jump-ahead: a table one step off fails every k
     words = seed_sequence_state(np.concatenate([np.array(EDGE_SEEDS, dtype=np.uint64), _random_u64(3, 3)]))
     lanes = _pcg64_states(words)
-    hi, lo = _lane_states(*lanes, LANE_DRAWS)
-    steps = [1, 2, 3, 17, LANE_DRAWS - 1, LANE_DRAWS]
-    for row, (s_hi, s_lo, i_hi, i_lo) in enumerate(zip(*(x.tolist() for x in lanes))):
-        bitgen = np.random.PCG64()
-        state = {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo}
-        for k in steps:
-            bitgen.state = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, i_hi, i_lo in zip(*(x.tolist() for x in lanes)):
+        state, inc = (s_hi << 64) | s_lo, (i_hi << 64) | i_lo
+        z = (4 * state + _QUARTER_INV * inc) & MASK128
+        bitgen, seeded = np.random.PCG64(), {"state": state, "inc": inc}
+        for k in [1, 2, 3, 17, LANE_DRAWS - 1, LANE_DRAWS]:
+            bitgen.state = {"bit_generator": "PCG64", "state": seeded, "has_uint32": 0, "uinteger": 0}
             advanced = bitgen.advance(k).state["state"]
-            assert advanced["inc"] == state["inc"]
-            assert (int(hi[row, k - 1]) << 64) | int(lo[row, k - 1]) == advanced["state"], (row, k)
+            assert advanced["inc"] == inc
+            assert (state + _table(k) * z) & MASK128 == advanced["state"], k
 
 
 def test_trial_uniforms_wraps_master_and_index_like_derive_seed():
@@ -125,3 +148,35 @@ def test_interleaved_long_fills_share_one_generator_and_keep_their_streams():
         for row, index in zip(rows, indices):
             np.testing.assert_array_equal(row, rng_for(master, tag, int(index)).random(n))
     assert _row_generator() is _row_generator()
+
+
+@pytest.mark.parametrize("n", [25, LANE_DRAWS])
+def test_fill_rows_spans_several_lane_chunks_and_a_partial_one(n):
+    # two whole row chunks of the lane kernel and three rows of a third, drawn into the leading rows of a larger buffer
+    master, tag = 11, "collision-mc"
+    indices = np.arange(2 * (_LANE_CHUNK // n) + 3) * 7 + 5
+    out = np.full((len(indices) + 4, n), np.nan)
+    rows = fill_rows(trial_states(master, tag, indices), out[: len(indices)])
+    assert np.shares_memory(rows, out) and np.isnan(out[len(indices) :]).all()
+    for row, index in zip(rows, indices):
+        np.testing.assert_array_equal(row, rng_for(master, tag, int(index)).random(n))
+
+
+_INDEX_ARRAYS = st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6).map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.lists(st.integers(2**64 - 300, 2**64 - 1), max_size=6).map(lambda xs: np.array(xs, dtype=np.uint64)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    master=st.integers(-(2**70), 2**70),
+    tag=st.text(max_size=12),
+    indices=_INDEX_ARRAYS,
+    n=st.integers(0, LANE_DRAWS + 1),
+)
+def test_trial_uniforms_match_rng_for_for_any_seed_tag_and_indices(master, tag, indices, n):
+    got = trial_uniforms(master, tag, indices, n)
+    assert got.shape == (len(indices), n)
+    for row, index in zip(got, indices.tolist()):
+        np.testing.assert_array_equal(row, rng_for(master, tag, index).random(n))

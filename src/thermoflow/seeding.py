@@ -26,15 +26,17 @@ D_k = (M^k - 1) / 4 and z = 4 s_0 + m'^-1 inc, the state after k draws is
 
 one 128-bit product of each row's z by a per-column constant, plus s_0.
 numpy's XSL-RR output and double conversion then run on the (rows, n)
-states in four reused buffers.  Longer streams assign each row's state to
-one reused PCG64: on a 2-core host the lanes cost about 14-20 ns per uniform,
-the per-row path about 2.3 us per row plus 3 ns per uniform, so numpy's
-native draw wins once a row is long enough to pay for the state assignment
-(see LANE_DRAWS).
+states in four reused buffers.
+
+Longer streams are drawn natively by one reused PCG64: each row writes its
+(state, inc) into the generator's words through `bitgen.ctypes.state_address`
+(see `_state_words` for the probe of their order and the dict fallback, and
+LANE_DRAWS for the measured crossover).
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import hashlib
 
@@ -188,10 +190,13 @@ def _pcg64_states(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 
 # Streams of at most LANE_DRAWS uniforms are drawn in lanes, longer ones by the per-row generator.  Measured on a
-# 2-core host (numpy 2.4.6, 512-row blocks, interleaved): lanes cost about 14-20 ns per uniform, the per-row path about
-# 2.3 us per row for its state assignment plus 3 ns per uniform.  Lanes won at every n up to 176 (n = 41: 0.41 vs
-# 1.26 ms; n = 129: 1.06 vs 1.40 ms), tied at 192 and lost from 208 (1.69 vs 1.52 ms); 128 keeps a clear margin.
-LANE_DRAWS = 128
+# 2-core host (numpy 2.4.6, 512-row blocks, 40 interleaved rounds, medians): lanes cost about 14-20 ns per uniform, the
+# per-row path, which writes each row's state through its address, about 1 us per row plus 2.7 ns per uniform.  Lanes
+# won at every n up to 64 (n = 41: 0.42 vs 0.57 ms; n = 64: 0.57 vs 0.60 ms, in 31 of 40 rounds) and lost from 72
+# (0.68 vs 0.63 ms) to 128 (1.12 vs 0.69 ms).  On the same host under heavier load the per-row path cost twice as much
+# and the crossover lay between 80 and 96; 64 is the largest n that lanes won in both, and a 512-row block of 64
+# uniforms fills one lane chunk.
+LANE_DRAWS = 64
 # Lane elements (rows x draws) per chunk: the four uint64 buffers then take 1 MB, which stays in L2.  32768 was the
 # fastest of 8192..65536 at n = 25..160 on the same host, and holds a whole 512-row block up to n = 64.
 _LANE_CHUNK = 32768
@@ -215,17 +220,45 @@ def _lane_table() -> tuple[np.ndarray, np.ndarray]:
     return tuple(words)
 
 
+# A known PCG64 state whose four 64-bit halves (state_hi, state_lo, inc_hi, inc_lo) differ; inc is odd, as for every
+# seeded stream.
+_PROBE_HALVES = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2143658799ABCDEF, 0x3254769810325477)
+
+
+def _state_dict(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
+    return {"bit_generator": "PCG64", "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _state_words(bitgen: np.random.PCG64) -> tuple[ctypes.Array, tuple[int, int, int, int]] | None:
+    """A view of bitgen's (state, inc) words and the word that holds each of (state_hi, state_lo, inc_hi, inc_lo).
+
+    bitgen.ctypes.state_address points to numpy's pcg64_state, whose first
+    member points to the pcg64_random_t {state, inc}.  With __uint128_t on a
+    little-endian host its words are (state_lo, state_hi, inc_lo, inc_hi);
+    a build without __int128 stores the high word first.  None when the
+    words read back after a known dict assignment are not a permutation of
+    the known halves: fill_rows then assigns every row's state through the dict.
+    """
+    bitgen.state = _state_dict(*_PROBE_HALVES)
+    words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value)
+    found = list(words)
+    if sorted(found) != sorted(_PROBE_HALVES):
+        return None
+    return words, tuple(found.index(half) for half in _PROBE_HALVES)
+
+
 @functools.cache
-def _row_generator() -> tuple[np.random.PCG64, np.random.Generator, dict]:
-    """The PCG64 that fill_rows draws long rows from, its Generator, and the state dict it assigns per row.
+def _row_generator() -> tuple[np.random.PCG64, np.random.Generator, tuple[ctypes.Array, tuple[int, ...]] | None]:
+    """The PCG64 that fill_rows draws long rows from, its Generator, and its probed state words (see _state_words).
 
     Built once per process on first use, as PCG64(0) costs a SeedSequence
-    hash; no draw depends on its seed, because every row's state, buffered
-    uint32 included, is assigned in full before the row draws.
+    hash; no draw depends on its seed, because every row's state and inc are
+    written in full before the row draws.  The buffered uint32 is left as it
+    is: Generator.random draws its doubles from 64-bit outputs only.
     """
     bitgen = np.random.PCG64(0)
-    state = {"bit_generator": "PCG64", "state": {"state": 0, "inc": 0}, "has_uint32": 0, "uinteger": 0}
-    return bitgen, np.random.Generator(bitgen), state
+    return bitgen, np.random.Generator(bitgen), _state_words(bitgen)
 
 
 def trial_states(master_seed: int, tag: str, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -241,8 +274,8 @@ def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
     Up to LANE_DRAWS uniforms per row are drawn in lanes, in row chunks of
     _LANE_CHUNK elements: numpy steps the state before each output, so
     column k - 1 takes s_k = s_0 + D_k z; XSL-RR is rotr64(hi ^ lo, hi >> 58),
-    and the double is (x >> 11) * 2^-53.  Longer rows assign each lane's
-    state to one reused PCG64 and draw its uniforms there.
+    and the double is (x >> 11) * 2^-53.  Longer rows write each lane's
+    state into one reused PCG64 (see _row_generator) and draw there.
     """
     n = out.shape[1]
     if n <= LANE_DRAWS:
@@ -269,12 +302,16 @@ def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
             hi >>= np.uint64(11)
             np.multiply(hi.view(np.int64), 2.0**-53, out=out[part])  # below 2^53, so int64 converts exactly and faster
         return out
-    bitgen, generator, state = _row_generator()
-    inner = state["state"]
+    bitgen, generator, state_words = _row_generator()
+    words, (w_s_hi, w_s_lo, w_i_hi, w_i_lo) = state_words or (None, range(4))
     for row, s_hi, s_lo, i_hi, i_lo in zip(out, *(lane.tolist() for lane in lanes)):
-        inner["state"] = (s_hi << 64) | s_lo
-        inner["inc"] = (i_hi << 64) | i_lo
-        bitgen.state = state
+        if words is None:
+            bitgen.state = _state_dict(s_hi, s_lo, i_hi, i_lo)
+        else:
+            words[w_s_hi] = s_hi
+            words[w_s_lo] = s_lo
+            words[w_i_hi] = i_hi
+            words[w_i_lo] = i_lo
         generator.random(out=row)
     return out
 

@@ -6,12 +6,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import thermoflow.qudit
 from thermoflow.core import (
     DensityOperator,
     HamiltonianMatrix,
+    Temperature,
     ValidationError,
     _trace_norm,
     gibbs_matrices,
@@ -359,6 +361,39 @@ def test_dissipation_law_final_slope_coefficient():
     exact = exact_dissipation(cfg)
     assert abs(law.fdot_end) > 0.1
     assert abs(exact - law.prediction(alpha, 4000)) / abs(exact) < 0.01
+
+
+# The remainder of the Richardson value 2c(2N) - c(N), c = N W_dis, is O(1/N^2), with a coefficient that grows with
+# beta ||H1 - H0|| and with alpha as (1 + r)^2, r = alpha/(1-alpha).  Over the domain below (entries in [-1, 1],
+# T in [1, 3]) a hypothesis search that steered towards the largest remainder found 49 (1 + r)^2 / N^2 at N = 200
+# (d = 4, non-commuting, alpha = 0.89); with T down to 0.3 it found 130.
+LAW_REMAINDER = 100.0
+
+
+@st.composite
+def endpoint_paths(draw) -> HamiltonianPath:
+    """linear_endpoint_path between two random d x d Hermitian endpoints, d = 2..4, both diagonal or both not."""
+    d, commuting = draw(st.integers(2, 4)), draw(st.booleans())
+    size = d if commuting else d * d
+    entries = st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size)
+
+    def hermitian():
+        if commuting:
+            return np.diag(draw(entries)).astype(complex)
+        re, im = (np.reshape(draw(entries), (d, d)) for _ in range(2))
+        return (re + re.T) / 2 + 1j * (im - im.T) / 2
+
+    return linear_endpoint_path(hermitian(), hermitian(), Temperature(draw(st.floats(1.0, 3.0))))
+
+
+@settings(max_examples=120, deadline=None)
+@given(path=endpoint_paths(), alpha=st.floats(0.0, 0.9))
+def test_richardson_dissipation_matches_the_law_on_random_paths(path, alpha):
+    N, r = 200, alpha / (1.0 - alpha)
+    law = asymptotic_dissipation(path, path.hamiltonian(1.0))
+    rho0 = path.gibbs(0.0)
+    c = [n * exact_dissipation(QuditProtocolConfig(path=path, rho0=rho0, N=n, alpha=alpha)) for n in (N, 2 * N)]
+    assert abs(2.0 * c[1] - c[0] - law.prediction(alpha, 1)) <= LAW_REMAINDER * (1.0 + r) ** 2 / N**2
 
 
 # ---------------------------------------------------------------------------

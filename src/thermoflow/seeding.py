@@ -30,8 +30,8 @@ states in four reused buffers.
 
 Longer streams are drawn natively by one reused PCG64: each row writes its
 (state, inc) into the generator's words through `bitgen.ctypes.state_address`
-(see `_state_words` for the probe of their order and the dict fallback, and
-LANE_DRAWS for the measured crossover).
+(see `_state_words` for the probe of their order, and LANE_DRAWS for the
+measured crossover).
 """
 
 from __future__ import annotations
@@ -195,7 +195,8 @@ def _pcg64_states(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 # won at every n up to 64 (n = 41: 0.42 vs 0.57 ms; n = 64: 0.57 vs 0.60 ms, in 31 of 40 rounds) and lost from 72
 # (0.68 vs 0.63 ms) to 128 (1.12 vs 0.69 ms).  On the same host under heavier load the per-row path cost twice as much
 # and the crossover lay between 80 and 96; 64 is the largest n that lanes won in both, and a 512-row block of 64
-# uniforms fills one lane chunk.
+# uniforms fills one lane chunk.  These are in-process block timings only: no benchmarked workload draws rows of
+# 65-128 uniforms (fig4 at N = 32-63), so no end-to-end run has measured the move from 128.
 LANE_DRAWS = 64
 # Lane elements (rows x draws) per chunk: the four uint64 buffers then take 1 MB, which stays in L2.  32768 was the
 # fastest of 8192..65536 at n = 25..160 on the same host, and holds a whole 512-row block up to n = 64.
@@ -225,31 +226,28 @@ def _lane_table() -> tuple[np.ndarray, np.ndarray]:
 _PROBE_HALVES = (0x0123456789ABCDEF, 0x1032547698BADCFE, 0x2143658799ABCDEF, 0x3254769810325477)
 
 
-def _state_dict(s_hi: int, s_lo: int, i_hi: int, i_lo: int) -> dict:
-    return {"bit_generator": "PCG64", "state": {"state": (s_hi << 64) | s_lo, "inc": (i_hi << 64) | i_lo},
-            "has_uint32": 0, "uinteger": 0}
-
-
-def _state_words(bitgen: np.random.PCG64) -> tuple[ctypes.Array, tuple[int, int, int, int]] | None:
+def _state_words(bitgen: np.random.PCG64) -> tuple[ctypes.Array, tuple[int, int, int, int]]:
     """A view of bitgen's (state, inc) words and the word that holds each of (state_hi, state_lo, inc_hi, inc_lo).
 
     bitgen.ctypes.state_address points to numpy's pcg64_state, whose first
     member points to the pcg64_random_t {state, inc}.  With __uint128_t on a
     little-endian host its words are (state_lo, state_hi, inc_lo, inc_hi);
-    a build without __int128 stores the high word first.  None when the
-    words read back after a known dict assignment are not a permutation of
-    the known halves: fill_rows then assigns every row's state through the dict.
+    a build without __int128 stores the high word first.  The order is read
+    back after assigning a known state through bitgen.state; words that are
+    not a permutation of the known halves raise RuntimeError.
     """
-    bitgen.state = _state_dict(*_PROBE_HALVES)
+    state, inc = (_PROBE_HALVES[0] << 64) | _PROBE_HALVES[1], (_PROBE_HALVES[2] << 64) | _PROBE_HALVES[3]
+    bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
     words = (ctypes.c_uint64 * 4).from_address(ctypes.c_void_p.from_address(bitgen.ctypes.state_address).value)
     found = list(words)
     if sorted(found) != sorted(_PROBE_HALVES):
-        return None
+        raise RuntimeError(f"PCG64 state words {[hex(w) for w in found]} are not a permutation of the probe's "
+                           f"{[hex(w) for w in _PROBE_HALVES]}")
     return words, tuple(found.index(half) for half in _PROBE_HALVES)
 
 
 @functools.cache
-def _row_generator() -> tuple[np.random.PCG64, np.random.Generator, tuple[ctypes.Array, tuple[int, ...]] | None]:
+def _row_generator() -> tuple[np.random.PCG64, np.random.Generator, tuple[ctypes.Array, tuple[int, ...]]]:
     """The PCG64 that fill_rows draws long rows from, its Generator, and its probed state words (see _state_words).
 
     Built once per process on first use, as PCG64(0) costs a SeedSequence
@@ -302,16 +300,12 @@ def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
             hi >>= np.uint64(11)
             np.multiply(hi.view(np.int64), 2.0**-53, out=out[part])  # below 2^53, so int64 converts exactly and faster
         return out
-    bitgen, generator, state_words = _row_generator()
-    words, (w_s_hi, w_s_lo, w_i_hi, w_i_lo) = state_words or (None, range(4))
+    _, generator, (words, (w_s_hi, w_s_lo, w_i_hi, w_i_lo)) = _row_generator()
     for row, s_hi, s_lo, i_hi, i_lo in zip(out, *(lane.tolist() for lane in lanes)):
-        if words is None:
-            bitgen.state = _state_dict(s_hi, s_lo, i_hi, i_lo)
-        else:
-            words[w_s_hi] = s_hi
-            words[w_s_lo] = s_lo
-            words[w_i_hi] = i_hi
-            words[w_i_lo] = i_lo
+        words[w_s_hi] = s_hi
+        words[w_s_lo] = s_lo
+        words[w_i_hi] = i_hi
+        words[w_i_lo] = i_lo
         generator.random(out=row)
     return out
 

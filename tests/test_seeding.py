@@ -5,15 +5,16 @@ reproduces: SplitMix64 against `splitmix64`/`derive_seed`, the SeedSequence
 port against `np.random.SeedSequence(s).generate_state(4, np.uint64)`, the
 lane table D_k against `np.random.PCG64.advance`, and whole rows, on both
 sides of `LANE_DRAWS`, against `rng_for(...).random(n)`.  The per-row path's
-state-word probe is checked against `bitgen.state`, and its dict fallback
-against `rng_for(...).random(n)` with the probe forced to fail.
+state-word probe is checked against `bitgen.state`.
 """
+
+import ctypes
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thermoflow import seeding
 from thermoflow.seeding import (
     _LANE_CHUNK,
     MASK64,
@@ -23,7 +24,6 @@ from thermoflow.seeding import (
     _lane_table,
     _pcg64_states,
     _row_generator,
-    _state_dict,
     _state_words,
     derive_seed,
     fill_rows,
@@ -157,9 +157,7 @@ def test_interleaved_long_fills_share_one_generator_and_keep_their_streams():
 
 
 def test_probe_finds_the_state_words_and_a_write_through_them_reads_back():
-    bitgen, generator, state_words = _row_generator()
-    assert state_words is not None
-    words, slots = state_words
+    bitgen, generator, (words, slots) = _row_generator()
     # the two layouts of numpy's pcg64_random_t: __uint128_t little-endian, or (high, low) word pairs
     assert slots in {(1, 0, 3, 2), (0, 1, 2, 3)}
     seeded = rng_for(3, "collision-mc", 8)
@@ -170,27 +168,13 @@ def test_probe_finds_the_state_words_and_a_write_through_them_reads_back():
     np.testing.assert_array_equal(generator.random(9), seeded.random(9))
 
 
-def test_probe_refuses_words_that_are_not_the_known_halves(monkeypatch):
-    monkeypatch.setattr(seeding, "_state_dict", lambda *halves: _state_dict(0, 0, 0, 1))
-    assert _state_words(np.random.PCG64(0)) is None
-
-
-@pytest.fixture
-def dict_fallback(monkeypatch):
-    """The per-process row generator rebuilt as if the probe had failed, and rebuilt again after the test."""
-    monkeypatch.setattr(seeding, "_state_words", lambda bitgen: None)
-    _row_generator.cache_clear()
-    yield
-    _row_generator.cache_clear()
-
-
-@pytest.mark.parametrize("n", [LANE_DRAWS + 1, 4001])
-def test_a_failed_probe_assigns_each_row_through_the_dict(dict_fallback, n):
-    assert _row_generator()[2] is None
-    master, tag, indices = 5, "collision-mc", np.array([0, 3, 2**40, 2**64 - 1], dtype=np.uint64)
-    rows = trial_uniforms(master, tag, indices, n)
-    for row, index in zip(rows, indices.tolist()):
-        np.testing.assert_array_equal(row, rng_for(master, tag, index).random(n))
+def test_probe_refuses_words_that_are_not_the_known_halves():
+    # a generator whose state assignment does not reach the words its address points to
+    foreign = (ctypes.c_uint64 * 4)(0, 0, 0, 1)
+    pointer = ctypes.c_void_p(ctypes.addressof(foreign))
+    bitgen = SimpleNamespace(state=None, ctypes=SimpleNamespace(state_address=ctypes.addressof(pointer)))
+    with pytest.raises(RuntimeError, match=r"\['0x0', '0x0', '0x0', '0x1'\] are not a permutation"):
+        _state_words(bitgen)
 
 
 @pytest.mark.parametrize("n", [25, LANE_DRAWS])

@@ -43,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=VALUE",
         help="override a parameter (JSON-parsed value); repeatable",
     )
-    parser.add_argument("--workers", help="processes, counting this one, or 'auto' (one per core); helpers start only "
-                        "when the first tasks' pace says the rest outweighs pool start-up (default: env %s, else 1)"
-                        % WORKERS_ENV)
+    parser.add_argument("--workers", help="processes, counting this one, at most one per core, or 'auto' (one per "
+                        "core); helpers start only when the first tasks' pace says the rest outweighs pool start-up "
+                        "(default: env %s, else 1)" % WORKERS_ENV)
     parser.add_argument("--seed", type=int, help="64-bit master seed")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="table output format")

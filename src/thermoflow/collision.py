@@ -21,7 +21,7 @@ from typing import NamedTuple, Union
 import numpy as np
 
 from .core import Temperature, ValidationError, gibbs_populations
-from .seeding import fill_rows, rng_for, trial_states, trial_uniforms
+from .seeding import fill_rows, rng_for, trial_states
 
 __all__ = [
     "BathSchedule",
@@ -54,6 +54,8 @@ TRIAL_TAG = "collision-mc"
 # Uniforms per sampler chunk (1 MB, 32 trials at N = 2000); 2^16..2^19 ran within noise of one another on a 2-core
 # host, 2^14 was 5-35% slower, and a whole 512-trial block at once 4-13% slower at N = 2000.
 CHUNK_ELEMENTS = 1 << 17
+# Trials seeded at once: their PCG64 lanes take 256 KB, and a fig4 block of 512 trials is one seeding block.
+SEED_BLOCK = 8192
 ALPHA_TAG = "collision-alpha"
 
 
@@ -160,12 +162,8 @@ class RandomAlpha:
         lo, hi, p_lo = self.params
         return p_lo * lo + (1.0 - p_lo) * hi
 
-    def draw_steps(self, n_steps: int, trial_indices) -> np.ndarray:
-        """Per-step alphas of each trial, shape (len(trial_indices), n_steps).
-
-        Row r is drawn from the stream rng_for(seed, ALPHA_TAG, trial_indices[r]).
-        """
-        u = trial_uniforms(self.seed, ALPHA_TAG, trial_indices, n_steps)
+    def alphas(self, u: np.ndarray) -> np.ndarray:
+        """Per-step alphas of uniforms u: a trial's row of u is the start of its stream rng_for(seed, ALPHA_TAG, t)."""
         if self.distribution == "uniform":
             a, b = self.params
             return a + (b - a) * u
@@ -381,41 +379,6 @@ def enumerate_work_paths(config: QubitProtocolConfig) -> WorkDistribution:
 # Stochastic sampling
 # ---------------------------------------------------------------------------
 
-def _simulate_block(config, seed, indices, works):
-    """Simulate one block of trials, writing their total works into works.
-
-    The block is seeded once, then drawn and scanned in chunks of at most
-    CHUNK_ELEMENTS uniforms, each in the same two buffers.  Per trial, stream
-    order is: one uniform for the initial bit, N for the swap decisions, N for
-    the fresh bath bits.  The state scan is one running max over packed codes
-    (s_0, then 2k + b_k at a swap and 0 otherwise, in the narrowest signed int
-    holding 2N + 1): its low bit is s_k, so the increments omega_k (s_k -
-    s_{k-1}) are exact and are the only float array.
-    """
-    N = config.schedule.N
-    noise, omega, q_steps = config.noise, config.swap_energies, config.schedule.q[1:]
-    lanes = trial_states(seed, TRIAL_TAG, indices)
-    rows = min(len(indices), max(1, CHUNK_ELEMENTS // (2 * N + 1)))
-    uniforms = np.empty((rows, 2 * N + 1))
-    codes = np.empty((rows, N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
-    swap_codes = np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
-    for first in range(0, len(indices), rows):
-        part = slice(first, first + rows)
-        m = len(indices[part])
-        u, c = fill_rows([lane[part] for lane in lanes], uniforms[:m]), codes[:m]
-        alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, indices[part])
-        np.less(u[:, 0], config.p0, out=c[:, 0])
-        np.less(u[:, N + 1 :], q_steps, out=c[:, 1:])
-        c[:, 1:] += swap_codes
-        c[:, 1:] *= u[:, 1 : N + 1] < (1.0 - alphas)
-        np.maximum.accumulate(c, axis=1, out=c)
-        c &= 1
-        inc = u.reshape(-1)[: m * N].reshape(m, N)  # the increments take the spent uniforms' memory
-        np.subtract(c[:, 1:], c[:, :-1], out=inc)
-        inc *= omega
-        inc.sum(axis=1, out=works[part])
-
-
 def sample_work_values(
     config: QubitProtocolConfig,
     runs: int,
@@ -425,16 +388,49 @@ def sample_work_values(
     """The total works of `runs` independent trials, under either noise model.
 
     Trial t uses the stream derived from (seed, trial_offset + t), so any
-    block partition of the trial range reproduces identical numbers.
+    block partition of the trial range reproduces identical numbers.  Each
+    block of SEED_BLOCK trials is seeded once, then drawn and scanned in
+    chunks of at most CHUNK_ELEMENTS uniforms, each in the same two buffers.
+    Per trial, stream order is: one uniform for the initial bit, N for the
+    swap decisions, N for the fresh bath bits; random alphas take the first
+    N uniforms of its ALPHA_TAG stream under the noise model's seed.  The state
+    scan is one running max over packed codes (s_0, then 2k + b_k at a swap
+    and 0 otherwise, in the narrowest signed int holding 2N + 1): its low bit
+    is s_k, so the increments omega_k (s_k - s_{k-1}) are exact and are the
+    only float array.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
+    N = config.schedule.N
+    noise, omega, q_steps = config.noise, config.swap_energies, config.schedule.q[1:]
     works = np.empty(runs)
-    block = max(1, min(8192, (1 << 22) // config.schedule.N))
-    for start in range(0, runs, block):
-        stop = min(start + block, runs)
-        idx = np.arange(trial_offset + start, trial_offset + stop)
-        _simulate_block(config, seed, idx, works[start:stop])
+    rows = min(runs, SEED_BLOCK, max(1, CHUNK_ELEMENTS // (2 * N + 1)))
+    uniforms = np.empty((rows, 2 * N + 1))
+    alpha_uniforms = np.empty((rows, N)) if isinstance(noise, RandomAlpha) else None
+    codes = np.empty((rows, N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
+    swap_codes = np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
+    for start in range(0, runs, SEED_BLOCK):
+        indices = np.arange(trial_offset + start, trial_offset + min(start + SEED_BLOCK, runs))
+        lanes = trial_states(seed, TRIAL_TAG, indices)
+        alpha_lanes = None if alpha_uniforms is None else trial_states(noise.seed, ALPHA_TAG, indices)
+        for first in range(0, len(indices), rows):
+            part = slice(first, first + rows)
+            m = len(indices[part])
+            u, c = fill_rows([lane[part] for lane in lanes], uniforms[:m]), codes[:m]
+            if alpha_lanes is None:
+                alphas = noise.alpha
+            else:
+                alphas = noise.alphas(fill_rows([lane[part] for lane in alpha_lanes], alpha_uniforms[:m]))
+            np.less(u[:, 0], config.p0, out=c[:, 0])
+            np.less(u[:, N + 1 :], q_steps, out=c[:, 1:])
+            c[:, 1:] += swap_codes
+            c[:, 1:] *= u[:, 1 : N + 1] < (1.0 - alphas)
+            np.maximum.accumulate(c, axis=1, out=c)
+            c &= 1
+            inc = u.reshape(-1)[: m * N].reshape(m, N)  # the increments take the spent uniforms' memory
+            np.subtract(c[:, 1:], c[:, :-1], out=inc)
+            inc *= omega
+            inc.sum(axis=1, out=works[start + first : start + first + m])
     return works
 
 

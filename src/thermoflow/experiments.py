@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .core import Temperature, ValidationError
+from .core import HERMITICITY_TOL, Temperature, ValidationError
 from .collision import (
     FixedAlpha,
     QubitProtocolConfig,
@@ -161,7 +161,7 @@ def _matrix_from_json(rows: list, path: str) -> np.ndarray:
         return complex(real(x, where))
 
     m = np.array([[entry(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(rows)])
-    if np.abs(m - m.conj().T).max() > 1e-12:
+    if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
         raise ConfigError(f"{path}: endpoint matrix is not Hermitian")
     return m
 
@@ -811,7 +811,8 @@ def run_experiment(raw_config: dict, output_format: str = "csv") -> RunManifest:
     entry = _REGISTRY[config["experiment"]]
     plans = [[(c["experiment"], c["parameters"], item) for item in entry.plan(c["parameters"], c["master_seed"])]
              for _, c in groups]
-    workers = (os.cpu_count() or 1) if config["workers"] == "auto" else config["workers"]
+    cores = os.cpu_count() or 1  # more workers than cores would only add helpers that wait for a core
+    workers = cores if config["workers"] == "auto" else min(config["workers"], cores)
     results = iter(_run_tasks([task for plan in plans for task in plan], workers))
     listed, failures = [], []
     for (name, group), plan in zip(groups, plans):

@@ -16,6 +16,7 @@ from typing import Callable, ClassVar, Optional
 import numpy as np
 
 from .core import (
+    HERMITICITY_TOL,
     DensityOperator,
     Temperature,
     ThermalizingChannel,
@@ -81,7 +82,7 @@ class HamiltonianPath:
         finite = np.isfinite(H).all(axis=(1, 2))
         if not finite.all():
             raise ValidationError(f"sampler returned a non-finite matrix at s = {s[finite.argmin()]}")
-        hermitian = (np.abs(H - H.conj().swapaxes(1, 2)) <= 1e-12).all(axis=(1, 2))
+        hermitian = (np.abs(H - H.conj().swapaxes(1, 2)) <= HERMITICITY_TOL).all(axis=(1, 2))
         if not hermitian.all():
             raise ValidationError(f"sampler returned a non-Hermitian matrix at s = {s[hermitian.argmin()]}")
         return H
@@ -234,7 +235,7 @@ class QuditProtocolConfig:
         if self.rho0.dim != self.path.dim:
             raise ValidationError("initial state dimension does not match the path")
         H_S = self.path.hamiltonian(1.0) if self.H_system is None else np.asarray(self.H_system, dtype=complex)
-        if not np.abs(H_S - H_S.conj().T).max() <= 1e-12:
+        if not np.abs(H_S - H_S.conj().T).max() <= HERMITICITY_TOL:
             raise ValidationError("H_system must be Hermitian")
         object.__setattr__(self, "H_system", H_S)
         delta = trace_distance(self.rho0, self.path.gibbs_matrix(0.0))

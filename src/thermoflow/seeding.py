@@ -14,8 +14,7 @@ UTF-8 tag string.
 SplitMix64, numpy's SeedSequence pool hashing and PCG64 seeding run on numpy
 lanes, bit for bit as `default_rng(seed_i)` computes them one at a time.  The
 pool is one (4, B) uint32 array, so each hash round is one stacked call.
-`fill_rows` draws any range of rows into a buffer the caller owns, and
-`trial_uniforms` does both.
+`fill_rows` draws any range of rows into a buffer the caller owns.
 
 A stream of at most `LANE_DRAWS` uniforms is drawn in lanes too.  PCG64 is a
 128-bit LCG s -> M s + inc whose multiplier every stream shares, and
@@ -309,7 +308,3 @@ def fill_rows(lanes, out: np.ndarray) -> np.ndarray:
         generator.random(out=row)
     return out
 
-
-def trial_uniforms(master_seed: int, tag: str, indices, n: int) -> np.ndarray:
-    """Array of shape (len(indices), n) whose row r is rng_for(master_seed, tag, indices[r]).random(n)."""
-    return fill_rows(trial_states(master_seed, tag, indices), np.empty((len(indices), n)))

@@ -6,6 +6,7 @@ import pytest
 
 from thermoflow.core import DensityOperator, Temperature
 from thermoflow.qudit import QuditProtocolConfig, exact_dissipation
+from thermoflow.seeding import fill_rows, trial_states
 
 # Figure conventions: k_B T ln 2 = 1.
 FIG_TEMP = Temperature(1.0 / math.log(2.0))
@@ -23,6 +24,11 @@ def lambda_over_gamma(config: QuditProtocolConfig) -> float:
     perfect = exact_dissipation(dataclasses.replace(config, alpha=0.0))
     scale = config.alpha / (1.0 - config.alpha) * perfect
     return (exact - perfect) / scale if scale else math.nan
+
+
+def trial_uniforms(master_seed: int, tag: str, indices, n: int) -> np.ndarray:
+    """Array of shape (len(indices), n) whose row r is rng_for(master_seed, tag, indices[r]).random(n)."""
+    return fill_rows(trial_states(master_seed, tag, indices), np.empty((len(indices), n)))
 
 
 @pytest.fixture

@@ -629,6 +629,7 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", dict.fromkeys(experiments.POOL_STARTUP_S, 0.0))
     monkeypatch.setattr(experiments, "_execute_task", counted)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # workers is capped at the core count
     built = count_helpers(monkeypatch, OneTaskHelper)
     grid = (10, 20, 50, 100, 1000)
     sweep = {"axis": "alpha", "values": [0.25, 0.5, 0.75]}
@@ -642,6 +643,17 @@ def test_sweep_runs_all_groups_on_one_pool(tmp_path, monkeypatch):
     for value in (0.25, 0.5, 0.75):
         files = [tmp_path / side / "sweep-alpha" / f"alpha={value}" / "fig3_loss.csv" for side in ("pooled", "serial")]
         assert files[0].read_bytes() == files[1].read_bytes()
+
+
+@pytest.mark.parametrize("workers,cores,helpers", [(100_000, 3, 2), (100_000, None, 0), ("auto", 2, 1)])
+def test_workers_are_capped_at_the_core_count(workers, cores, helpers, tmp_path, monkeypatch):
+    # one helper per task left would start thousands of processes; an unknown core count counts as 1
+    monkeypatch.setattr(experiments, "POOL_STARTUP_S", dict.fromkeys(experiments.POOL_STARTUP_S, 0.0))
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    built = count_helpers(monkeypatch, OneTaskHelper)
+    sweep = {"axis": "alpha", "values": [0.25, 0.5, 0.75]}
+    run_experiment(dict(fig3_config(tmp_path, (10, 20, 50, 100, 1000)), workers=workers, sweep=sweep))
+    assert built == ([helpers] if helpers else [])
 
 
 @pytest.fixture(params=multiprocessing.get_all_start_methods())
@@ -667,6 +679,7 @@ def test_forced_pool_writes_the_bytes_of_an_in_process_run(
     # the default presets' small plans stay in-process, so this keeps the pooled path under a byte-identity oracle;
     # under forkserver and spawn the tasks reach the helpers pickled in their Process arguments
     monkeypatch.setattr(experiments, "POOL_STARTUP_S", dict.fromkeys(experiments.POOL_STARTUP_S, 0.0))
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # workers is capped at the core count
     built = count_helpers(monkeypatch)
     digests = {}
     for workers in (1, 2, 4):

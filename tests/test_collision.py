@@ -16,6 +16,7 @@ from thermoflow.collision import (
     FixedAlpha,
     QubitProtocolConfig,
     RandomAlpha,
+    SEED_BLOCK,
     WorkLedger,
     WorkSummary,
     average_work,
@@ -33,9 +34,9 @@ from thermoflow.collision import (
     work_moments,
 )
 
-from thermoflow.seeding import rng_for, trial_uniforms
+from thermoflow.seeding import rng_for
 
-from conftest import FIG_TEMP
+from conftest import FIG_TEMP, trial_uniforms
 
 LN2 = math.log(2.0)
 
@@ -549,7 +550,10 @@ def _reference_sample_work_values(config, runs, seed, trial_offset=0):
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         idx = np.arange(trial_offset + start, trial_offset + stop)
-        alphas = noise.alpha if isinstance(noise, FixedAlpha) else noise.draw_steps(N, idx)
+        if isinstance(noise, FixedAlpha):
+            alphas = noise.alpha
+        else:
+            alphas = noise.alphas(trial_uniforms(noise.seed, ALPHA_TAG, idx, N))
         uniforms = trial_uniforms(seed, TRIAL_TAG, idx, 2 * N + 1)
         s0 = uniforms[:, 0] < config.p0
         swap = uniforms[:, 1 : N + 1] < (1.0 - alphas)
@@ -580,7 +584,14 @@ def _oracle_cases():
             yield pytest.param(cfg, 300, 0, id=f"random-{noise.distribution}" + ("" if N == 30 else f"-N{N}"))
     yield pytest.param(canonical(50, 0.5), 300, 1234, id="trial-offset")
     yield pytest.param(canonical(2000, 0.5), 300, 1234, id="trial-offset-N2000")
-    yield pytest.param(canonical(4096, 0.5), 1100, 77, id="two-blocks-N4096")  # blocks of 1024, chunks of 16
+    # the reference's two blocks of 1024 trials; the sampler's one seeding block in chunks of 15
+    yield pytest.param(canonical(4096, 0.5), 1100, 77, id="two-blocks-N4096")
+    # past one seeding block, from an offset, each block ending on a part chunk: N = 12 draws 25 uniforms per trial in
+    # lanes, 5242 trials a chunk; N = 100 draws 201 per row natively, 652 trials a chunk, 12 whole chunks per block
+    for N in (12, 100):
+        for noise in (FixedAlpha(0.3), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=9)):
+            cfg = QubitProtocolConfig(p0=0.4, eps_S=0.0, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
+            yield pytest.param(cfg, SEED_BLOCK + 808, 13, id=f"seed-blocks-N{N}-{type(noise).__name__}")
     for N in (16383, 16384):  # the widest int16 codes, then the int32 path; omega_N != 0
         ladder = BathSchedule(np.linspace(0.05, 0.47, N + 1), FIG_TEMP)
         yield pytest.param(QubitProtocolConfig(0.4, -0.3, ladder, FixedAlpha(0.3)), 16, 0, id=f"wide-N{N}")

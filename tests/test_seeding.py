@@ -1,4 +1,4 @@
-"""Oracles for the block stream kernels `seeding.trial_states`, `fill_rows` and `trial_uniforms`.
+"""Oracles for the block stream kernels `seeding.trial_states` and `fill_rows`.
 
 Each lane function is checked against the scalar code or the numpy routine it
 reproduces: SplitMix64 against `splitmix64`/`derive_seed`, the SeedSequence
@@ -33,8 +33,9 @@ from thermoflow.seeding import (
     splitmix64_lanes,
     tag_hash,
     trial_states,
-    trial_uniforms,
 )
+
+from conftest import trial_uniforms
 
 EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 

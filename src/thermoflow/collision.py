@@ -26,7 +26,8 @@ from .seeding import fill_rows, rng_for, trial_states
 __all__ = [
     "BathSchedule",
     "FixedAlpha",
-    "RandomAlpha",
+    "UniformAlpha",
+    "TwoPointAlpha",
     "NoiseModel",
     "QubitProtocolConfig",
     "WorkLedger",
@@ -56,7 +57,6 @@ TRIAL_TAG = "collision-mc"
 CHUNK_ELEMENTS = 1 << 17
 # Trials seeded at once: their PCG64 lanes take 256 KB, and a fig4 block of 512 trials is one seeding block.
 SEED_BLOCK = 8192
-ALPHA_TAG = "collision-alpha"
 
 
 # ---------------------------------------------------------------------------
@@ -129,49 +129,47 @@ class FixedAlpha:
 
 
 @dataclass(frozen=True)
-class RandomAlpha:
-    """Independent per-step alpha_k with an analytically known mean.
+class UniformAlpha:
+    """Independent per-step alpha_k ~ U[a, b]."""
 
-    distribution "uniform": params = (a, b), alpha_k ~ U[a, b].
-    distribution "two-point": params = (lo, hi, p_lo), alpha_k = lo w.p. p_lo.
-    """
-
-    distribution: str
-    params: tuple
-    seed: int
+    a: float
+    b: float
 
     def __post_init__(self):
-        if self.distribution == "uniform":
-            a, b = self.params
-            if not (0.0 <= a <= b <= 1.0):
-                raise ValidationError(f"uniform support must satisfy 0 <= a <= b <= 1, got {self.params}")
-        elif self.distribution == "two-point":
-            lo, hi, p_lo = self.params
-            if not (0.0 <= lo <= hi <= 1.0 and 0.0 <= p_lo <= 1.0):
-                raise ValidationError(f"invalid two-point parameters {self.params}")
-        else:
-            raise ValidationError(f"unknown alpha distribution {self.distribution!r}")
-        if not 0.0 <= self.mean_alpha < 1.0:
-            raise ValidationError("mean alpha must lie in [0, 1)")
+        if not (0.0 <= self.a <= self.b <= 1.0 and self.mean_alpha < 1.0):
+            raise ValidationError(f"uniform alpha needs 0 <= a <= b <= 1 and mean < 1, got {self}")
 
     @property
     def mean_alpha(self) -> float:
-        if self.distribution == "uniform":
-            a, b = self.params
-            return 0.5 * (a + b)
-        lo, hi, p_lo = self.params
-        return p_lo * lo + (1.0 - p_lo) * hi
+        return 0.5 * (self.a + self.b)
 
     def alphas(self, u: np.ndarray) -> np.ndarray:
-        """Per-step alphas of uniforms u: a trial's row of u is the start of its stream rng_for(seed, ALPHA_TAG, t)."""
-        if self.distribution == "uniform":
-            a, b = self.params
-            return a + (b - a) * u
-        lo, hi, p_lo = self.params
-        return np.where(u < p_lo, lo, hi)
+        """A new array of the per-step alphas of uniforms u."""
+        return self.a + (self.b - self.a) * u
 
 
-NoiseModel = Union[FixedAlpha, RandomAlpha]
+@dataclass(frozen=True)
+class TwoPointAlpha:
+    """Independent per-step alpha_k = lo with probability p_lo, else hi."""
+
+    lo: float
+    hi: float
+    p_lo: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.lo <= self.hi <= 1.0 and 0.0 <= self.p_lo <= 1.0 and self.mean_alpha < 1.0):
+            raise ValidationError(f"two-point alpha needs 0 <= lo <= hi <= 1, 0 <= p_lo <= 1 and mean < 1, got {self}")
+
+    @property
+    def mean_alpha(self) -> float:
+        return self.p_lo * self.lo + (1.0 - self.p_lo) * self.hi
+
+    def alphas(self, u: np.ndarray) -> np.ndarray:
+        """A new array of the per-step alphas of uniforms u."""
+        return np.where(u < self.p_lo, self.lo, self.hi)
+
+
+NoiseModel = Union[FixedAlpha, UniformAlpha, TwoPointAlpha]
 
 
 @dataclass(frozen=True)
@@ -186,6 +184,8 @@ class QubitProtocolConfig:
     def __post_init__(self):
         if not 0.0 <= self.p0 <= 1.0:
             raise ValidationError(f"p0 must lie in [0, 1], got {self.p0}")
+        if not isinstance(self.noise, NoiseModel):
+            raise ValidationError(f"noise must be FixedAlpha, UniformAlpha or TwoPointAlpha, got {self.noise!r}")
 
     @classmethod
     def canonical_erasure(cls, N: int, temp: Temperature, noise: NoiseModel) -> "QubitProtocolConfig":
@@ -385,44 +385,41 @@ def sample_work_values(
     seed: int,
     trial_offset: int = 0,
 ) -> np.ndarray:
-    """The total works of `runs` independent trials, under either noise model.
+    """The total works of `runs` independent trials, under any noise model.
 
     Trial t uses the stream derived from (seed, trial_offset + t), so any
     block partition of the trial range reproduces identical numbers.  Each
     block of SEED_BLOCK trials is seeded once, then drawn and scanned in
-    chunks of at most CHUNK_ELEMENTS uniforms, each in the same two buffers.
+    chunks of at most CHUNK_ELEMENTS uniforms, each in the same buffer.
     Per trial, stream order is: one uniform for the initial bit, N for the
-    swap decisions, N for the fresh bath bits; random alphas take the first
-    N uniforms of its ALPHA_TAG stream under the noise model's seed.  The state
-    scan is one running max over packed codes (s_0, then 2k + b_k at a swap
-    and 0 otherwise, in the narrowest signed int holding 2N + 1): its low bit
-    is s_k, so the increments omega_k (s_k - s_{k-1}) are exact and are the
-    only float array.
+    swap decisions, N for the fresh bath bits, then, under random alphas, N
+    for the per-step alphas, so a FixedAlpha stream is a prefix of a random
+    one.  The state scan is one running max over packed codes (s_0, then
+    2k + b_k at a swap and 0 otherwise, in the narrowest signed int holding
+    2N + 1): its low bit is s_k, so the increments omega_k (s_k - s_{k-1})
+    are exact and are the only float array.
     """
     if runs < 1:
         raise ValidationError(f"runs must be >= 1, got {runs}")
     N = config.schedule.N
     noise, omega, q_steps = config.noise, config.swap_energies, config.schedule.q[1:]
+    fixed = isinstance(noise, FixedAlpha)
+    width = 2 * N + 1 if fixed else 3 * N + 1
     works = np.empty(runs)
-    rows = min(runs, SEED_BLOCK, max(1, CHUNK_ELEMENTS // (2 * N + 1)))
-    uniforms = np.empty((rows, 2 * N + 1))
-    alpha_uniforms = np.empty((rows, N)) if isinstance(noise, RandomAlpha) else None
+    rows = min(runs, SEED_BLOCK, max(1, CHUNK_ELEMENTS // width))
+    uniforms = np.empty((rows, width))
     codes = np.empty((rows, N + 1), dtype=np.min_scalar_type(-(2 * N + 1)))
     swap_codes = np.arange(2, 2 * N + 1, 2, dtype=codes.dtype)
     for start in range(0, runs, SEED_BLOCK):
         indices = np.arange(trial_offset + start, trial_offset + min(start + SEED_BLOCK, runs))
         lanes = trial_states(seed, TRIAL_TAG, indices)
-        alpha_lanes = None if alpha_uniforms is None else trial_states(noise.seed, ALPHA_TAG, indices)
         for first in range(0, len(indices), rows):
             part = slice(first, first + rows)
             m = len(indices[part])
             u, c = fill_rows([lane[part] for lane in lanes], uniforms[:m]), codes[:m]
-            if alpha_lanes is None:
-                alphas = noise.alpha
-            else:
-                alphas = noise.alphas(fill_rows([lane[part] for lane in alpha_lanes], alpha_uniforms[:m]))
+            alphas = noise.alpha if fixed else noise.alphas(u[:, 2 * N + 1 :])  # a new array: inc reuses u below
             np.less(u[:, 0], config.p0, out=c[:, 0])
-            np.less(u[:, N + 1 :], q_steps, out=c[:, 1:])
+            np.less(u[:, N + 1 : 2 * N + 1], q_steps, out=c[:, 1:])
             c[:, 1:] += swap_codes
             c[:, 1:] *= u[:, 1 : N + 1] < (1.0 - alphas)
             np.maximum.accumulate(c, axis=1, out=c)

@@ -320,6 +320,8 @@ def contact_chain(rho0, channel: ThermalizingChannel, move=None) -> np.ndarray:
 
     move defaults to the identity; the row-by-row operation order fixes the output bytes.
     """
+    if np.ndim(channel.targets) != 3 or np.shape(channel.targets)[1:] != np.shape(rho0):
+        raise ValidationError(f"need (n, d, d) targets for a (d, d) state, got {np.shape(channel.targets)}")
     states = np.empty((len(channel.targets) + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
     for i in range(1, len(states)):

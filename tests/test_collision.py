@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from thermoflow.core import HamiltonianMatrix, Temperature, ValidationError, free_energy, gibbs_state
 from thermoflow.collision import (
-    ALPHA_TAG,
     CHUNK_ELEMENTS,
     ENUMERATION_CHUNK,
     PREFIX_STEPS,
@@ -15,8 +14,9 @@ from thermoflow.collision import (
     BathSchedule,
     FixedAlpha,
     QubitProtocolConfig,
-    RandomAlpha,
     SEED_BLOCK,
+    TwoPointAlpha,
+    UniformAlpha,
     WorkLedger,
     WorkSummary,
     average_work,
@@ -123,12 +123,42 @@ def test_schedule_leaves_the_callers_q_writable():
 def test_noise_model_validation():
     with pytest.raises(ValidationError):
         FixedAlpha(1.0)
+    assert TwoPointAlpha(0.0, 1.0, 0.5).mean_alpha == 0.5
+    assert UniformAlpha(0.3, 0.7).mean_alpha == 0.5
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: UniformAlpha(0.5, 0.2),  # a > b
+        lambda: UniformAlpha(-0.1, 0.5),
+        lambda: UniformAlpha(0.2, 1.5),
+        lambda: UniformAlpha(1.0, 1.0),  # mean = 1
+        lambda: UniformAlpha(NAN, 0.5),
+        lambda: UniformAlpha(0.2, NAN),
+        lambda: TwoPointAlpha(0.0, 1.0, 0.0),  # mean = 1
+        lambda: TwoPointAlpha(0.8, 0.1, 0.5),  # lo > hi
+        lambda: TwoPointAlpha(-0.1, 0.5, 0.5),
+        lambda: TwoPointAlpha(0.1, 1.5, 0.5),
+        lambda: TwoPointAlpha(0.1, 0.5, 1.5),
+        lambda: TwoPointAlpha(0.1, 0.5, -0.5),
+        lambda: TwoPointAlpha(NAN, 0.5, 0.5),
+        lambda: TwoPointAlpha(0.1, NAN, 0.5),
+        lambda: TwoPointAlpha(0.1, 0.5, NAN),
+    ],
+)
+def test_random_noise_models_refuse_bad_parameters(make):
     with pytest.raises(ValidationError):
-        RandomAlpha("uniform", (0.5, 0.2), seed=1)
-    with pytest.raises(ValidationError):
-        RandomAlpha("two-point", (0.0, 1.0, 0.0), seed=1)  # mean = 1
-    assert RandomAlpha("two-point", (0.0, 1.0, 0.5), seed=1).mean_alpha == 0.5
-    assert RandomAlpha("uniform", (0.3, 0.7), seed=1).mean_alpha == 0.5
+        make()
+
+
+@pytest.mark.parametrize("noise", [0.5, None, "uniform"])
+def test_config_refuses_a_noise_that_is_no_noise_model(noise):
+    with pytest.raises(ValidationError, match="noise must be"):
+        QubitProtocolConfig(0.0, 0.0, make_linear_schedule(4, FIG_TEMP), noise)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +224,7 @@ def test_excitation_matches_linear_closed_form_at_1e6(alpha):
 
 def test_excitation_rejects_random_noise():
     sched = make_linear_schedule(10, FIG_TEMP)
-    cfg = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=sched, noise=RandomAlpha("uniform", (0.2, 0.4), seed=3))
+    cfg = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=sched, noise=UniformAlpha(0.2, 0.4))
     with pytest.raises(ValidationError):
         excitation_probabilities(cfg)
 
@@ -532,9 +562,10 @@ def test_sampling_is_deterministic_given_seed():
     assert not np.array_equal(a, c)
 
 
-def test_sampling_block_partition_is_invariant():
+@pytest.mark.parametrize("noise", [FixedAlpha(0.4), TwoPointAlpha(0.1, 0.8, 0.3)], ids=["fixed", "two-point"])
+def test_sampling_block_partition_is_invariant(noise):
     # trial streams depend only on (seed, global index): any split reproduces
-    cfg = canonical(25, 0.4)
+    cfg = QubitProtocolConfig.canonical_erasure(25, FIG_TEMP, noise)
     whole = sample_work_values(cfg, 120, seed=5)
     first = sample_work_values(cfg, 50, seed=5)
     rest = sample_work_values(cfg, 70, seed=5, trial_offset=50)
@@ -542,7 +573,10 @@ def test_sampling_block_partition_is_invariant():
 
 
 def _reference_sample_work_values(config, runs, seed, trial_offset=0):
-    """The sampler before packed swap codes: an index scan, a gather and a float chain."""
+    """The sampler before packed swap codes: an index scan, a gather and a float chain.
+
+    Each trial draws one stream: 2N + 1 uniforms, then N for the per-step alphas under a random noise model.
+    """
     N = config.schedule.N
     q_steps, omega, noise = config.schedule.q[1:], config.swap_energies, config.noise
     works, step_sums, state_sums = np.empty(runs), np.zeros(N), np.zeros(N)
@@ -550,14 +584,12 @@ def _reference_sample_work_values(config, runs, seed, trial_offset=0):
     for start in range(0, runs, block):
         stop = min(start + block, runs)
         idx = np.arange(trial_offset + start, trial_offset + stop)
-        if isinstance(noise, FixedAlpha):
-            alphas = noise.alpha
-        else:
-            alphas = noise.alphas(trial_uniforms(noise.seed, ALPHA_TAG, idx, N))
-        uniforms = trial_uniforms(seed, TRIAL_TAG, idx, 2 * N + 1)
+        fixed = isinstance(noise, FixedAlpha)
+        uniforms = trial_uniforms(seed, TRIAL_TAG, idx, (2 if fixed else 3) * N + 1)
+        alphas = noise.alpha if fixed else noise.alphas(uniforms[:, 2 * N + 1 :])
         s0 = uniforms[:, 0] < config.p0
         swap = uniforms[:, 1 : N + 1] < (1.0 - alphas)
-        bath = uniforms[:, N + 1 :] < q_steps
+        bath = uniforms[:, N + 1 : 2 * N + 1] < q_steps
         last_swap = np.maximum.accumulate(np.where(swap, np.arange(1, N + 1), 0), axis=1)
         states = np.take_along_axis(np.concatenate([s0[:, None], bath], axis=1), last_swap, axis=1)
         prev = np.concatenate([s0[:, None], states[:, :-1]], axis=1)
@@ -576,20 +608,22 @@ def _oracle_cases():
     for eps_S in (0.8, -0.3):  # eps_S = 0.8 makes the late omega_k negative
         cfg = QubitProtocolConfig(p0=0.4, eps_S=eps_S, schedule=BathSchedule(q, FIG_TEMP), noise=FixedAlpha(0.3))
         yield pytest.param(cfg, 300, 0, id=f"ladder-eps{eps_S}")
-    # N = 30 draws 61 uniforms per trial, in lanes; N = 500 draws 1001 per row in chunks of 130 trials, so 300
-    # trials end on a part chunk, and each chunk draws its own per-step alphas
-    for N in (30, 500):
-        for noise in (RandomAlpha("uniform", (0.2, 0.7), seed=8), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=9)):
+    # random alphas take N more uniforms per trial: N = 21 draws 64 (LANE_DRAWS) in lanes, N = 22 draws 67 and N = 30
+    # 91 natively; N = 500 draws 1501 per row in chunks of 87 trials, so 300 trials end on a part chunk, and each
+    # chunk reads its own per-step alphas
+    for N in (21, 22, 30, 500):
+        for kind, noise in (("uniform", UniformAlpha(0.2, 0.7)), ("two-point", TwoPointAlpha(0.1, 0.8, 0.3))):
             cfg = QubitProtocolConfig(p0=0.4, eps_S=0.0, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
-            yield pytest.param(cfg, 300, 0, id=f"random-{noise.distribution}" + ("" if N == 30 else f"-N{N}"))
+            yield pytest.param(cfg, 300, 0, id=f"random-{kind}" + ("" if N == 30 else f"-N{N}"))
     yield pytest.param(canonical(50, 0.5), 300, 1234, id="trial-offset")
     yield pytest.param(canonical(2000, 0.5), 300, 1234, id="trial-offset-N2000")
     # the reference's two blocks of 1024 trials; the sampler's one seeding block in chunks of 15
     yield pytest.param(canonical(4096, 0.5), 1100, 77, id="two-blocks-N4096")
     # past one seeding block, from an offset, each block ending on a part chunk: N = 12 draws 25 uniforms per trial in
-    # lanes, 5242 trials a chunk; N = 100 draws 201 per row natively, 652 trials a chunk, 12 whole chunks per block
+    # lanes, 5242 trials a chunk (37 and 3542 under random alphas); N = 100 draws 201 per row natively, 652 trials a
+    # chunk, 12 whole chunks per block (301, 435 and 18)
     for N in (12, 100):
-        for noise in (FixedAlpha(0.3), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=9)):
+        for noise in (FixedAlpha(0.3), TwoPointAlpha(0.1, 0.8, 0.3)):
             cfg = QubitProtocolConfig(p0=0.4, eps_S=0.0, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
             yield pytest.param(cfg, SEED_BLOCK + 808, 13, id=f"seed-blocks-N{N}-{type(noise).__name__}")
     for N in (16383, 16384):  # the widest int16 codes, then the int32 path; omega_N != 0
@@ -666,7 +700,7 @@ def test_a_single_sample_has_zero_variance():
 
 
 @pytest.mark.parametrize(
-    "noise", [FixedAlpha(0.5), RandomAlpha("uniform", (0.2, 0.7), seed=8)], ids=["fixed", "uniform"]
+    "noise", [FixedAlpha(0.5), UniformAlpha(0.2, 0.7)], ids=["fixed", "uniform"]
 )
 def test_sample_work_is_the_summary_of_its_works(noise):
     cfg = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=make_linear_schedule(40, FIG_TEMP), noise=noise)
@@ -694,7 +728,7 @@ def _reference_bin_edges(config):
 
 @pytest.mark.parametrize(
     "noise",
-    [FixedAlpha(0.35), RandomAlpha("uniform", (0.2, 0.6), seed=6), RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=5)],
+    [FixedAlpha(0.35), UniformAlpha(0.2, 0.6), TwoPointAlpha(0.1, 0.8, 0.3)],
     ids=["fixed", "uniform", "two-point"],
 )
 @pytest.mark.parametrize("N", [1, 12, 300])
@@ -760,54 +794,48 @@ def test_limiting_distribution_is_alpha_independent(alpha):
 
 def test_random_alpha_degenerate_matches_fixed_trialwise():
     N, runs, alpha = 40, 300, 0.45
-    noise = RandomAlpha("uniform", (alpha, alpha), seed=77)
+    noise = UniformAlpha(alpha, alpha)
     sched = make_linear_schedule(N, FIG_TEMP)
     cfg_rand = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=sched, noise=noise)
     cfg_fixed = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=sched, noise=FixedAlpha(alpha))
     works_fixed = sample_work_values(cfg_fixed, runs, seed=77)
     works_rand = sample_work_values(cfg_rand, runs, seed=77)
     np.testing.assert_array_equal(works_rand, works_fixed)
-    assert abs(sample_work(cfg_rand, runs, noise.seed).moments()[0] - works_fixed.mean()) < 1e-12
+    assert abs(sample_work(cfg_rand, runs, 77).moments()[0] - works_fixed.mean()) < 1e-12
 
 
 @pytest.mark.parametrize(
-    "noise",
-    [
-        RandomAlpha("two-point", (0.0, 1.0, 0.5), seed=123),
-        RandomAlpha("uniform", (0.3, 0.7), seed=124),
-    ],
+    "noise, seed", [(TwoPointAlpha(0.0, 1.0, 0.5), 123), (UniformAlpha(0.3, 0.7), 124)], ids=["two-point", "uniform"]
 )
-def test_random_alpha_mean_work_matches_average_alpha(noise):
+def test_random_alpha_mean_work_matches_average_alpha(noise, seed):
     N, runs = 60, 6000
     sched = make_linear_schedule(N, FIG_TEMP)
     cfg = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=sched, noise=noise)
-    mean = sample_work(cfg, runs, noise.seed).moments()[0]
+    mean = sample_work(cfg, runs, seed).moments()[0]
     fixed = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=sched, noise=FixedAlpha(noise.mean_alpha))
     exact = work_moments(fixed)
     se = math.sqrt(exact.variance / runs)
     assert abs(mean - exact.mean) <= 4.0 * se
     # ensemble-averaged excitation trajectory follows the fixed-alpha one; the bit-identity test pins the
     # reference sampler's works to sample_work_values, so its trajectory is the trials' own
-    p_traj = _reference_sample_work_values(cfg, runs, noise.seed)[2]
+    p_traj = _reference_sample_work_values(cfg, runs, seed)[2]
     p_fixed = excitation_probabilities(fixed)[1:]
     step_se = np.sqrt(np.maximum(p_fixed * (1 - p_fixed), 1e-4) / runs)
     assert float(np.max(np.abs(p_traj - p_fixed) - 5.0 * step_se)) <= 0.0
 
 
-def _per_trial_random_alpha_works(cfg, runs):
-    """Reference sampler: one rng_for stream per trial and a scalar state machine."""
+def _per_trial_random_alpha_works(cfg, runs, seed):
+    """Reference sampler: one rng_for stream of 3N + 1 uniforms per trial, the last N for alphas, and a scalar loop."""
     N = cfg.schedule.N
     q, omega, noise = cfg.schedule.q[1:], cfg.swap_energies, cfg.noise
     works = np.empty(runs)
     for t in range(runs):
-        u = rng_for(noise.seed, TRIAL_TAG, t).random(2 * N + 1)
-        a = rng_for(noise.seed, ALPHA_TAG, t).random(N)
-        if noise.distribution == "uniform":
-            lo, hi = noise.params
-            alphas = lo + (hi - lo) * a
+        u = rng_for(seed, TRIAL_TAG, t).random(3 * N + 1)
+        a = u[2 * N + 1 :]
+        if isinstance(noise, UniformAlpha):
+            alphas = noise.a + (noise.b - noise.a) * a
         else:
-            lo, hi, p_lo = noise.params
-            alphas = np.where(a < p_lo, lo, hi)
+            alphas = np.where(a < noise.p_lo, noise.lo, noise.hi)
         state = u[0] < cfg.p0
         increments = np.zeros(N)
         for k in range(N):
@@ -821,15 +849,15 @@ def _per_trial_random_alpha_works(cfg, runs):
 
 @pytest.mark.parametrize(
     "noise",
-    [RandomAlpha("two-point", (0.1, 0.8, 0.3), seed=5), RandomAlpha("uniform", (0.2, 0.6), seed=6)],
+    [TwoPointAlpha(0.1, 0.8, 0.3), UniformAlpha(0.2, 0.6)],
     ids=["two-point", "uniform"],
 )
 def test_random_alpha_matches_per_trial_streams(noise):
-    N, runs = 12, 400
+    N, runs, seed = 12, 400, 5
     cfg = QubitProtocolConfig(p0=0.0, eps_S=0.0, schedule=make_linear_schedule(N, FIG_TEMP), noise=noise)
-    expected = _per_trial_random_alpha_works(cfg, runs)
-    np.testing.assert_array_equal(sample_work_values(cfg, runs, noise.seed), expected)
-    summary = sample_work(cfg, runs, noise.seed)
+    expected = _per_trial_random_alpha_works(cfg, runs, seed)
+    np.testing.assert_array_equal(sample_work_values(cfg, runs, seed), expected)
+    summary = sample_work(cfg, runs, seed)
     np.testing.assert_array_equal(summary.hist, np.histogram(expected, bins=default_bin_edges(cfg))[0])
     assert summary.count == runs
 

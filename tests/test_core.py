@@ -332,6 +332,17 @@ def test_partial_thermalize_rejects_bad_alpha():
         partial_thermalize(rho, rho, -0.1)
 
 
+@pytest.mark.parametrize(
+    "targets",
+    [np.diag([0.7, 0.3]), np.diag([0.7, 0.2, 0.1])[None], np.full(2, 0.5)],
+    ids=["one-target", "wrong-dim", "vector"],
+)
+def test_contact_chain_refuses_targets_that_are_not_a_stack_of_the_states_shape(targets):
+    # a one-target channel would run d contacts, each against a row of its single target
+    with pytest.raises(ValidationError, match=r"\(n, d, d\) targets"):
+        core.contact_chain(np.diag([1.0, 0.0]), core.ThermalizingChannel(0.5, targets))
+
+
 # ---------------------------------------------------------------------------
 # Stacks and raw arrays
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .core import Temperature, ValidationError, gibbs_populations
+from .core import Temperature, ValidationError, _check_count, gibbs_populations
 from .seeding import fill_rows, rng_for, trial_states
 
 __all__ = [
@@ -107,8 +107,7 @@ class BathSchedule:
 
 def make_linear_schedule(N: int, temp: Temperature) -> BathSchedule:
     """The ladder q_k = k/(2N), ending at q_N = 1/2 (zero final gap)."""
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
+    _check_count("N", N)
     q = np.arange(N + 1) / (2.0 * N)
     return BathSchedule(q, temp)
 
@@ -184,6 +183,8 @@ class QubitProtocolConfig:
     def __post_init__(self):
         if not 0.0 <= self.p0 <= 1.0:
             raise ValidationError(f"p0 must lie in [0, 1], got {self.p0}")
+        if not math.isfinite(self.eps_S):
+            raise ValidationError(f"eps_S must be finite, got {self.eps_S}")
         if not isinstance(self.noise, NoiseModel):
             raise ValidationError(f"noise must be FixedAlpha, UniformAlpha or TwoPointAlpha, got {self.noise!r}")
 
@@ -274,8 +275,7 @@ def loss_epsilon(config: QubitProtocolConfig) -> float:
 
 def epsilon_upper_bound(N: int, alpha: float, temp: Temperature) -> float:
     """Loss bound alpha/(1-alpha) * T ln(2N) / (2N) for the linear ladder."""
-    if N < 1:
-        raise ValidationError(f"N must be >= 1, got {N}")
+    _check_count("N", N)
     if not 0.0 <= alpha < 1.0:
         raise ValidationError("bound requires alpha in [0, 1)")
     return alpha / (1.0 - alpha) * temp.T * math.log(2.0 * N) / (2.0 * N)
@@ -399,8 +399,7 @@ def sample_work_values(
     2N + 1): its low bit is s_k, so the increments omega_k (s_k - s_{k-1})
     are exact and are the only float array.
     """
-    if runs < 1:
-        raise ValidationError(f"runs must be >= 1, got {runs}")
+    _check_count("runs", runs)
     N = config.schedule.N
     noise, omega, q_steps = config.noise, config.swap_energies, config.schedule.q[1:]
     fixed = isinstance(noise, FixedAlpha)
@@ -556,10 +555,8 @@ def thermal_op_reduction_check(
     verifies the reduced dynamics is a partial thermalization with a fitted
     alpha in [0, 1].
     """
-    if ancilla_dim < 2:
-        raise ValidationError(f"ancilla_dim must be >= 2, got {ancilla_dim}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    _check_count("ancilla_dim", ancilla_dim, least=2)
+    _check_count("trials", trials)
     worst = 0.0
     for t in range(trials):
         rng = rng_for(seed, "thermal-op", t)

@@ -52,6 +52,12 @@ def _as_complex_matrix(matrix) -> np.ndarray:
     return m
 
 
+def _check_count(name: str, value, least: int = 1) -> None:
+    """Refuse a step or trial count that is not an integer (a bool is not one) or is below least."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValidationError(f"{name} must be >= {least} and an integer, got {value!r}")
+
+
 def _check_hermitian(H: np.ndarray) -> None:
     if not np.isfinite(H).all():
         raise ValidationError("Hamiltonian has non-finite entries")
@@ -281,12 +287,12 @@ def _check_contraction_factor(lam: float) -> None:
 
 @dataclass(frozen=True)
 class ThermalizingChannel:
-    """rho -> lam * P(rho) + (1 - lam) * tau toward one target tau or each of a (n, d, d) stack.
+    """rho -> lam * P(rho) + (1 - lam) * tau_i toward each target of an (n, d, d) stack, one per contact.
 
     P is the identity or, given bases, the pinch: dephasing in the eigenbasis
     held in the columns of bases[i].  The channel contracts the trace
-    distance to tau by at least lam (exactly lam without the pinch); it fixes
-    tau when tau is diagonal in that basis, which the caller checks.
+    distance to tau_i by at least lam (exactly lam without the pinch); it fixes
+    tau_i when diagonal in that basis, which the caller checks.  One contact is a stack of one.
     """
 
     lam: float
@@ -296,13 +302,12 @@ class ThermalizingChannel:
 
     def __post_init__(self):
         _check_contraction_factor(self.lam)
+        if np.ndim(self.targets) != 3 or np.shape(self.targets)[1] != np.shape(self.targets)[2]:
+            raise ValidationError(f"need (n, d, d) targets, got shape {np.shape(self.targets)}")
         object.__setattr__(self, "pull", (1.0 - self.lam) * self.targets)
 
     def apply(self, rho: np.ndarray, i=slice(None)) -> np.ndarray:
-        """Contact i's map on rho; with the default i, each contact's map on its row of a stack.
-
-        A one-target channel maps a single state or any stack of them.
-        """
+        """Contact i's map on rho (a state or a stack); the default i maps each row of a stack by its own contact."""
         return self.lam * (rho if self.bases is None else _pinch(rho, self.bases[i])) + self.pull[i]
 
 
@@ -312,18 +317,20 @@ def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float)
     Contracts the trace distance to tau by exactly alpha.
     """
     _require_same_dim(rho.matrix, tau.matrix)
-    return DensityOperator(ThermalizingChannel(alpha, tau.matrix).apply(rho.matrix))
+    return DensityOperator(ThermalizingChannel(alpha, tau.matrix[None]).apply(rho.matrix, 0))
 
 
-def contact_chain(rho0, channel: ThermalizingChannel, move=None) -> np.ndarray:
-    """Unchecked (n+1, d, d) states of rho_i = channel.apply(move(rho_{i-1}, i), i-1) over n contacts, rho0 first.
+def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> np.ndarray:
+    """Unchecked (n+1, d, d) states of rho_i = channel.apply(U_i rho_{i-1} U_i^H, i-1) over n contacts, rho0 first.
 
-    move defaults to the identity; the row-by-row operation order fixes the output bytes.
+    U_i is unitaries[i-1]; without unitaries none is applied, not even the identity
+    (I @ m @ I can flip a -0.0 to +0.0).  The row-by-row operation order fixes the output bytes.
     """
-    if np.ndim(channel.targets) != 3 or np.shape(channel.targets)[1:] != np.shape(rho0):
+    if np.shape(channel.targets)[1:] != np.shape(rho0):
         raise ValidationError(f"need (n, d, d) targets for a (d, d) state, got {np.shape(channel.targets)}")
     states = np.empty((len(channel.targets) + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
     for i in range(1, len(states)):
-        states[i] = channel.apply(states[i - 1] if move is None else move(states[i - 1], i), i - 1)
+        m = states[i - 1] if unitaries is None else unitaries[i - 1] @ states[i - 1] @ unitaries[i - 1].conj().T
+        states[i] = channel.apply(m, i - 1)
     return states

@@ -25,6 +25,7 @@ from .core import (
     ThermalizingChannel,
     ValidationError,
     _check_contraction_factor,
+    _check_count,
     _trace_norm,
     check_density_matrices,
     contact_chain,
@@ -70,7 +71,7 @@ def _check_channel_kind(kind: str) -> None:
 
 
 def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> ThermalizingChannel:
-    """The kind's channel toward the Gibbs targets taus of hams (one matrix or a stack).
+    """The kind's channel toward the Gibbs targets taus of hams, both (n, d, d) stacks.
 
     "pinch" dephases in the eigenbasis of each H before mixing: not a convex
     combination of the identity with a point map, yet it contracts at least
@@ -79,7 +80,7 @@ def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> Therm
     """
     _check_channel_kind(kind)
     channel = ThermalizingChannel(lam, taus, np.linalg.eigh(hams)[1] if kind == "pinch" else None)
-    drift = np.atleast_1d(_trace_norm(channel.apply(taus) - taus))
+    drift = _trace_norm(channel.apply(taus) - taus)
     bad = ~(drift <= 1e-12)
     if bad.any():
         raise ValidationError(f"channel does not fix its thermal target (drift {drift[bad.argmax()]:.3e})")
@@ -87,22 +88,21 @@ def _channel(kind: str, lam: float, hams: np.ndarray, taus: np.ndarray) -> Therm
 
 
 def make_channel(kind: str, lam: float, H: HamiltonianMatrix, temp: Temperature) -> ThermalizingChannel:
-    """The kind's channel toward Gibbs(H) at temp, as the protocol engine builds it for each contact."""
-    return _channel(kind, lam, H.matrix, gibbs_state(H, temp).matrix)
+    """The kind's one-contact channel toward Gibbs(H) at temp, as the protocol engine builds each contact."""
+    return _channel(kind, lam, H.matrix[None], gibbs_state(H, temp).matrix[None])
 
 
 def estimate_contraction(channel: ThermalizingChannel, probes: int = 200, seed: int = 7) -> float:
-    """Worst measured ||G(rho) - tau||_1 / ||rho - tau||_1 over random probes of a one-target channel.
+    """Worst measured ||G(rho) - tau||_1 / ||rho - tau||_1 over random probes of a one-contact channel.
 
     The probes are drawn from one stream as a stack: the even rows are
     Haar-random pure states (far from tau), the odd rows random diagonal
     states (the commuting sector).  Probes that coincide with tau are skipped.
     """
-    if probes < 1:
-        raise ValidationError(f"probes must be >= 1, got {probes}")
-    tau = channel.targets
-    if tau.ndim != 2:
-        raise ValidationError(f"expected a one-target channel, got targets of shape {tau.shape}")
+    _check_count("probes", probes)
+    if len(channel.targets) != 1:
+        raise ValidationError(f"expected a one-contact channel, got targets of shape {np.shape(channel.targets)}")
+    tau = channel.targets[0]
     dim = len(tau)
     rng = rng_for(seed, "contraction-probe", 0)
     pure, diagonal = (probes + 1) // 2, probes // 2
@@ -112,7 +112,7 @@ def estimate_contraction(channel: ThermalizingChannel, probes: int = 200, seed: 
     rhos = np.empty((probes, dim, dim), dtype=complex)
     rhos[0::2] = vecs[:, :, None] * vecs[:, None, :].conj()
     rhos[1::2] = (pops / pops.sum(axis=1, keepdims=True))[:, :, None] * np.eye(dim)
-    gap, moved = trace_distance(rhos, tau), trace_distance(channel.apply(rhos), tau)
+    gap, moved = trace_distance(rhos, tau), trace_distance(channel.apply(rhos, 0), tau)
     kept = gap >= 1e-12
     return float((moved[kept] / gap[kept]).max(initial=0.0))
 
@@ -159,13 +159,11 @@ class CyclicProtocol:
     substeps: int = DEFAULT_SUBSTEPS
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValidationError(f"N must be >= 1, got {self.N}")
+        _check_count("N", self.N)
         _check_evolution_mode(self.evolution_mode)
         _check_channel_kind(self.channel_kind)
         _check_contraction_factor(self.channel_alpha)
-        if self.substeps < 1:
-            raise ValidationError("substeps must be >= 1")
+        _check_count("substeps", self.substeps)
         loop_gap = np.abs(self.path.hamiltonian(0.0) - self.path.hamiltonian(1.0)).max()
         if not loop_gap <= 1e-12:
             raise ValidationError(f"path is not cyclic: ||H(0) - H(1)|| = {loop_gap:.3e}")
@@ -195,8 +193,7 @@ def evolve_unitary(path: HamiltonianPath, t_start, t_end, substeps: int) -> np.n
     t0, t1 = np.atleast_1d(t_start).astype(float), np.atleast_1d(t_end).astype(float)
     if not (t0 < t1).all():
         raise ValidationError(f"need t_start < t_end, got [{t0[(t0 < t1).argmin()]}, {t1[(t0 < t1).argmin()]}]")
-    if substeps < 1:
-        raise ValidationError("substeps must be >= 1")
+    _check_count("substeps", substeps)
     dt = (t1 - t0) / substeps
     mids = t0[:, None] + (np.arange(substeps) + 0.5) * dt[:, None]
     E = _slice_exponential(path.hamiltonians(mids.ravel()).reshape(*mids.shape, path.dim, path.dim), dt[:, None, None])
@@ -270,16 +267,11 @@ def _execute(
     channel = _channel(channel_kind, channel_alpha, hams[1:], taus[1:])
 
     unitaries = np.tile(np.eye(path.dim, dtype=complex), (N + 1, 1, 1))
+    U = None
     if evolution_mode == "unitary":
-        unitaries[1:] = evolve_unitary(path, np.arange(N) / N, np.arange(1, N + 1) / N, substeps)
-    evolved = np.empty_like(taus[1:])
-
-    def move(m, i):
-        # Quench mode never multiplies by the identity: I @ m @ I can flip a -0.0 to +0.0.
-        rho = evolved[i - 1] = m if evolution_mode == "quench" else unitaries[i] @ m @ unitaries[i].conj().T
-        return rho
-
-    sigmas = contact_chain(rho0.matrix, channel, move)
+        U = unitaries[1:] = evolve_unitary(path, np.arange(N) / N, np.arange(1, N + 1) / N, substeps)
+    sigmas = contact_chain(rho0.matrix, channel, U)
+    evolved = sigmas[:-1] if U is None else U @ sigmas[:-1] @ U.conj().swapaxes(1, 2)
     work_steps = _traces(hams[:-1], sigmas[:-1]) - _traces(hams[1:], evolved)
     # The recursion carries the raw states; the recorded ones are re-symmetrized.
     sigmas[1:] = 0.5 * (sigmas[1:] + sigmas[1:].conj().swapaxes(1, 2))

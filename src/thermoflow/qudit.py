@@ -21,6 +21,7 @@ from .core import (
     Temperature,
     ThermalizingChannel,
     ValidationError,
+    _check_count,
     check_density_matrices,
     contact_chain,
     free_energy,
@@ -228,8 +229,7 @@ class QuditProtocolConfig:
     free_energy_drop: float = field(init=False)
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValidationError(f"N must be >= 1, got {self.N}")
+        _check_count("N", self.N)
         if not 0.0 <= self.alpha < 1.0:
             raise ValidationError(f"alpha must lie in [0, 1), got {self.alpha}")
         if self.rho0.dim != self.path.dim:

@@ -161,6 +161,13 @@ def test_config_refuses_a_noise_that_is_no_noise_model(noise):
         QubitProtocolConfig(0.0, 0.0, make_linear_schedule(4, FIG_TEMP), noise)
 
 
+@pytest.mark.parametrize("eps_S", [math.nan, math.inf, -math.inf])
+def test_config_refuses_a_non_finite_system_energy(eps_S):
+    # a NaN eps_S made every sampled work NaN and average_work nan
+    with pytest.raises(ValidationError, match="eps_S must be finite"):
+        QubitProtocolConfig(0.0, eps_S, make_linear_schedule(4, FIG_TEMP), FixedAlpha(0.5))
+
+
 # ---------------------------------------------------------------------------
 # Excitation probabilities
 # ---------------------------------------------------------------------------

@@ -332,15 +332,60 @@ def test_partial_thermalize_rejects_bad_alpha():
         partial_thermalize(rho, rho, -0.1)
 
 
-@pytest.mark.parametrize(
-    "targets",
-    [np.diag([0.7, 0.3]), np.diag([0.7, 0.2, 0.1])[None], np.full(2, 0.5)],
-    ids=["one-target", "wrong-dim", "vector"],
-)
+@pytest.mark.parametrize("targets", [np.diag([0.7, 0.3]), np.full(2, 0.5)], ids=["one-target", "vector"])
 def test_contact_chain_refuses_targets_that_are_not_a_stack_of_the_states_shape(targets):
-    # a one-target channel would run d contacts, each against a row of its single target
+    # a one-target channel would run d contacts, each against a row of its single target: refused at construction
     with pytest.raises(ValidationError, match=r"\(n, d, d\) targets"):
-        core.contact_chain(np.diag([1.0, 0.0]), core.ThermalizingChannel(0.5, targets))
+        core.ThermalizingChannel(0.5, targets)
+    channel = core.ThermalizingChannel(0.5, np.diag([0.7, 0.2, 0.1])[None])  # a stack, but of 3 x 3 targets
+    with pytest.raises(ValidationError, match=r"\(n, d, d\) targets"):
+        core.contact_chain(np.diag([1.0, 0.0]), channel)
+
+
+COUNT_SITES = (
+    "make_linear_schedule-N",
+    "epsilon_upper_bound-N",
+    "sample_work_values-runs",
+    "thermal_op-ancilla_dim",
+    "thermal_op-trials",
+    "estimate_contraction-probes",
+    "CyclicProtocol-N",
+    "CyclicProtocol-substeps",
+    "evolve_unitary-substeps",
+    "QuditProtocolConfig-N",
+)
+
+
+def _count_sites():
+    """name -> (least, call(value)) for every step or trial count the library refuses through core._check_count."""
+    from thermoflow import collision, maps, qudit
+
+    schedule = collision.make_linear_schedule(4, Temperature(1.0))
+    erasure = collision.QubitProtocolConfig(0.0, 0.0, schedule, collision.FixedAlpha(0.5))
+    loop = maps.cyclic_qubit_gap_path(Temperature(1.0))
+    channel = maps.make_channel("partial", 0.5, HamiltonianMatrix.qubit(1.0), Temperature(1.0))
+    return dict(zip(COUNT_SITES, [
+        (1, lambda v: collision.make_linear_schedule(v, Temperature(1.0))),
+        (1, lambda v: collision.epsilon_upper_bound(v, 0.5, Temperature(1.0))),
+        (1, lambda v: collision.sample_work_values(erasure, v, seed=1)),
+        (2, lambda v: collision.thermal_op_reduction_check(0.42, 0.12, v, 1, seed=1)),
+        (1, lambda v: collision.thermal_op_reduction_check(0.42, 0.12, 3, v, seed=1)),
+        (1, lambda v: maps.estimate_contraction(channel, probes=v)),
+        (1, lambda v: maps.CyclicProtocol(loop, v, 0.5)),
+        (1, lambda v: maps.CyclicProtocol(loop, 4, 0.5, substeps=v)),
+        (1, lambda v: maps.evolve_unitary(loop, 0.0, 0.5, v)),
+        (1, lambda v: qudit.QuditProtocolConfig(loop, loop.gibbs(0.0), v, 0.5)),
+    ]))
+
+
+@pytest.mark.parametrize("bad", [2.5, True, 0], ids=["float", "bool", "zero"])
+@pytest.mark.parametrize("site", COUNT_SITES)
+def test_counts_refuse_floats_bools_and_values_below_the_least(site, bad):
+    # make_linear_schedule(2.5, T) built the ladder [0, .2, .4, .6], which ends at q = 0.6, not 1/2
+    least, call = _count_sites()[site]
+    with pytest.raises(ValidationError, match=f"must be >= {least}"):
+        call(bad)
+    call(np.int64(least))  # a numpy integer at the least is a count
 
 
 # ---------------------------------------------------------------------------

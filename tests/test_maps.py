@@ -143,7 +143,7 @@ def test_channel_factory_rejects_a_channel_that_moves_its_target():
     H = qubit_h(1.0)
     tau = gibbs_state(H, FIG_TEMP).matrix
     with pytest.raises(ValidationError, match="does not fix"):  # a basis that does not diagonalize tau
-        maps._channel("pinch", 0.5, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), tau)
+        maps._channel("pinch", 0.5, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)[None], tau[None])
     with pytest.raises(ValidationError, match="unknown channel kind"):
         make_channel("bogus", 0.5, H, FIG_TEMP)
     with pytest.raises(ValidationError, match="contraction factor"):
@@ -154,13 +154,13 @@ def test_contraction_probe_count_validation():
     ch = make_channel("partial", 0.5, qubit_h(1.0), FIG_TEMP)
     with pytest.raises(ValidationError):
         estimate_contraction(ch, probes=0)
-    with pytest.raises(ValidationError, match="one-target"):
-        estimate_contraction(ThermalizingChannel(0.5, np.stack([ch.targets, ch.targets])))
+    with pytest.raises(ValidationError, match="one-contact"):
+        estimate_contraction(ThermalizingChannel(0.5, np.concatenate([ch.targets, ch.targets])))
 
 
 def test_nan_target_fails_fixed_point_check():
     with pytest.raises(ValidationError, match="does not fix"):
-        maps._channel("partial", 0.5, qubit_h(1.0).matrix, np.full((2, 2), np.nan, dtype=complex))
+        maps._channel("partial", 0.5, qubit_h(1.0).matrix[None], np.full((2, 2), np.nan, dtype=complex)[None])
 
 
 # ---------------------------------------------------------------------------

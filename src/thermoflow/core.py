@@ -270,14 +270,18 @@ def trace_distance(rho, sigma):
     return _per_matrix(_trace_norm(rho - sigma))
 
 
-def _pinch(m: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """Dephase m in the eigenbasis held in the columns of vecs (one matrix or a stack)."""
-    vecs_h = vecs.conj().swapaxes(-1, -2)
-    in_basis = vecs_h @ m @ vecs
-    diagonal = np.zeros_like(in_basis)
-    idx = np.arange(vecs.shape[-1])
-    diagonal[..., idx, idx] = in_basis[..., idx, idx]
-    return vecs @ diagonal @ vecs_h
+def _pinch(m: np.ndarray, vecs: np.ndarray, vecs_h: np.ndarray, work=None) -> np.ndarray:
+    """Dephase m in the eigenbasis held in the columns of vecs (vecs_h: their conjugate transpose) into work's 2nd buffer."""
+    a, b, diagonal, on_diagonal = work or _pinch_work(np.broadcast_shapes(np.shape(m), vecs.shape))
+    np.matmul(np.matmul(vecs_h, m, out=a), vecs, out=b)
+    on_diagonal[...] = b.diagonal(0, -2, -1)
+    return np.matmul(np.matmul(vecs, diagonal, out=a), vecs_h, out=b)
+
+
+def _pinch_work(shape: tuple) -> tuple:
+    """Two product buffers, a zero one of which only the diagonal is ever written, and that diagonal as a view."""
+    diagonal = np.zeros(shape, dtype=complex)
+    return np.empty(shape, dtype=complex), np.empty(shape, dtype=complex), diagonal, np.einsum("...ii->...i", diagonal)
 
 
 def _check_contraction_factor(lam: float) -> None:
@@ -299,16 +303,20 @@ class ThermalizingChannel:
     targets: np.ndarray
     bases: Optional[np.ndarray] = None
     pull: np.ndarray = field(init=False, repr=False)
+    bases_h: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         _check_contraction_factor(self.lam)
         if np.ndim(self.targets) != 3 or np.shape(self.targets)[1] != np.shape(self.targets)[2]:
             raise ValidationError(f"need (n, d, d) targets, got shape {np.shape(self.targets)}")
+        if self.bases is not None and np.shape(self.bases) != np.shape(self.targets):
+            raise ValidationError(f"need bases of the targets' shape, got {np.shape(self.bases)}")
         object.__setattr__(self, "pull", (1.0 - self.lam) * self.targets)
+        object.__setattr__(self, "bases_h", None if self.bases is None else self.bases.conj().swapaxes(-1, -2))
 
     def apply(self, rho: np.ndarray, i=slice(None)) -> np.ndarray:
         """Contact i's map on rho (a state or a stack); the default i maps each row of a stack by its own contact."""
-        return self.lam * (rho if self.bases is None else _pinch(rho, self.bases[i])) + self.pull[i]
+        return self.lam * (rho if self.bases is None else _pinch(rho, self.bases[i], self.bases_h[i])) + self.pull[i]
 
 
 def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float) -> DensityOperator:
@@ -323,14 +331,22 @@ def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float)
 def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> np.ndarray:
     """Unchecked (n+1, d, d) states of rho_i = channel.apply(U_i rho_{i-1} U_i^H, i-1) over n contacts, rho0 first.
 
-    U_i is unitaries[i-1]; without unitaries none is applied, not even the identity
-    (I @ m @ I can flip a -0.0 to +0.0).  The row-by-row operation order fixes the output bytes.
+    U_i is unitaries[i-1]; without unitaries none is applied, not even the identity (I @ m @ I can flip a -0.0
+    to +0.0).  apply's products in apply's order fix the output bytes; rows are written in place, through one work set.
     """
     if np.shape(channel.targets)[1:] != np.shape(rho0):
         raise ValidationError(f"need (n, d, d) targets for a (d, d) state, got {np.shape(channel.targets)}")
+    if unitaries is not None and np.shape(unitaries) != np.shape(channel.targets):
+        raise ValidationError(f"need unitaries of the targets' shape, got {np.shape(unitaries)}")
     states = np.empty((len(channel.targets) + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
-    for i in range(1, len(states)):
-        m = states[i - 1] if unitaries is None else unitaries[i - 1] @ states[i - 1] @ unitaries[i - 1].conj().T
-        states[i] = channel.apply(m, i - 1)
+    work = _pinch_work(np.shape(rho0))
+    a, b = work[:2]
+    unitaries_h = None if unitaries is None else unitaries.conj().swapaxes(-1, -2)
+    for i, (prev, row) in enumerate(zip(states, states[1:])):
+        m = prev if unitaries is None else np.matmul(np.matmul(unitaries[i], prev, out=a), unitaries_h[i], out=b)
+        if channel.bases is not None:
+            m = _pinch(m, channel.bases[i], channel.bases_h[i], work)
+        np.multiply(channel.lam, m, out=row)
+        row += channel.pull[i]
     return states

@@ -342,6 +342,79 @@ def test_contact_chain_refuses_targets_that_are_not_a_stack_of_the_states_shape(
         core.contact_chain(np.diag([1.0, 0.0]), channel)
 
 
+CHAIN_MODES = ("plain", "pinch", "partial-unitary", "pinch-unitary")
+
+
+def _chain_inputs(mode, dim, start, n=7):
+    """(rho0, channel, unitaries) for n contacts: Gibbs targets of random Hermitian (or, for the signed-zeros start,
+    real diagonal) Hamiltonians, their eigenbases for a pinch, and random unitaries in the unitary modes."""
+    rng = np.random.default_rng(61 + dim)
+    if start == "signed-zeros":
+        hams = np.array([np.diag(rng.normal(size=dim)) for _ in range(n)]).astype(complex)
+        rho0 = np.full((dim, dim), complex(-0.0, -0.0))
+        rho0.real[np.diag_indices(dim)] = np.arange(1, dim + 1) / (dim * (dim + 1) / 2)  # the imaginary parts stay -0.0
+    else:
+        hams = np.array([random_hermitian(rng, dim) for _ in range(n)])
+        rho0 = random_density(rng, dim).matrix.copy()
+    bases = np.linalg.eigh(hams)[1] if mode.startswith("pinch") else None
+    channel = core.ThermalizingChannel(0.35, core.gibbs_matrices(hams, Temperature(0.8)), bases)
+    g = rng.normal(size=(n, dim, dim)) + 1j * rng.normal(size=(n, dim, dim))
+    return rho0, channel, np.linalg.qr(g)[0] if mode.endswith("unitary") else None
+
+
+@pytest.mark.parametrize("start", ["dense", "signed-zeros"])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("mode", CHAIN_MODES)
+def test_contact_chain_is_byte_identical_to_row_by_row_apply(mode, dim, start):
+    rho0, channel, unitaries = _chain_inputs(mode, dim, start)
+    reference = [rho0]
+    for i in range(len(channel.targets)):
+        m = reference[-1] if unitaries is None else unitaries[i] @ reference[-1] @ unitaries[i].conj().T
+        reference.append(channel.apply(m, i))
+    states = core.contact_chain(rho0, channel, unitaries)
+    # tobytes, not array_equal: -0.0 and +0.0 compare equal
+    assert states.tobytes() == np.array(reference).tobytes()
+    check_density_matrices(states)
+    if channel.bases is not None:
+        # a pinched contact and its Gibbs target are both diagonal in the contact's eigenbasis
+        in_basis = channel.bases.conj().swapaxes(1, 2) @ states[1:] @ channel.bases
+        assert np.abs(in_basis - in_basis * np.eye(dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("mode", CHAIN_MODES)
+def test_contact_chain_leaves_its_inputs_alone_and_owns_its_result(mode):
+    rho0, channel, unitaries = _chain_inputs(mode, 3, "dense")
+    inputs = [rho0, channel.targets, channel.bases, unitaries]
+    before = [None if x is None else x.tobytes() for x in inputs]
+    states = core.contact_chain(rho0, channel, unitaries)
+    assert [None if x is None else x.tobytes() for x in inputs] == before
+    assert not np.shares_memory(states, rho0)
+    assert states[0].tobytes() == rho0.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_targets, bases",
+    [(1, np.eye(2)), (1, np.tile(np.eye(2), (3, 1, 1))), (3, np.eye(2)[None]), (1, np.eye(3)[None])],
+    ids=["one-matrix", "three-for-one", "one-for-three", "wrong-dim"],
+)
+def test_thermalizing_channel_refuses_bases_not_of_the_targets_shape(n_targets, bases):
+    targets = np.tile(np.diag([0.7, 0.3]), (n_targets, 1, 1)).astype(complex)
+    with pytest.raises(ValidationError, match="bases of the targets' shape"):
+        core.ThermalizingChannel(0.5, targets, bases)
+
+
+@pytest.mark.parametrize(
+    "n_contacts, unitaries",
+    [(2, np.eye(2)), (3, np.tile(np.eye(2), (5, 1, 1))), (3, np.eye(2)[None]), (2, np.tile(np.eye(3), (2, 1, 1)))],
+    ids=["one-matrix", "five-for-three", "one-for-three", "wrong-dim"],
+)
+def test_contact_chain_refuses_unitaries_not_of_the_targets_shape(n_contacts, unitaries):
+    # a (d, d) matrix would be read row by row, each row a vector, and fill the off-diagonals; a longer stack be cut
+    channel = core.ThermalizingChannel(0.5, np.tile(np.diag([0.7, 0.3]), (n_contacts, 1, 1)).astype(complex))
+    with pytest.raises(ValidationError, match="unitaries of the targets' shape"):
+        core.contact_chain(np.diag([1.0, 0.0]).astype(complex), channel, unitaries.astype(complex))
+
+
 COUNT_SITES = (
     "make_linear_schedule-N",
     "epsilon_upper_bound-N",

@@ -32,7 +32,7 @@ __all__ = [
     "contact_chain",
 ]
 
-# Validation tolerances (max-elementwise for Hermiticity, spectral for PSD).
+# Validation tolerances (max-elementwise for Hermiticity and for max |B^H B - I| of pinch bases, spectral for PSD).
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_FLOOR = -1e-12
@@ -294,7 +294,7 @@ class ThermalizingChannel:
     """rho -> lam * P(rho) + (1 - lam) * tau_i toward each target of an (n, d, d) stack, one per contact.
 
     P is the identity or, given bases, the pinch: dephasing in the eigenbasis
-    held in the columns of bases[i].  The channel contracts the trace
+    held in the columns of bases[i], which must be unitary.  The channel contracts the trace
     distance to tau_i by at least lam (exactly lam without the pinch); it fixes
     tau_i when diagonal in that basis, which the caller checks.  One contact is a stack of one.
     """
@@ -309,10 +309,15 @@ class ThermalizingChannel:
         _check_contraction_factor(self.lam)
         if np.ndim(self.targets) != 3 or np.shape(self.targets)[1] != np.shape(self.targets)[2]:
             raise ValidationError(f"need (n, d, d) targets, got shape {np.shape(self.targets)}")
-        if self.bases is not None and np.shape(self.bases) != np.shape(self.targets):
-            raise ValidationError(f"need bases of the targets' shape, got {np.shape(self.bases)}")
+        bases_h = None if self.bases is None else self.bases.conj().swapaxes(-1, -2)
+        if bases_h is not None:
+            if np.shape(self.bases) != np.shape(self.targets):
+                raise ValidationError(f"need bases of the targets' shape, got {np.shape(self.bases)}")
+            dev = np.abs(bases_h @ self.bases - np.eye(self.bases.shape[-1])).max(initial=0.0)
+            if not dev <= HERMITICITY_TOL:  # one stacked check; a NaN fails it too
+                raise ValidationError(f"need unitary bases: max |B^H B - I| is {dev:.3e}")
         object.__setattr__(self, "pull", (1.0 - self.lam) * self.targets)
-        object.__setattr__(self, "bases_h", None if self.bases is None else self.bases.conj().swapaxes(-1, -2))
+        object.__setattr__(self, "bases_h", bases_h)
 
     def apply(self, rho: np.ndarray, i=slice(None)) -> np.ndarray:
         """Contact i's map on rho (a state or a stack); the default i maps each row of a stack by its own contact."""

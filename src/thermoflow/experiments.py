@@ -30,6 +30,8 @@ import numpy as np
 from . import __version__
 from .core import HERMITICITY_TOL, Temperature, ValidationError
 from .collision import (
+    CHUNK_ELEMENTS,
+    SEED_BLOCK,
     FixedAlpha,
     QubitProtocolConfig,
     WorkSummary,
@@ -66,6 +68,8 @@ __all__ = [
 
 DEFAULT_MASTER_SEED = 20260809
 LN2 = math.log(2.0)
+# Trials per fig4 summary block: WorkSummary.merge adds the blocks' sums in order, so this grouping fixes the output
+# bytes; a task spans as many whole blocks as one sampler chunk holds (_plan_fig4).
 TRIAL_BLOCK = 512
 
 
@@ -235,22 +239,25 @@ def _ldexp(x, e: int):
 
 
 def _plan_fig4(p, seed):
-    """Blocks of TRIAL_BLOCK trials per N; the histogram edges are computed once per N."""
+    """Tasks of whole TRIAL_BLOCK summary blocks per N, as many as one sampler chunk of (2N + 1)-uniform rows holds
+    (at least one), so a short-trial task makes one draw; the histogram edges are computed once per N."""
     items = []
     for n in p["N_values"]:
         n = int(n)
         edges = moment_bin_edges(work_moments(_scaled_qubit_config(n, p["temperature"], p["alpha"])[0]), p["bins"])
         task_seed = derive_seed(seed, f"fig4:N={n}", 0)
-        for start in range(0, p["runs"], TRIAL_BLOCK):
-            items.append((n, edges, task_seed, start, min(TRIAL_BLOCK, p["runs"] - start)))
+        span = TRIAL_BLOCK * max(1, min(SEED_BLOCK, CHUNK_ELEMENTS // (2 * n + 1)) // TRIAL_BLOCK)
+        for start in range(0, p["runs"], span):
+            items.append((n, edges, task_seed, start, min(span, p["runs"] - start)))
     return items
 
 
 def _run_fig4_block(p, item):
-    """(N, the block's WorkSummary)."""
+    """(N, the WorkSummary of each TRIAL_BLOCK trials of the task's span), from one sampler call over the span."""
     n, edges, seed, start, count = item
     cfg, _ = _scaled_qubit_config(n, p["temperature"], p["alpha"])
-    return n, WorkSummary.of(sample_work_values(cfg, count, seed, trial_offset=start), edges)
+    works = sample_work_values(cfg, count, seed, trial_offset=start)
+    return n, [WorkSummary.of(works[i : i + TRIAL_BLOCK], edges) for i in range(0, count, TRIAL_BLOCK)]
 
 
 def _assemble_fig4(p, results):
@@ -259,7 +266,7 @@ def _assemble_fig4(p, results):
     summary_rows = []
     for n in p["N_values"]:
         n = int(n)
-        merged = WorkSummary.merge([block for m, block in results if m == n])
+        merged = WorkSummary.merge([block for m, blocks in results if m == n for block in blocks])
         mean, variance = merged.moments()
         sigma = math.sqrt(variance)
         cfg, e = _scaled_qubit_config(n, p["temperature"], p["alpha"])

@@ -276,6 +276,53 @@ def test_fig4_builds_each_scaled_config_once(tmp_path, monkeypatch):
     assert sorted(built) == [12, 16, 20]
 
 
+def _plan_fig4_per_block(p, seed):
+    """The plan before tasks grouped summary blocks: one task per TRIAL_BLOCK trials."""
+    items = []
+    for n in p["N_values"]:
+        cfg, _ = experiments._scaled_qubit_config(n, p["temperature"], p["alpha"])
+        edges = collision.moment_bin_edges(collision.work_moments(cfg), p["bins"])
+        for start in range(0, p["runs"], experiments.TRIAL_BLOCK):
+            items.append((n, edges, derive_seed(seed, f"fig4:N={n}", 0), start,
+                          min(experiments.TRIAL_BLOCK, p["runs"] - start)))
+    return items
+
+
+def _run_fig4_per_block(p, item):
+    """One sampler call for the block and its one WorkSummary."""
+    n, edges, seed, start, count = item
+    cfg, _ = experiments._scaled_qubit_config(n, p["temperature"], p["alpha"])
+    return n, [collision.WorkSummary.of(collision.sample_work_values(cfg, count, seed, trial_offset=start), edges)]
+
+
+@pytest.mark.parametrize("runs", [3000, 5121])  # each cuts a summary block and, at some N, a task
+def test_grouped_fig4_tasks_write_the_bytes_of_one_sampler_call_per_block(runs, tmp_path, monkeypatch):
+    # N <= 63 groups blocks into one draw per task, N >= 64 keeps one block per task
+    cfg = {"experiment": "fig4-histograms", "parameters": {"N_values": [12, 40, 63, 64, 300], "runs": runs}}
+    grouped = run_experiment(dict(cfg, output_dir=str(tmp_path / "grouped"))).outputs
+    entry = experiments._REGISTRY["fig4-histograms"]
+    per_block = dataclasses.replace(entry, plan=_plan_fig4_per_block, run=_run_fig4_per_block)
+    monkeypatch.setitem(experiments._REGISTRY, "fig4-histograms", per_block)
+    assert run_experiment(dict(cfg, output_dir=str(tmp_path / "per-block"))).outputs == grouped  # SHA-256 per file
+
+
+@pytest.mark.parametrize(
+    "n_values,runs,spans",
+    [
+        # mc-small-n's plan: 8 tasks in place of 48
+        ([12, 16, 20], 8000, {12: [5120, 2880], 16: [3584, 3584, 832], 20: [3072, 3072, 1856]}),
+        ([63, 64, 2000], 1100, {63: [1024, 76], 64: [512, 512, 76], 2000: [512, 512, 76]}),
+    ],
+)
+def test_fig4_tasks_span_whole_summary_blocks_up_to_one_sampler_chunk(n_values, runs, spans):
+    p = resolve_config({"experiment": "fig4-histograms", "parameters": {"N_values": n_values, "runs": runs}})
+    items = experiments._plan_fig4(p["parameters"], DEFAULT_MASTER_SEED)
+    for n in n_values:
+        starts, counts = zip(*[(start, count) for m, _, _, start, count in items if m == n])
+        assert list(counts) == spans[n]
+        assert list(starts) == [sum(counts[:i]) for i in range(len(counts))]
+
+
 def test_fig4_single_step_passes_sigma_gate(tmp_path):
     # a single step's work is deterministic: the sigma gate must accept sigma_exact = 0
     cfg = {
@@ -668,7 +715,8 @@ def start_method(request):
 @pytest.mark.parametrize(
     "experiment,parameters,helpers",
     [
-        ("fig4-histograms", {"N_values": [20, 50], "runs": 1300}, 3),  # 3 blocks per N
+        # tasks of 3072 trials at N = 20 (3 tasks) and 1024 at N = 50 (7), so grouped summary blocks are pooled
+        ("fig4-histograms", {"N_values": [20, 50], "runs": 7000}, 3),
         ("fig3-loss", {}, 3),
         ("breakdown-scaling", {}, 2),  # 4 tasks, so 2 are left for helpers
     ],
@@ -844,7 +892,7 @@ def no_pool(*args, **kwargs):
 
 @pytest.mark.parametrize("faked", ["set", "platform default"])
 def test_a_spawned_pool_must_pay_for_its_import(faked, tmp_path, monkeypatch):
-    # a fig4 plan of mc-small-n's size pools under fork; a spawned helper imports numpy afresh, which takes longer
+    # a fig4 plan of mc-large-n's size pools under fork; a spawned helper imports numpy afresh, which takes longer
     # than the whole plan runs
     if faked == "set":
         monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: "spawn")
@@ -852,7 +900,7 @@ def test_a_spawned_pool_must_pay_for_its_import(faked, tmp_path, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: None)
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "fork"])
     monkeypatch.setattr(multiprocessing, "Process", no_pool)
-    cfg = {"experiment": "fig4-histograms", "parameters": {"N_values": [12, 16, 20], "runs": 8000}, "workers": 2,
+    cfg = {"experiment": "fig4-histograms", "parameters": {"N_values": [2000], "runs": 6000}, "workers": 2,
            "output_dir": str(tmp_path / "o")}
     run_experiment(cfg)
 

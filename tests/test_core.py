@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from thermoflow import core
+from thermoflow import core, maps
 from thermoflow.core import (
     DensityOperator,
     HamiltonianMatrix,
@@ -401,6 +401,26 @@ def test_thermalizing_channel_refuses_bases_not_of_the_targets_shape(n_targets, 
     targets = np.tile(np.diag([0.7, 0.3]), (n_targets, 1, 1)).astype(complex)
     with pytest.raises(ValidationError, match="bases of the targets' shape"):
         core.ThermalizingChannel(0.5, targets, bases)
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [2 * np.eye(2), np.array([[1.0, 0.5**0.5], [0.0, 0.5**0.5]]), np.full((2, 2), np.nan)],
+    ids=["twice-identity", "unit-columns-not-orthogonal", "nan"],
+)
+def test_thermalizing_channel_refuses_bases_that_are_not_unitary(basis):
+    # 2 I used to pass: contact_chain then returned a last state of trace 8.5 from diag(1, 0), with no error
+    bases = np.stack([np.eye(2), basis, np.eye(2)]).astype(complex)
+    with pytest.raises(ValidationError, match="unitary bases"):
+        core.ThermalizingChannel(0.5, np.tile(np.diag([0.7, 0.3]), (3, 1, 1)).astype(complex), bases)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8])
+def test_pinch_channels_accept_the_eigh_bases_of_maps(dim):
+    rng = np.random.default_rng(17 + dim)
+    hams = np.array([random_hermitian(rng, dim) for _ in range(64)])
+    channel = maps._channel("pinch", 0.4, hams, core.gibbs_matrices(hams, Temperature(0.7)))
+    assert channel.bases.shape == hams.shape
 
 
 @pytest.mark.parametrize(

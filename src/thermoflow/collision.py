@@ -55,7 +55,8 @@ TRIAL_TAG = "collision-mc"
 # Uniforms per sampler chunk (1 MB, 32 trials at N = 2000); 2^16..2^19 ran within noise of one another on a 2-core
 # host, 2^14 was 5-35% slower, and a whole 512-trial block at once 4-13% slower at N = 2000.
 CHUNK_ELEMENTS = 1 << 17
-# Trials seeded at once: their PCG64 lanes take 256 KB, and a fig4 block of 512 trials is one seeding block.
+# Trials seeded at once: their PCG64 lanes take 256 KB.  A fig4 task is one seeding block: it spans one sampler chunk's
+# whole 512-trial blocks (5,120 trials at N = 12), or one such block from N = 64 on.
 SEED_BLOCK = 8192
 
 

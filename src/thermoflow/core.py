@@ -319,9 +319,13 @@ class ThermalizingChannel:
         object.__setattr__(self, "pull", (1.0 - self.lam) * self.targets)
         object.__setattr__(self, "bases_h", bases_h)
 
-    def apply(self, rho: np.ndarray, i=slice(None)) -> np.ndarray:
-        """Contact i's map on rho (a state or a stack); the default i maps each row of a stack by its own contact."""
-        return self.lam * (rho if self.bases is None else _pinch(rho, self.bases[i], self.bases_h[i])) + self.pull[i]
+    def apply(self, rho: np.ndarray, i=slice(None), out=None, work=None) -> np.ndarray:
+        """Contact i's map on rho (a state or a stack); the default i maps each row of a stack by its own contact.
+
+        out, if given, takes the result, and work, a _pinch_work set, the pinch's products.
+        """
+        m = rho if self.bases is None else _pinch(rho, self.bases[i], self.bases_h[i], work)
+        return np.add(np.multiply(self.lam, m, out=out), self.pull[i], out=out)
 
 
 def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float) -> DensityOperator:
@@ -337,7 +341,7 @@ def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> np.ndar
     """Unchecked (n+1, d, d) states of rho_i = channel.apply(U_i rho_{i-1} U_i^H, i-1) over n contacts, rho0 first.
 
     U_i is unitaries[i-1]; without unitaries none is applied, not even the identity (I @ m @ I can flip a -0.0
-    to +0.0).  apply's products in apply's order fix the output bytes; rows are written in place, through one work set.
+    to +0.0).  apply writes each row in place as its out, through one work set made once per call.
     """
     if np.shape(channel.targets)[1:] != np.shape(rho0):
         raise ValidationError(f"need (n, d, d) targets for a (d, d) state, got {np.shape(channel.targets)}")
@@ -350,8 +354,5 @@ def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> np.ndar
     unitaries_h = None if unitaries is None else unitaries.conj().swapaxes(-1, -2)
     for i, (prev, row) in enumerate(zip(states, states[1:])):
         m = prev if unitaries is None else np.matmul(np.matmul(unitaries[i], prev, out=a), unitaries_h[i], out=b)
-        if channel.bases is not None:
-            m = _pinch(m, channel.bases[i], channel.bases_h[i], work)
-        np.multiply(channel.lam, m, out=row)
-        row += channel.pull[i]
+        channel.apply(m, i, row, work)
     return states

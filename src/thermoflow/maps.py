@@ -229,16 +229,16 @@ def unitary_approx_error(path: HamiltonianPath, i: int, N: int, substeps: int = 
 class ProtocolRun:
     """Full trace of a protocol run for the dissipation split.
 
-    All but work_steps are (N+1, dim, dim) arrays: hamiltonians[i] and
-    taus[i] are H and its Gibbs target at t_i = i/N, sigmas[i] the state
-    after contact i (sigmas[0] the initial state), unitaries[i] the
-    propagator of step i (identity in quench mode and at i = 0).
+    hamiltonians[i] and taus[i] are H and its Gibbs target at t_i = i/N,
+    sigmas[i] the state after contact i (sigmas[0] the initial state), all
+    (N+1, dim, dim); unitaries[i] is the propagator of step i + 1, an
+    (N, dim, dim) stack, or None in quench mode, which applies none.
     """
 
     hamiltonians: np.ndarray
     taus: np.ndarray
     sigmas: np.ndarray
-    unitaries: np.ndarray
+    unitaries: np.ndarray | None
     work_steps: np.ndarray
 
 
@@ -266,17 +266,14 @@ def _execute(
     check_density_matrices(taus)
     channel = _channel(channel_kind, channel_alpha, hams[1:], taus[1:])
 
-    unitaries = np.tile(np.eye(path.dim, dtype=complex), (N + 1, 1, 1))
-    U = None
-    if evolution_mode == "unitary":
-        U = unitaries[1:] = evolve_unitary(path, np.arange(N) / N, np.arange(1, N + 1) / N, substeps)
+    U = None if evolution_mode == "quench" else evolve_unitary(path, np.arange(N) / N, np.arange(1, N + 1) / N, substeps)
     sigmas = contact_chain(rho0.matrix, channel, U)
     evolved = sigmas[:-1] if U is None else U @ sigmas[:-1] @ U.conj().swapaxes(1, 2)
     work_steps = _traces(hams[:-1], sigmas[:-1]) - _traces(hams[1:], evolved)
     # The recursion carries the raw states; the recorded ones are re-symmetrized.
     sigmas[1:] = 0.5 * (sigmas[1:] + sigmas[1:].conj().swapaxes(1, 2))
     check_density_matrices(sigmas)
-    return ProtocolRun(hamiltonians=hams, taus=taus, sigmas=sigmas, unitaries=unitaries, work_steps=work_steps)
+    return ProtocolRun(hamiltonians=hams, taus=taus, sigmas=sigmas, unitaries=U, work_steps=work_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +306,12 @@ def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> Di
     """Run the protocol and split DeltaF_iso - W into its three exact parts."""
     p = protocol
     run = _execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
-    hams, taus, sigmas, U = run.hamiltonians, run.taus, run.sigmas[:-1], run.unitaries[1:]
+    hams, taus, sigmas, U = run.hamiltonians, run.taus, run.sigmas[:-1], run.unitaries
     temp = p.path.temp
     delta_f_iso = free_energy(taus[0], hams[0], temp) - free_energy(taus[-1], hams[-1], temp)
 
     dH = hams[:-1] - hams[1:]
-    evolved = U @ sigmas @ U.conj().swapaxes(1, 2)
+    evolved = sigmas if U is None else U @ sigmas @ U.conj().swapaxes(1, 2)  # sigma - sigma is +0.0: kappa stays +0.0
     gamma, epsilon, kappa = delta_f_iso, 0.0, 0.0
     # Sequential sums: a pairwise np.sum would round differently.
     terms = np.stack([_traces(dH, taus[:-1]), _traces(dH, sigmas - taus[:-1]), _traces(hams[1:], sigmas - evolved)], 1)

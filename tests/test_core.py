@@ -381,6 +381,27 @@ def test_contact_chain_is_byte_identical_to_row_by_row_apply(mode, dim, start):
         assert np.abs(in_basis - in_basis * np.eye(dim)).max() < 1e-12
 
 
+@pytest.mark.parametrize("start", ["dense", "signed-zeros"])
+@pytest.mark.parametrize("dim", [2, 4])
+@pytest.mark.parametrize("mode", ["plain", "pinch"])
+def test_apply_into_out_returns_out_with_the_bytes_of_the_allocating_call(mode, dim, start):
+    rho0, channel, _ = _chain_inputs(mode, dim, start)
+    rhos = core.contact_chain(rho0, channel)[:-1]
+    one = core.ThermalizingChannel(channel.lam, channel.targets[:1], None if channel.bases is None else channel.bases[:1])
+    cases = [
+        (channel, rho0, 3, core._pinch_work(rho0.shape)),  # one state by one contact, the pinch through a work set
+        (channel, rhos, slice(None), None),  # each row of a stack by its own contact
+        (one, rho0, slice(None), None),  # a lone state through a one-contact channel
+    ]
+    for ch, rho, i, work in cases:
+        expected = ch.apply(rho, i)
+        out = np.empty_like(expected)
+        assert ch.apply(rho, i, out, work) is out
+        assert out.tobytes() == expected.tobytes()
+    # the lone state comes back as a stack of one, which an allocating call adding pull[i] in place could not give
+    assert expected.shape == (1, dim, dim)
+
+
 @pytest.mark.parametrize("mode", CHAIN_MODES)
 def test_contact_chain_leaves_its_inputs_alone_and_owns_its_result(mode):
     rho0, channel, unitaries = _chain_inputs(mode, 3, "dense")

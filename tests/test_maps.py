@@ -427,8 +427,10 @@ def test_breakdown_epsilon_vanishes_at_full_thermalization():
     assert abs(breakdown_at(32, 0.0).epsilon) <= 1e-10
 
 
-def test_breakdown_kappa_vanishes_for_quenches():
-    assert breakdown_at(32, 0.5, mode="quench").kappa == 0.0
+@pytest.mark.parametrize("kind", ["partial", "pinch"])
+def test_breakdown_kappa_vanishes_for_quenches(kind):
+    kappa = breakdown_at(32, 0.5, mode="quench", kind=kind).kappa
+    assert kappa == 0.0 and math.copysign(1.0, kappa) == 1.0  # +0.0, written as 0
 
 
 def test_breakdown_gamma_epsilon_scale_as_one_over_n():
@@ -553,8 +555,10 @@ def test_stacked_engine_is_bit_identical_to_the_per_step_loop(preset, kind, mode
     proto = CyclicProtocol(path=path, N=N, channel_alpha=0.45, channel_kind=kind, evolution_mode=mode, substeps=16)
     run = execute(proto, rho0)
     ref = _reference_run(path, N, rho0, kind, 0.45, mode, 16)
-    for name, expected in zip(("hamiltonians", "taus", "sigmas", "unitaries", "work_steps"), ref):
+    for name, expected in zip(("hamiltonians", "taus", "sigmas", "work_steps"), ref[:3] + ref[4:]):
         assert np.array_equal(getattr(run, name), expected), name
+    # the propagators of steps 1..N, or none at all in quench mode (the reference's identities are not applied)
+    assert run.unitaries is None if mode == "quench" else np.array_equal(run.unitaries, ref[3][1:])
     assert dataclasses.asdict(dissipation_breakdown(proto, rho0)) == _reference_breakdown(path, *ref)
 
 

@@ -337,11 +337,11 @@ def partial_thermalize(rho: DensityOperator, tau: DensityOperator, alpha: float)
     return DensityOperator(ThermalizingChannel(alpha, tau.matrix[None]).apply(rho.matrix, 0))
 
 
-def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> np.ndarray:
-    """Unchecked (n+1, d, d) states of rho_i = channel.apply(U_i rho_{i-1} U_i^H, i-1) over n contacts, rho0 first.
-
-    U_i is unitaries[i-1]; without unitaries none is applied, not even the identity (I @ m @ I can flip a -0.0
-    to +0.0).  apply writes each row in place as its out, through one work set made once per call.
+def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (n+1, d, d) states of rho_i = channel.apply(U_i rho_{i-1} U_i^H, i-1), rho0 first, and the (n, d, d)
+    inputs, inputs[i-1] = U_i rho_{i-1} U_i^H the state contact i receives (the view states[:-1] without unitaries,
+    where none is applied, not even the identity: I @ m @ I can flip a -0.0 to +0.0).  Each product and apply
+    writes its row in place as its out, apply through one work set made once per call.
     """
     if np.shape(channel.targets)[1:] != np.shape(rho0):
         raise ValidationError(f"need (n, d, d) targets for a (d, d) state, got {np.shape(channel.targets)}")
@@ -349,10 +349,10 @@ def contact_chain(rho0, channel: ThermalizingChannel, unitaries=None) -> np.ndar
         raise ValidationError(f"need unitaries of the targets' shape, got {np.shape(unitaries)}")
     states = np.empty((len(channel.targets) + 1,) + np.shape(rho0), dtype=complex)
     states[0] = rho0
+    inputs = states[:-1] if unitaries is None else np.empty_like(states[1:])
     work = _pinch_work(np.shape(rho0))
-    a, b = work[:2]
-    unitaries_h = None if unitaries is None else unitaries.conj().swapaxes(-1, -2)
+    u_h = None if unitaries is None else unitaries.conj().swapaxes(-1, -2)
     for i, (prev, row) in enumerate(zip(states, states[1:])):
-        m = prev if unitaries is None else np.matmul(np.matmul(unitaries[i], prev, out=a), unitaries_h[i], out=b)
+        m = prev if unitaries is None else np.matmul(np.matmul(unitaries[i], prev, out=work[0]), u_h[i], out=inputs[i])
         channel.apply(m, i, row, work)
-    return states
+    return states, inputs

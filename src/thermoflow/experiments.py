@@ -463,10 +463,10 @@ _REGISTRY = {
     "fig4-histograms": Experiment(
         parameters={
             "N_values": Domain(int, [100, 200, 500, 1000], lo=1, sizes=True, distinct=True),
-            "runs": Domain(int, 10000, lo=2),
+            "runs": Domain(int, 10000, lo=2, hi=10**6),  # budget: 100 times the default
             "alpha": _ALPHA,
             "temperature": _TEMPERATURE,
-            "bins": Domain(int, 60, lo=1),
+            "bins": Domain(int, 60, lo=1, hi=10**5),  # budget: about 1,700 times the default
         },
         plan=_plan_fig4,
         run=_run_fig4_block,
@@ -496,7 +496,7 @@ _REGISTRY = {
             "N_values": Domain(int, [32, 64, 128, 256], lo=1, sizes=True),
             "channel": Domain(str, "partial", choices=CHANNEL_KINDS),
             "evolution": Domain(str, "unitary", choices=EVOLUTION_MODES),
-            "substeps": Domain(int, DEFAULT_SUBSTEPS, lo=1),
+            "substeps": Domain(int, DEFAULT_SUBSTEPS, lo=1, hi=1024),  # budget: 64 times the default
         },
         plan=_sizes_of("N_values"),
         run=_run_breakdown_point,
@@ -506,7 +506,7 @@ _REGISTRY = {
         parameters={
             "g": Domain(float, 1.0, lo=0, lo_open=True),
             "tau_th": Domain(float, 1.0, lo=0, lo_open=True),
-            "t_points": Domain(int, 400, lo=1),
+            "t_points": Domain(int, 400, lo=1, hi=10**5),  # budget: 250 times the default
             "Gamma": Domain(float, 1.0, lo=0),
             "total_time": Domain(float, 100.0, lo=0, lo_open=True),
         },

@@ -258,7 +258,7 @@ def _execute(
 ) -> ProtocolRun:
     """Run N contacts by one core.contact_chain call; all else is stacked.
 
-    Step i evolves sigma_{i-1} to rho_i and does work Tr(H_{i-1} sigma_{i-1}) - Tr(H_i rho_i).
+    Step i evolves sigma_{i-1} to rho_i, the input of contact i, and does work Tr(H_{i-1} sigma_{i-1}) - Tr(H_i rho_i).
     """
     _check_evolution_mode(evolution_mode)
     hams = path.hamiltonians(np.arange(N + 1) / N)
@@ -267,8 +267,7 @@ def _execute(
     channel = _channel(channel_kind, channel_alpha, hams[1:], taus[1:])
 
     U = None if evolution_mode == "quench" else evolve_unitary(path, np.arange(N) / N, np.arange(1, N + 1) / N, substeps)
-    sigmas = contact_chain(rho0.matrix, channel, U)
-    evolved = sigmas[:-1] if U is None else U @ sigmas[:-1] @ U.conj().swapaxes(1, 2)
+    sigmas, evolved = contact_chain(rho0.matrix, channel, U)
     work_steps = _traces(hams[:-1], sigmas[:-1]) - _traces(hams[1:], evolved)
     # The recursion carries the raw states; the recorded ones are re-symmetrized.
     sigmas[1:] = 0.5 * (sigmas[1:] + sigmas[1:].conj().swapaxes(1, 2))
@@ -303,7 +302,8 @@ class DissipationBreakdown:
 
 
 def dissipation_breakdown(protocol: CyclicProtocol, rho0: DensityOperator) -> DissipationBreakdown:
-    """Run the protocol and split DeltaF_iso - W into its three exact parts."""
+    """Run the protocol and split DeltaF_iso - W into its three exact parts; kappa evolves the re-symmetrized states,
+    not the raw ones whose evolved stack _execute reads from contact_chain (they differ in kappa's last digits)."""
     p = protocol
     run = _execute(p.path, p.N, rho0, p.channel_kind, p.channel_alpha, p.evolution_mode, p.substeps)
     hams, taus, sigmas, U = run.hamiltonians, run.taus, run.sigmas[:-1], run.unitaries

@@ -261,7 +261,7 @@ def run_qudit_protocol(config: QuditProtocolConfig) -> tuple[np.ndarray, np.ndar
     path, alpha = config.path, config.alpha
     H = path.hamiltonians(np.arange(1, config.N + 1) / config.N)
     taus = gibbs_matrices(H, path.temp)
-    states = contact_chain(config.rho0.matrix, ThermalizingChannel(alpha, taus))
+    states = contact_chain(config.rho0.matrix, ThermalizingChannel(alpha, taus))[0]
     check_density_matrices(states[1:])
     steps = (1.0 - alpha) * ((H - config.H_system) @ (taus - states[:-1])).trace(axis1=1, axis2=2).real
     return states, steps

@@ -7,6 +7,7 @@ import math
 import multiprocessing
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -1058,6 +1059,34 @@ def test_cli_tth_wide_search_window_terminates(tmp_path):
     assert (tmp_path / "o" / "tth_optimum.json").exists()
 
 
+def _address_space_limit():
+    """A child's address space capped at 3 GiB: an oversize array then fails in the child, not on the host."""
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize(
+    "experiment, name, overrides",
+    [
+        ("fig5-fig6-tth", "t_points", ["t_points=1e11"]),
+        ("fig4-histograms", "bins", ["bins=1e10"]),
+        ("fig4-histograms", "runs", ["runs=1e11"]),
+        ("breakdown-scaling", "substeps", ["substeps=1e8", "N_values=[32]"]),
+    ],
+    ids=["tth-t_points", "fig4-bins", "fig4-runs", "breakdown-substeps"],
+)
+def test_cli_refuses_a_count_above_its_budget_before_allocating(experiment, name, overrides, tmp_path):
+    # each ended in a traceback with exit 1: a 745 GiB array, a 74.5 GiB edges array, a MemoryError in fig4's task
+    # list, a 23.8 GiB midpoint stack
+    src = str(Path(thermoflow.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["--experiment", experiment, *(x for item in overrides for x in ("--set", item)), "--out", str(tmp_path)]
+    done = subprocess.run([sys.executable, "-m", "thermoflow.cli", *argv], env=env, capture_output=True, timeout=30,
+                          preexec_fn=_address_space_limit)
+    err = done.stderr.decode().splitlines()
+    assert done.returncode == EXIT_CONFIG, done.stderr.decode()
+    assert len(err) == 1 and f"parameters.{name}:" in err[0], err
+
+
 def test_cli_import_loads_neither_scipy_nor_the_process_pool():
     # scipy is a test-only dependency; the pool machinery is imported only by runs that start a pool
     src = str(Path(thermoflow.__file__).resolve().parents[1])
@@ -1113,8 +1142,9 @@ HOSTILE_VALUES = (True, False, None, "x", "", [], [[]], [["x"]], [[1, [2]]], {})
 def edge_numbers(domain):
     """The bounds with their neighbours, 0, -1, the float extremes and their negatives, and the non-finite floats.
 
-    A count with no upper bound (runs, bins, a size) takes no large integral
-    value: that is valid work, not an edge.
+    A count with no upper bound (a size) takes no large integral value: that
+    is valid work, not an edge.  A budgeted count takes its budget and the
+    neighbours, each a run or a refusal.
     """
     numbers = [0, -1, math.nan, math.inf, -math.inf, *FLOAT_EXTREMES, *(-x for x in FLOAT_EXTREMES)]
     for bound in (b for b in (domain.lo, domain.hi) if b is not None):

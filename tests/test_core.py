@@ -362,18 +362,46 @@ def _chain_inputs(mode, dim, start, n=7):
     return rho0, channel, np.linalg.qr(g)[0] if mode.endswith("unitary") else None
 
 
+def _poisoned(alloc):
+    """alloc, with every byte of the array it returns set to 0xFF: each float and complex part a NaN."""
+
+    def poisoned(*args, **kwargs):
+        out = alloc(*args, **kwargs)
+        out.view(np.uint8).fill(0xFF)
+        return out
+
+    return poisoned
+
+
+class _PoisonedNumpy:
+    """numpy as core sees it, except that a fresh np.empty or np.empty_like holds NaNs, not whatever memory it got:
+    freed memory can already hold the expected bytes, and a row that is never written then passes a byte test."""
+
+    empty = staticmethod(_poisoned(np.empty))
+    empty_like = staticmethod(_poisoned(np.empty_like))
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
 @pytest.mark.parametrize("start", ["dense", "signed-zeros"])
 @pytest.mark.parametrize("dim", [2, 4])
 @pytest.mark.parametrize("mode", CHAIN_MODES)
-def test_contact_chain_is_byte_identical_to_row_by_row_apply(mode, dim, start):
+def test_contact_chain_is_byte_identical_to_row_by_row_apply(mode, dim, start, monkeypatch):
     rho0, channel, unitaries = _chain_inputs(mode, dim, start)
-    reference = [rho0]
+    reference, received = [rho0], []
     for i in range(len(channel.targets)):
         m = reference[-1] if unitaries is None else unitaries[i] @ reference[-1] @ unitaries[i].conj().T
+        received.append(m)
         reference.append(channel.apply(m, i))
-    states = core.contact_chain(rho0, channel, unitaries)
+    monkeypatch.setattr(core, "np", _PoisonedNumpy())
+    states, inputs = core.contact_chain(rho0, channel, unitaries)
+    monkeypatch.undo()
     # tobytes, not array_equal: -0.0 and +0.0 compare equal
     assert states.tobytes() == np.array(reference).tobytes()
+    # each contact's input is the reference loop's m, row for row; in quench mode the states before each contact
+    assert inputs.tobytes() == np.array(received).tobytes()
+    assert np.shares_memory(inputs, states) == (unitaries is None)
     check_density_matrices(states)
     if channel.bases is not None:
         # a pinched contact and its Gibbs target are both diagonal in the contact's eigenbasis
@@ -386,7 +414,7 @@ def test_contact_chain_is_byte_identical_to_row_by_row_apply(mode, dim, start):
 @pytest.mark.parametrize("mode", ["plain", "pinch"])
 def test_apply_into_out_returns_out_with_the_bytes_of_the_allocating_call(mode, dim, start):
     rho0, channel, _ = _chain_inputs(mode, dim, start)
-    rhos = core.contact_chain(rho0, channel)[:-1]
+    rhos = core.contact_chain(rho0, channel)[1]
     one = core.ThermalizingChannel(channel.lam, channel.targets[:1], None if channel.bases is None else channel.bases[:1])
     cases = [
         (channel, rho0, 3, core._pinch_work(rho0.shape)),  # one state by one contact, the pinch through a work set
@@ -407,9 +435,9 @@ def test_contact_chain_leaves_its_inputs_alone_and_owns_its_result(mode):
     rho0, channel, unitaries = _chain_inputs(mode, 3, "dense")
     inputs = [rho0, channel.targets, channel.bases, unitaries]
     before = [None if x is None else x.tobytes() for x in inputs]
-    states = core.contact_chain(rho0, channel, unitaries)
+    states, received = core.contact_chain(rho0, channel, unitaries)
     assert [None if x is None else x.tobytes() for x in inputs] == before
-    assert not np.shares_memory(states, rho0)
+    assert not np.shares_memory(states, rho0) and not np.shares_memory(received, rho0)
     assert states[0].tobytes() == rho0.tobytes()
 
 

@@ -432,26 +432,44 @@ def sample_work_values(
 
 
 class WorkSummary(NamedTuple):
-    """Mergeable summary of sampled works: count, sum, sum of squares and histogram counts over fixed edges."""
+    """Mergeable summary of sampled works: count, sum, sum of squares, sum of squared deviations from the mean and
+    histogram counts over fixed edges."""
 
     count: int
     total: float
     total_sq: float
+    m2: float
     hist: np.ndarray
 
     @classmethod
     def of(cls, works: np.ndarray, edges) -> "WorkSummary":
-        return cls(len(works), float(works.sum()), float(np.dot(works, works)), np.histogram(works, bins=edges)[0])
+        dev = works - works.mean() if len(works) else works
+        hist = np.histogram(works, bins=edges)[0]
+        return cls(len(works), float(works.sum()), float(np.dot(works, works)), float(np.dot(dev, dev)), hist)
 
     @classmethod
     def merge(cls, blocks) -> "WorkSummary":
-        """The summary of all the blocks' trials: each entry added over the blocks in block order."""
-        return cls(*map(sum, zip(*blocks)))
+        """The summary of all the blocks' trials, folded in block order: counts, sums and histograms add, and the
+        squared deviations add with the between-block term n_a n_b (m_b - m_a)^2 / (n_a + n_b) (Chan, Golub and
+        LeVeque)."""
+        blocks = iter(blocks)
+        n, total, total_sq, m2, hist = next(blocks)
+        for b in blocks:
+            if n and b.count:
+                m2 += (b.total / b.count - total / n) ** 2 * (n * b.count / (n + b.count))
+            n, total, total_sq, m2, hist = n + b.count, total + b.total, total_sq + b.total_sq, m2 + b.m2, hist + b.hist
+        return cls(n, total, total_sq, m2, hist)
 
     def moments(self) -> tuple[float, float]:
-        """Sample mean and unbiased variance, max((sum w^2 - n m^2) / (n - 1), 0); 0 for a single sample."""
+        """Sample mean and unbiased variance; 0 for a single sample.
+
+        The variance is (sum w^2 - n m^2) / (n - 1) while that difference keeps more than 1/128 of sum w^2, so that
+        its rounding costs at most 7 bits, and m2 / (n - 1) below that, where the difference of sums cancels."""
         n, mean = self.count, self.total / self.count
-        return mean, (max((self.total_sq - n * mean * mean) / (n - 1), 0.0) if n > 1 else 0.0)
+        if n < 2:
+            return mean, 0.0
+        spread = self.total_sq - n * mean * mean
+        return mean, (spread if 128.0 * spread > self.total_sq else self.m2) / (n - 1)
 
 
 def default_bin_edges(config: QubitProtocolConfig) -> np.ndarray:
